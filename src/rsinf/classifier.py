@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .core import FieldElem, elem, parse_elem
+from .core import FieldElem, elem, parse_elem, parse_elems
 from .rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -253,12 +253,12 @@ def parse_spec(data) -> WeightSpec:
         t = item["type"]
         if t == "finite":
             regions.append(
-                Finite(tuple(parse_elem(str(v)) for v in item.get("values", ())))
+                Finite(parse_elems(item.get("values", ()), "'values'"))
             )
         elif t == "omega":
             regions.append(
                 Omega(
-                    tuple(parse_elem(str(v)) for v in item.get("exceptions", ())),
+                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
                     parse_elem(str(item["tail"])),
                 )
             )
@@ -266,14 +266,14 @@ def parse_spec(data) -> WeightSpec:
             regions.append(
                 OmegaStar(
                     parse_elem(str(item["tail"])),
-                    tuple(parse_elem(str(v)) for v in item.get("exceptions", ())),
+                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
                 )
             )
         elif t == "zeta":
             regions.append(
                 Zeta(
                     parse_elem(str(item["left_tail"])),
-                    tuple(parse_elem(str(v)) for v in item.get("exceptions", ())),
+                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
                     parse_elem(str(item["right_tail"])),
                 )
             )

@@ -13,15 +13,9 @@ import json
 import sys
 
 from . import classifier, cls
-from .core import FieldElem, Tableau, TableauFamily, parse_elem
+from .core import FieldElem, Tableau, TableauFamily, parse_elem, parse_elems
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
-from .rs_infinite import (
-    Axis,
-    block_ideal,
-    eventually_constant,
-    plus_rho,
-    rs_infinite,
-)
+from .rs_infinite import Axis, _ideal_of, eventually_constant, plus_rho, rs_infinite
 
 
 def _parse_seq(text: str):
@@ -61,11 +55,14 @@ def _cmd_rs(args) -> int:
 def _cmd_seq_of(args) -> int:
     with open(args.tableaux) as fh:
         data = json.load(fh)
+    items = data["tableaux"] if isinstance(data, dict) else None
+    if not isinstance(items, list):
+        raise ValueError("a tableau document is an object with a 'tableaux' list")
     tabs = []
-    for item in data["tableaux"]:
-        rows = tuple(
-            tuple(parse_elem(str(v)) for v in row) for row in item["rows"]
-        )
+    for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("rows"), list):
+            raise ValueError("each tableau is an object with a 'rows' list")
+        rows = tuple(parse_elems(row, "a tableau row") for row in item["rows"])
         if not rows or not rows[0]:
             raise ValueError("tableaux must have at least one nonempty row")
         tabs.append(Tableau(rows[0][0].anchor, rows))
@@ -94,7 +91,7 @@ def _cmd_rs_inf(args) -> int:
     axis = _AXES.get(data.get("axis"))
     if axis is None:
         raise ValueError(f"unknown axis {data.get('axis')!r}; use neg, pos or all")
-    window = [parse_elem(str(v)) for v in data.get("exceptions", ())]
+    window = parse_elems(data.get("exceptions", ()), "'exceptions'")
     lt = data.get("left_tail")
     rt = data.get("right_tail")
     block = eventually_constant(
@@ -104,7 +101,7 @@ def _cmd_rs_inf(args) -> int:
         right_tail=parse_elem(str(rt)) if rt is not None else None,
     )
     res = rs_infinite(plus_rho(block))
-    r, g, x, y = block_ideal(block)
+    r, g, x, y = _ideal_of(block, res)
     row = res.first_row
     row_json = {"window": [str(v) for v in row.window]}
     if row.left_law is not None:

@@ -124,6 +124,13 @@ def parse_elem(text: str) -> FieldElem:
     raise ValueError(f"malformed element literal {text!r}")
 
 
+def parse_elems(values, what: str) -> tuple[FieldElem, ...]:
+    """Parse a document's list of literals; a string is not a list."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {type(values).__name__}")
+    return tuple(parse_elem(str(v)) for v in values)
+
+
 def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
     """Compare two values in the integral partial order.
 

@@ -19,31 +19,35 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
     return tuple(e.shift(-(i + 1)) for i, e in enumerate(_seq(values)))
 
 
-def rs(values) -> TableauFamily:
-    """Insert the sequence, one tableau per integrality class.
+def insert_by_class(vals, start: int = 1) -> dict:
+    """Insert the entries one integrality class at a time.
 
-    Entries split by class in order of first appearance; within a class
-    the pairs (value, position) are inserted in sequence order.
+    Entry i sits at position start + i; within a class the pairs
+    (value, position) are inserted in sequence order.  Returns anchor ->
+    rows of FieldElem, classes in order of first appearance.
     """
-    vals = _seq(values)
-    order: list = []
     by_class: dict = {}
-    for pos, e in enumerate(vals, start=1):
+    for pos, e in enumerate(vals, start=start):
         if e.anchor not in by_class:
             by_class[e.anchor] = ([], [])
-            order.append(e.anchor)
         offs, poss = by_class[e.anchor]
         offs.append(e.offset)
         poss.append(pos)
-    tableaux = []
-    for anchor in order:
-        offs, poss = by_class[anchor]
-        idx_rows = insert_sequence(offs, poss)
-        rows = tuple(
-            tuple(FieldElem(anchor, offs[i]) for i in row) for row in idx_rows
+    return {
+        anchor: tuple(
+            tuple(FieldElem(anchor, offs[i]) for i in row)
+            for row in insert_sequence(offs, poss)
         )
-        tableaux.append(Tableau(anchor, rows))
-    return TableauFamily(tuple(tableaux))
+        for anchor, (offs, poss) in by_class.items()
+    }
+
+
+def rs(values) -> TableauFamily:
+    """Insert the sequence, one tableau per integrality class."""
+    tableaux = insert_by_class(_seq(values))
+    return TableauFamily(
+        tuple(Tableau(anchor, rows) for anchor, rows in tableaux.items())
+    )
 
 
 @dataclass(frozen=True)

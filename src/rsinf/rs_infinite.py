@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ._kernel import insert_sequence
-from .core import FieldElem, Tableau, TableauFamily, as_partition, elem
-from .rs_finite import seq_of
+from .core import FieldElem, Tableau, as_partition, elem
+from .rs_finite import insert_by_class, seq_of
 
 
 class Axis(enum.Enum):
@@ -338,28 +337,10 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     else:
         a = g.edge - margin
         b = g.edge + len(g.window) - 1 + margin
-    vals = [g.value(p) for p in range(a, b + 1)]
-
-    order: list = []
-    by_class: dict = {}
-    for i, e in enumerate(vals):
-        if e.anchor not in by_class:
-            by_class[e.anchor] = ([], [])
-            order.append(e.anchor)
-        offs, poss = by_class[e.anchor]
-        offs.append(e.offset)
-        poss.append(a + i)
+    tableaux = insert_by_class([g.value(p) for p in range(a, b + 1)], start=a)
     law_anchor = g.left_law.anchor if g.axis is not Axis.POS else g.right_law.anchor
-    if law_anchor not in by_class:
+    if law_anchor not in tableaux:
         raise ValueError("window too small: no law-class values present")
-
-    tableaux: dict = {}
-    for anchor in order:
-        offs, poss = by_class[anchor]
-        idx_rows = insert_sequence(offs, poss)
-        tableaux[anchor] = tuple(
-            tuple(FieldElem(anchor, offs[i]) for i in row) for row in idx_rows
-        )
 
     t1_rows = tableaux[law_anchor]
     row_vals = t1_rows[0]
@@ -381,7 +362,7 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     finite = tuple(
         Tableau(anchor, tableaux[anchor])
         for anchor in sorted(
-            (a for a in order if a != law_anchor),
+            (a for a in tableaux if a != law_anchor),
             key=lambda a: str(FieldElem(a, 0)),
         )
     )
@@ -394,40 +375,53 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
 
 
 def _stable_margin(g: StablyDecreasingSeq) -> int:
-    """Window growth past which prepends/appends no longer disturb the
-    insertion: law values at the extended ends must dominate (left) or
-    undercut (right) every same-class explicit value."""
-    base = len(g.window) + 8
-    d = 0
-    if g.axis is Axis.NEG:
-        w_lo = g.edge - len(g.window) + 1
-    else:
-        w_lo = g.edge
-    if g.axis in (Axis.NEG, Axis.ALL):
-        law = g.left_law
-        same = [e.offset for e in g.window if e.anchor == law.anchor]
-        if same:
-            d = max(d, max(same) - (law.offset - w_lo) + 1)
+    """A NEG or ALL window margin past which growth changes no result.
+
+    Let the explicit window occupy w_lo..w_hi (so w_hi >= w_lo - 1), the
+    left law have offset l and, on ALL, the right law offset r, and let
+    hi and lo be the largest and smallest law-class window offsets.  The
+    margin is max(d_left, d_right, d_gap, 1) with d_left = hi - (l -
+    w_lo) + 1, d_right = (r - w_hi) - lo + 1 and d_gap = r - l + 1 (a
+    term without window entries is left out).  Margin m inserts the
+    positions a = w_lo - m .. b, with b = w_hi + m on ALL, w_hi on NEG.
+
+    Proof that margins m and m + 1 agree once m reaches the margin.  The
+    law value at a, offset l - w_lo + m, exceeds every later law-class
+    value (window: d_left; right tail, at most r - w_lo: d_gap), so it
+    stays in column 0 of row 1 and nothing bumps it; the value that
+    m + 1 prepends at a - 1 is larger still, and the rest of the
+    insertion runs unchanged one column over.  On ALL the law value at
+    b, offset r - w_hi - m, is below every earlier law-class value
+    (window: d_right; left tail, at least l - w_hi: d_gap), so it ends
+    row 1 and bumps nothing, and so does the value appended at b + 1.
+    Other classes occur only in the explicit window.  So growth only
+    adds law values at the grown ends of row 1, the laws read off its
+    end values stay the same, and stably_decreasing strips the added
+    values.  The floor of 1 puts a law value into a window without one.
+    A POS input goes through its mirror, a NEG input.
+    """
+    left = g.left_law
+    w_lo = g.edge - len(g.window) + 1 if g.axis is Axis.NEG else g.edge
+    same = [e.offset for e in g.window if e.anchor == left.anchor]
+    d = 1
+    if same:
+        d = max(d, max(same) - (left.offset - w_lo) + 1)
     if g.axis is Axis.ALL:
-        law = g.right_law
-        w_hi = g.edge + len(g.window) - 1
-        same = [e.offset for e in g.window if e.anchor == law.anchor]
+        right = g.right_law.offset
+        w_hi = w_lo + len(g.window) - 1
         if same:
-            d = max(d, (law.offset - w_hi) - min(same) + 1)
-        if law.anchor == g.left_law.anchor:
-            # an up-hill gap between the laws displaces values just like
-            # a window entry above the left law does
-            d = max(d, law.offset - g.left_law.offset + 1)
-    return base + max(d, 0)
+            d = max(d, (right - w_hi) - min(same) + 1)
+        d = max(d, right - left.offset + 1)
+    return d
 
 
 def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     """Insert an infinite stably decreasing sequence.
 
-    NEG and ALL inputs are handled directly by inserting a window large
-    enough that further growth provably only extends the first row; the
-    result is confirmed by doubling the window once.  A POS input is
-    computed through its mirror and the pieces are mirrored back.
+    NEG and ALL inputs are handled directly by inserting once a window
+    large enough that further growth provably only extends the first row
+    (see _stable_margin).  A POS input is computed through its mirror and
+    the pieces are mirrored back.
     """
     if g.axis is Axis.POS:
         m = rs_infinite(star_seq(g))
@@ -438,15 +432,7 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
         )
     if g.axis is Axis.ALL and g.left_law.anchor != g.right_law.anchor:
         raise ValueError("the two tails lie in different integrality classes")
-    margin = _stable_margin(g)
-    prev = _extract(g, margin)
-    for _ in range(12):
-        margin *= 2
-        cur = _extract(g, margin)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise RuntimeError("insertion window failed to stabilize")
+    return _extract(g, _stable_margin(g))
 
 
 def partition_from_row(
@@ -484,16 +470,21 @@ def partition_from_row(
 
 def block_ideal(block: EventuallyConstantSeq) -> tuple:
     """The four annihilator statistics (r, g, X, Y) of one block."""
+    return _ideal_of(block, rs_infinite(plus_rho(block)))
+
+
+def _ideal_of(block: EventuallyConstantSeq, res: InfiniteRSResult) -> tuple:
+    """(r, g, X, Y) of block read off res = rs_infinite(plus_rho(block))."""
     if block.axis is Axis.NEG:
-        res = rs_infinite(plus_rho(block))
         y = partition_from_row(res, block.left_tail)
         return (res.r, 0, (), y)
     if block.axis is Axis.POS:
-        mirror = star_seq(block)
-        res = rs_infinite(plus_rho(mirror))
-        x = partition_from_row(res, mirror.left_tail)
+        # star_seq(plus_rho(block)) == plus_rho(star_seq(block)), so the
+        # mirrored first row is the NEG row of the mirrored block, whose
+        # left tail is the negated right tail
+        mirror = replace(res, axis=Axis.NEG, first_row=star_seq(res.first_row))
+        x = partition_from_row(mirror, block.right_tail.negate())
         return (res.r, 0, x, ())
-    res = rs_infinite(plus_rho(block))
     row = res.first_row
     if row.left_law.anchor != row.right_law.anchor:
         raise ValueError("two-sided block with tails in different classes")

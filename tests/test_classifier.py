@@ -133,6 +133,9 @@ def test_parse_spec_round_trip():
     doc = spec_to_json(s)
     assert parse_spec(doc) == s
     assert parse_spec(json.dumps(doc)) == s
+    # numbers inside the lists are read by their text
+    doc = {"regions": [{"type": "omega", "exceptions": [2, 2], "tail": 0}]}
+    assert parse_spec(doc) == weight_spec(omega([2, 2], 0))
 
 
 def test_parse_spec_errors():
@@ -144,6 +147,13 @@ def test_parse_spec_errors():
         parse_spec({"regions": [{"type": "ray", "tail": "0"}]})
     with pytest.raises(KeyError):
         parse_spec({"regions": [{"type": "omega"}]})
+    # a string where a list belongs is not read character by character
+    with pytest.raises(ValueError, match="'exceptions' must be a list"):
+        parse_spec({"regions": [{"type": "omega", "exceptions": "55", "tail": "0"}]})
+    with pytest.raises(ValueError, match="'exceptions' must be a list"):
+        parse_spec({"regions": [{"type": "zeta", "left_tail": 0, "exceptions": "5", "right_tail": 0}]})
+    with pytest.raises(ValueError, match="'values' must be a list"):
+        parse_spec({"regions": [{"type": "finite", "values": "55"}]})
 
 
 def test_ideal_to_json():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -51,6 +52,23 @@ def test_seq_of_rejects_empty_rows(tmp_path, capsys):
     code, out = run(capsys, "seq-of", str(doc))
     assert code == 1
     assert json.loads(out) == {"error": "tableaux must have at least one nonempty row"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"tableaux":[["3"]]}', "each tableau is an object with a 'rows' list"),
+        ('{"tableaux":[{"rows":"33"}]}', "each tableau is an object with a 'rows' list"),
+        ('{"tableaux":[{"rows":["33"]}]}', "a tableau row must be a list, not str"),
+        ('{"tableaux":5}', "a tableau document is an object with a 'tableaux' list"),
+    ],
+)
+def test_seq_of_rejects_malformed_tableaux(tmp_path, capsys, doc, message):
+    path = tmp_path / "tabs.json"
+    path.write_text(doc)
+    code, out = run(capsys, "seq-of", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": message}
 
 
 def test_interchange_path(capsys):
@@ -135,6 +153,70 @@ def test_rs_inf_bad_axis(tmp_path, capsys):
     code, out = run(capsys, "rs-inf", str(doc))
     assert code == 1
     assert json.loads(out) == {"error": "unknown axis 'up'; use neg, pos or all"}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("classify", {"regions": [{"type": "omega", "exceptions": "55", "tail": "0"}]}),
+        ("classify", {"regions": [{"type": "finite", "values": "55"}, {"type": "omega", "tail": "0"}]}),
+        ("rs-inf", {"axis": "neg", "exceptions": "55", "left_tail": "0"}),
+    ],
+)
+def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert "must be a list, not str" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, ideal",
+    [
+        (
+            {"axis": "neg", "exceptions": [40, "a", -2, -2], "left_tail": 0},
+            {"r": 2, "g": 0, "X": [], "Y": [4, 4]},
+        ),
+        (
+            {"axis": "pos", "exceptions": ["3", "a", "-2"], "right_tail": "0"},
+            {"r": 2, "g": 0, "X": [5], "Y": []},
+        ),
+        (
+            {"axis": "all", "exceptions": ["5", "a"], "left_tail": "4", "right_tail": "0"},
+            {"r": 2, "g": 6, "X": [], "Y": []},
+        ),
+    ],
+)
+def test_rs_inf_inserts_once(tmp_path, capsys, monkeypatch, doc, ideal):
+    cli_mod = importlib.import_module("rsinf.cli")
+    ri = importlib.import_module("rsinf.rs_infinite")
+    orig_rs, orig_extract = ri.rs_infinite, ri._extract
+    calls = {"rs_infinite": 0, "_extract": 0}
+    depth = [0]
+
+    def counted_rs(g):
+        # a POS input recurses once through its mirror; count the outer call
+        calls["rs_infinite"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return orig_rs(g)
+        finally:
+            depth[0] -= 1
+
+    def counted_extract(g, margin):
+        calls["_extract"] += 1
+        return orig_extract(g, margin)
+
+    monkeypatch.setattr(ri, "rs_infinite", counted_rs)
+    monkeypatch.setattr(cli_mod, "rs_infinite", counted_rs)
+    monkeypatch.setattr(ri, "_extract", counted_extract)
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "rs-inf", str(path))
+    assert code == 0
+    assert calls == {"rs_infinite": 1, "_extract": 1}
+    assert json.loads(out)["ideal"] == ideal
 
 
 def test_cls_level_lines(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from helpers import rand_block
 from rsinf.core import FieldElem, elem, parse_elem
 from rsinf.rs_infinite import (
     Axis,
+    _extract,
+    _stable_margin,
     EventuallyConstantSeq,
     StablyDecreasingSeq,
     block_ideal,
@@ -226,3 +229,51 @@ def test_block_ideal_duality():
             rm, gm, xm, ym = block_ideal(star_seq(blk))
             assert (rm, gm) == (r, g)
             assert (xm, ym) == (y, x)
+
+
+@pytest.mark.parametrize(
+    "blk",
+    [
+        # a window entry far above the left law
+        eventually_constant(Axis.NEG, [40], left_tail=0),
+        eventually_constant(Axis.ALL, [40, -3], edge=2, left_tail=0, right_tail=0),
+        # window entries below the right law
+        eventually_constant(Axis.ALL, [-3, -6], edge=0, left_tail=1, right_tail=1),
+        # an up-hill gap between the two laws, with and without a window
+        eventually_constant(Axis.ALL, [], edge=1, left_tail=0, right_tail=30),
+        eventually_constant(Axis.ALL, [7, "a"], edge=-4, left_tail=-5, right_tail=20),
+        # empty windows
+        eventually_constant(Axis.NEG, [], left_tail=3),
+        eventually_constant(Axis.ALL, [], edge=1, left_tail=2, right_tail=-4),
+        # symbol-class tails, with integer and same-class window entries
+        eventually_constant(Axis.NEG, ["a+30", 5, "a-2"], left_tail="a"),
+        eventually_constant(
+            Axis.ALL, [3, "a-10", "a+12"], edge=-1, left_tail="a", right_tail="a+25"
+        ),
+    ],
+)
+def test_single_extraction_matches_a_much_larger_window(blk):
+    g = plus_rho(blk)
+    res = rs_infinite(g)
+    margin = _stable_margin(g)
+    for m in (margin + 1, 2 * margin, 4 * margin + 50):
+        assert _extract(g, m) == res, m
+
+
+def test_rs_infinite_extracts_once(monkeypatch):
+    ri = importlib.import_module("rsinf.rs_infinite")
+    orig = ri._extract
+    calls = []
+
+    def counted(g, margin):
+        calls.append(margin)
+        return orig(g, margin)
+
+    monkeypatch.setattr(ri, "_extract", counted)
+    rng = random.Random(8)
+    for axis in (Axis.NEG, Axis.ALL):
+        for _ in range(20):
+            g = plus_rho(rand_block(rng, axis))
+            calls.clear()
+            rs_infinite(g)
+            assert calls == [_stable_margin(g)]
