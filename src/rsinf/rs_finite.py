@@ -19,15 +19,15 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
     return tuple(e.shift(-(i + 1)) for i, e in enumerate(_seq(values)))
 
 
-def insert_by_class(vals, start: int = 1) -> dict:
+def insert_by_class(vals) -> dict:
     """Insert the entries one integrality class at a time.
 
-    Entry i sits at position start + i; within a class the pairs
+    Entry i sits at position i + 1; within a class the pairs
     (value, position) are inserted in sequence order.  Returns anchor ->
     rows of FieldElem, classes in order of first appearance.
     """
     by_class: dict = {}
-    for pos, e in enumerate(vals, start=start):
+    for pos, e in enumerate(vals, start=1):
         if e.anchor not in by_class:
             by_class[e.anchor] = ([], [])
         offs, poss = by_class[e.anchor]

@@ -337,7 +337,7 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     else:
         a = g.edge - margin
         b = g.edge + len(g.window) - 1 + margin
-    tableaux = insert_by_class([g.value(p) for p in range(a, b + 1)], start=a)
+    tableaux = insert_by_class([g.value(p) for p in range(a, b + 1)])
     law_anchor = g.left_law.anchor if g.axis is not Axis.POS else g.right_law.anchor
     if law_anchor not in tableaux:
         raise ValueError("window too small: no law-class values present")

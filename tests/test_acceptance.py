@@ -254,8 +254,8 @@ def test_a07_window_margins_and_weaving_do_not_change_results():
             g = star_seq(g)
         res = rs_infinite(g)
         base = _stable_margin(g)
-        # +1..+3 past the proven margin, then twice and four times it
-        for extra in (1, 2, 3, base, 3 * base):
+        # +1..+3 past the proven margin, twice and four times it, and far out
+        for extra in (1, 2, 3, base, 3 * base, 50):
             assert _extract(g, base + extra) == res, (blk, extra)
         if not res.underline:
             continue
