@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .core import FieldElem, elem, parse_elem, parse_elems
+from .core import FieldElem, elem, parse_elems, parse_entry
 from .rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -244,7 +244,7 @@ def parse_spec(data) -> WeightSpec:
     """Read a spec from a JSON object (or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "regions" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("regions"), list):
         raise ValueError("a spec document is an object with a 'regions' list")
     regions = []
     for item in data["regions"]:
@@ -259,22 +259,22 @@ def parse_spec(data) -> WeightSpec:
             regions.append(
                 Omega(
                     parse_elems(item.get("exceptions", ()), "'exceptions'"),
-                    parse_elem(str(item["tail"])),
+                    parse_entry(item["tail"], "'tail'"),
                 )
             )
         elif t == "omega_star":
             regions.append(
                 OmegaStar(
-                    parse_elem(str(item["tail"])),
+                    parse_entry(item["tail"], "'tail'"),
                     parse_elems(item.get("exceptions", ()), "'exceptions'"),
                 )
             )
         elif t == "zeta":
             regions.append(
                 Zeta(
-                    parse_elem(str(item["left_tail"])),
+                    parse_entry(item["left_tail"], "'left_tail'"),
                     parse_elems(item.get("exceptions", ()), "'exceptions'"),
-                    parse_elem(str(item["right_tail"])),
+                    parse_entry(item["right_tail"], "'right_tail'"),
                 )
             )
         else:

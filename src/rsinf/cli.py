@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import classifier, cls
-from .core import FieldElem, Tableau, TableauFamily, parse_elem, parse_elems
+from .core import FieldElem, Tableau, TableauFamily, parse_elem, parse_elems, parse_entry
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
 from .rs_infinite import Axis, _ideal_of, eventually_constant, plus_rho, rs_infinite
 
@@ -88,18 +89,18 @@ _AXES = {"neg": Axis.NEG, "pos": Axis.POS, "all": Axis.ALL}
 def _cmd_rs_inf(args) -> int:
     with open(args.block) as fh:
         data = json.load(fh)
-    axis = _AXES.get(data.get("axis"))
+    if not isinstance(data, dict):
+        raise ValueError("a block document is an object with an 'axis' field")
+    name = data.get("axis")
+    axis = _AXES.get(name) if isinstance(name, str) else None
     if axis is None:
-        raise ValueError(f"unknown axis {data.get('axis')!r}; use neg, pos or all")
+        raise ValueError(f"unknown axis {name!r}; use neg, pos or all")
     window = parse_elems(data.get("exceptions", ()), "'exceptions'")
-    lt = data.get("left_tail")
-    rt = data.get("right_tail")
-    block = eventually_constant(
-        axis,
-        window,
-        left_tail=parse_elem(str(lt)) if lt is not None else None,
-        right_tail=parse_elem(str(rt)) if rt is not None else None,
+    lt, rt = (
+        None if data.get(side) is None else parse_entry(data[side], f"'{side}'")
+        for side in ("left_tail", "right_tail")
     )
+    block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)
     res = rs_infinite(plus_rho(block))
     r, g, x, y = _ideal_of(block, res)
     row = res.first_row
@@ -159,8 +160,21 @@ def _cmd_cls_member(args) -> int:
     return _emit({"member": cls.member(p, vec)})
 
 
+_NEGATIVE_LEAD = re.compile(r"-[0-9]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a minus and a digit ("-3,4")
+    as a value, so a sequence may begin with a negative entry."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_LEAD.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rsinf",
         description="Insertion on infinite sequences and annihilator parameters.",
     )

@@ -11,6 +11,7 @@ downstream ever uses.
 from __future__ import annotations
 
 import enum
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,11 +125,24 @@ def parse_elem(text: str) -> FieldElem:
     raise ValueError(f"malformed element literal {text!r}")
 
 
+def parse_entry(value, what: str) -> FieldElem:
+    """Parse one document entry: a literal string or an integer.
+
+    JSON null, true, false, floats, lists and objects are not entries.
+    """
+    if isinstance(value, str):
+        return parse_elem(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return from_rational(value)
+    shown = json.dumps(value, default=repr)
+    raise ValueError(f"{what} must be a string or an integer, not {shown}")
+
+
 def parse_elems(values, what: str) -> tuple[FieldElem, ...]:
-    """Parse a document's list of literals; a string is not a list."""
+    """Parse a document's list of entries; a string is not a list."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be a list, not {type(values).__name__}")
-    return tuple(parse_elem(str(v)) for v in values)
+    return tuple(parse_entry(v, f"an entry of {what}") for v in values)
 
 
 def compare_z(a: FieldElem, b: FieldElem) -> Comparison:

@@ -143,9 +143,7 @@ def admissible(values, i: int, shifted: bool = False) -> bool:
     f = _seq(values)
     if not 1 <= i <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
-    if shifted:
-        f = rho_shift(f)
-    return _admissible_plain(f, i)
+    return _admissible_here(f, i, shifted)
 
 
 def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem, ...]:
@@ -180,21 +178,33 @@ class InterchangePath:
 
 
 def connected(f, g, shifted: bool = False) -> InterchangePath | None:
-    """Breadth-first search for an interchange path from f to g."""
+    """A shortest interchange path from f to g, or None if there is none.
+
+    Two words are joined by interchanges exactly when their insertions
+    agree (Knuth 1970), so unequal insertions answer None without a
+    search.  A shifted move on f is a plain move at the same position on
+    rho_shift(f), so the shifted variant compares j and searches the
+    shifted words.  The breadth-first search tries positions in
+    increasing order, which fixes the path among the shortest ones.
+    """
     start, goal = _seq(f), _seq(g)
     if len(start) != len(goal):
         return None
     if start == goal:
         return InterchangePath(())
+    if shifted:
+        start, goal = rho_shift(start), rho_shift(goal)
+    if rs(start) != rs(goal):
+        return None
     n = len(start)
     prev: dict = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         for i in range(1, n):
-            if not _admissible_here(cur, i, shifted):
+            if not _admissible_here(cur, i, False):
                 continue
-            nxt = apply_interchange(cur, i, shifted=shifted)
+            nxt = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
             if nxt in prev:
                 continue
             prev[nxt] = (cur, i)
@@ -206,7 +216,7 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
                     steps.append((pos, shifted))
                 return InterchangePath(tuple(reversed(steps)))
             queue.append(nxt)
-    return None
+    raise AssertionError(f"equal insertions but no interchange path: {f} -> {g}")
 
 
 def _admissible_here(f: tuple[FieldElem, ...], i: int, shifted: bool) -> bool:
@@ -216,7 +226,14 @@ def _admissible_here(f: tuple[FieldElem, ...], i: int, shifted: bool) -> bool:
 
 
 def joseph_equal(f, fprime, k: int | None = None) -> bool:
-    """Whether j(f) equals j(fprime + k), searching over k when omitted."""
+    """Whether j(f) equals j(fprime + k); when k is omitted, whether some
+    integer k makes them equal.
+
+    j only rearranges the entries of rho_shift, so equal results have
+    equal entries class by class.  That fixes the one k that can work:
+    the largest shifted entry of f in the class of f's first entry minus
+    the largest shifted entry of fprime in that class.
+    """
     a, b = _seq(f), _seq(fprime)
     if k is not None:
         return j(a) == j(tuple(e.shift(k) for e in b))
@@ -224,16 +241,10 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
         return False
     if not a:
         return True
-    ja = j(a)
-    ka, kb = rho_shift(a), rho_shift(b)
-    candidates = sorted(
-        {
-            ea.offset - eb.offset
-            for ea in ka
-            for eb in kb
-            if ea.anchor == eb.anchor
-        }
-    )
-    return any(
-        ja == j(tuple(e.shift(c) for e in b)) for c in candidates
-    )
+    anchor = a[0].anchor
+    ka = [e.offset for e in rho_shift(a) if e.anchor == anchor]
+    kb = [e.offset for e in rho_shift(b) if e.anchor == anchor]
+    if not kb:
+        return False
+    c = max(ka) - max(kb)
+    return j(a) == j(tuple(e.shift(c) for e in b))

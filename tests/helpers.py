@@ -1,8 +1,10 @@
-"""Random object generators shared across the test modules."""
+"""Random object generators and oracles shared across the test modules."""
 
+from collections import deque
 from fractions import Fraction
 
 from rsinf.core import FieldElem, Tableau, TableauFamily
+from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
 from rsinf.rs_infinite import Axis, eventually_constant
 
 ANCHORS = (Fraction(0), "a", "b")
@@ -66,3 +68,33 @@ def rand_block(rng, axis, max_exc=5, lo=-6, hi=6):
         left_tail=rng.randint(lo, hi),
         right_tail=rng.randint(lo, hi),
     )
+
+
+def bfs_connected(f, g, shifted=False):
+    """Breadth-first search over the whole rearrangement class, through
+    the public moves: a shortest interchange path from f to g trying
+    positions in increasing order, or None.  An oracle for short words."""
+    start, goal = tuple(f), tuple(g)
+    if len(start) != len(goal):
+        return None
+    if start == goal:
+        return InterchangePath(())
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for i in range(1, len(cur)):
+            if not admissible(cur, i, shifted=shifted):
+                continue
+            nxt = apply_interchange(cur, i, shifted=shifted)
+            if nxt in prev:
+                continue
+            prev[nxt] = (cur, i)
+            if nxt == goal:
+                steps = []
+                while prev[nxt] is not None:
+                    nxt, i = prev[nxt]
+                    steps.append((i, shifted))
+                return InterchangePath(tuple(reversed(steps)))
+            queue.append(nxt)
+    return None

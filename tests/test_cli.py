@@ -77,6 +77,37 @@ def test_interchange_path(capsys):
     assert out == '{"connected":true,"path":[1]}\n'
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["rs", "-3,4"], {"tableaux": [{"class": "0", "rows": [["4"], ["-3"]]}]}),
+        (["rs", "-3"], {"tableaux": [{"class": "0", "rows": [["-3"]]}]}),
+        (["rs", "-3,4", "--shifted"], {"tableaux": [{"class": "0", "rows": [["2"], ["-4"]]}]}),
+        (["rs", "--", "-3,4"], {"tableaux": [{"class": "0", "rows": [["4"], ["-3"]]}]}),
+        (["interchange", "-1,5,3", "5,-1,3"], {"connected": True, "path": [1]}),
+        (["interchange", "-1,2", "2,-1", "--shifted", "--k=-1"],
+         {"connected": False, "joseph_equal": False}),
+        (["interchange", "--shifted", "-2,-1", "--k", "-1", "-1,0"],
+         {"connected": False, "joseph_equal": True}),
+        (["interchange", "--", "-1,5,3", "5,-1,3"], {"connected": True, "path": [1]}),
+    ],
+)
+def test_sequence_may_start_with_a_negative_entry(capsys, argv, want):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == want
+
+
+def test_options_keep_their_meaning(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rs", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rsinf rs")
+    with pytest.raises(SystemExit) as exc:
+        main(["rs", "-x"])
+    assert exc.value.code == 2
+
+
 def test_interchange_length_mismatch(capsys):
     code, out = run(capsys, "interchange", "0,5", "5,0,3")
     assert code == 0
@@ -169,6 +200,39 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
     code, out = run(capsys, command, str(path))
     assert code == 1
     assert "must be a list, not str" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # JSON null, true and false are not read as symbols
+        ("classify", {"regions": [{"type": "omega", "exceptions": [None], "tail": "0"}]},
+         "an entry of 'exceptions' must be a string or an integer, not null"),
+        ("classify", {"regions": [{"type": "omega", "exceptions": [], "tail": True}]},
+         "'tail' must be a string or an integer, not true"),
+        ("classify", {"regions": [{"type": "zeta", "left_tail": 0, "right_tail": False}]},
+         "'right_tail' must be a string or an integer, not false"),
+        ("rs-inf", {"axis": "neg", "exceptions": [], "left_tail": True},
+         "'left_tail' must be a string or an integer, not true"),
+        ("rs-inf", {"axis": "pos", "exceptions": [1.5], "right_tail": 0},
+         "an entry of 'exceptions' must be a string or an integer, not 1.5"),
+        ("seq-of", {"tableaux": [{"rows": [[None]]}]},
+         "an entry of a tableau row must be a string or an integer, not null"),
+        # documents of the wrong shape
+        ("rs-inf", [1], "a block document is an object with an 'axis' field"),
+        ("rs-inf", "neg", "a block document is an object with an 'axis' field"),
+        ("rs-inf", {"axis": ["neg"]}, "unknown axis ['neg']; use neg, pos or all"),
+        ("classify", {"regions": 5}, "a spec document is an object with a 'regions' list"),
+        ("classify", [{"type": "omega"}], "a spec document is an object with a 'regions' list"),
+        ("classify", {"regions": [5]}, "each region is an object with a 'type' field"),
+    ],
+)
+def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": message}
 
 
 @pytest.mark.parametrize(

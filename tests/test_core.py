@@ -17,6 +17,8 @@ from rsinf.core import (
     gt_z,
     negate,
     parse_elem,
+    parse_elems,
+    parse_entry,
     same_class,
     shift_by_int,
 )
@@ -62,6 +64,23 @@ def test_parse_elem(text, anchor, offset):
 def test_parse_elem_rejects(text):
     with pytest.raises(ValueError):
         parse_elem(text)
+
+
+def test_document_entries_are_strings_or_integers():
+    assert parse_entry("a-3", "'tail'") == FieldElem("a", -3)
+    assert parse_entry(-4, "'tail'") == FieldElem(Fraction(0), -4)
+    assert parse_elems(["1/2", 3], "'values'") == (
+        FieldElem(Fraction(1, 2), 0),
+        FieldElem(Fraction(0), 3),
+    )
+    # JSON null, true and false are not read as the symbols None, True, False
+    for value, shown in ((None, "null"), (True, "true"), (False, "false"),
+                         (1.5, "1.5"), ([1], "[1]"), ({}, "{}")):
+        with pytest.raises(ValueError) as exc:
+            parse_entry(value, "'tail'")
+        assert str(exc.value) == f"'tail' must be a string or an integer, not {shown}"
+        with pytest.raises(ValueError, match="an entry of 'exceptions' must be"):
+            parse_elems(["1", value], "'exceptions'")
 
 
 def test_str_forms():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_family
+import rsinf.rs_finite as rs_finite_mod
+from helpers import bfs_connected, rand_family
 from rsinf.core import FieldElem, Tableau, TableauFamily, parse_elem
 from rsinf.rs_finite import (
     InterchangePath,
@@ -201,3 +202,84 @@ def test_joseph_equal_fixtures():
 def test_joseph_search_spans_classes():
     # no integer shift aligns a symbol class with an integer class
     assert joseph_equal(seq("a"), seq("0")) is False
+
+
+# small words mixing the integer class, the class of 1/2 and a symbol
+# class, with repeated entries
+LITERALS = ("0", "1", "2", "3", "1/2", "3/2", "-1/2", "a", "a+1", "a-1")
+
+
+def rand_word(rng, n):
+    return seq(",".join(rng.choice(LITERALS) for _ in range(n)))
+
+
+def walk(rng, f, shifted):
+    g = f
+    for _ in range(rng.randint(0, 5)):
+        opts = [i for i in range(1, len(g)) if admissible(g, i, shifted=shifted)]
+        if not opts:
+            break
+        g = apply_interchange(g, rng.choice(opts), shifted=shifted)
+    return g
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_connected_matches_breadth_first_oracle(shifted):
+    rng = random.Random(41 + shifted)
+    found = 0
+    for case in range(300):
+        f = rand_word(rng, rng.randint(1, 6))
+        if case % 3 == 0:
+            g = walk(rng, f, shifted)
+        elif case % 3 == 1:
+            g = tuple(rng.sample(f, len(f)))
+        else:
+            g = rand_word(rng, len(f))
+        want = bfs_connected(f, g, shifted)
+        assert connected(f, g, shifted=shifted) == want, (f, g)
+        found += want is not None
+    # both answers occur often
+    assert 100 < found < 250
+
+
+def test_joseph_equal_finds_the_one_shift():
+    rng = random.Random(43)
+    equal = 0
+    for case in range(300):
+        n = rng.randint(1, 6)
+        f = rand_word(rng, n)
+        k = rng.randint(-4, 4)
+        if case % 2 == 0:
+            # j(f) == j(g + k) exactly when g + k is reachable from f
+            g = tuple(e.shift(-k) for e in walk(rng, f, True))
+        else:
+            g = rand_word(rng, n)
+        got = joseph_equal(f, g)
+        assert got == any(
+            joseph_equal(f, g, k=c) for c in range(-2 * n - 8, 2 * n + 9)
+        ), (f, g)
+        equal += got
+    assert 150 <= equal < 300
+
+
+def test_connected_skips_the_search_when_insertions_differ(monkeypatch):
+    calls = [0]
+    orig = rs_finite_mod._admissible_here
+
+    def counted(f, i, shifted):
+        calls[0] += 1
+        return orig(f, i, shifted)
+
+    monkeypatch.setattr(rs_finite_mod, "_admissible_here", counted)
+    for f, g, shifted in (
+        ("1,2", "2,1", False),
+        ("1,2", "2,1", True),
+        ("3,1,2,0", "0,2,1,3", False),
+        ("3,1,2,0", "0,2,1,3", True),
+        ("a,1/2,1", "1/2,a+1,1", True),
+    ):
+        assert connected(seq(f), seq(g), shifted=shifted) is None
+    assert calls[0] == 0
+    # the counter sees the search when there is a path to find
+    assert connected(seq("0,5,3"), seq("5,0,3")).positions == (1,)
+    assert calls[0] > 0
