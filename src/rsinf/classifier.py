@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_origin, get_type_hints
 
-from .core import FieldElem, elem, parse_elems, parse_entry
+from .core import FieldElem, _field, elem, parse_elems, parse_entry
 from .rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -54,6 +54,20 @@ class Zeta:
 
 
 Region = Union[Finite, Omega, OmegaStar, Zeta]
+
+# Every region kind, once.  JSON type name -> class; omega and omega_star
+# mirror each other under star_spec, finite and zeta mirror themselves
+# (a mirror's stretches are the region's in reverse order).
+_TYPES = {"finite": Finite, "omega": Omega, "omega_star": OmegaStar, "zeta": Zeta}
+_NAMES = {cls: t for t, cls in _TYPES.items()}
+_MIRROR = {Omega: OmegaStar, OmegaStar: Omega}
+# class -> its fields in declaration order, which is index order, each
+# paired with whether it is a run of exceptions (a tuple) rather than an
+# infinite constant stretch (one FieldElem)
+_STRETCHES = {
+    cls: tuple((name, get_origin(t) is tuple) for name, t in get_type_hints(cls).items())
+    for cls in _NAMES
+}
 
 
 def finite(*values) -> Finite:
@@ -100,15 +114,7 @@ class ZeroAnnihilator:
 def validate(spec: WeightSpec):
     """A spec annihilates nontrivially iff all its infinite stretches sit
     in one integrality class."""
-    tails = []
-    for region in spec.regions:
-        if isinstance(region, Omega):
-            tails.append(region.tail)
-        elif isinstance(region, OmegaStar):
-            tails.append(region.tail)
-        elif isinstance(region, Zeta):
-            tails.extend((region.left_tail, region.right_tail))
-    classes = {t.anchor for t in tails}
+    classes = {v.anchor for kind, v in _tokens(spec) if kind == "c"}
     if len(classes) > 1:
         names = ", ".join(sorted(str(FieldElem(a, 0)) for a in classes))
         return ZeroAnnihilator(
@@ -122,18 +128,12 @@ def _tokens(spec: WeightSpec):
     infinite constant stretches."""
     out = []
     for region in spec.regions:
-        if isinstance(region, Finite):
-            out.extend(("e", v) for v in region.values)
-        elif isinstance(region, Omega):
-            out.extend(("e", v) for v in region.exceptions)
-            out.append(("c", region.tail))
-        elif isinstance(region, OmegaStar):
-            out.append(("c", region.tail))
-            out.extend(("e", v) for v in region.exceptions)
-        else:
-            out.append(("c", region.left_tail))
-            out.extend(("e", v) for v in region.exceptions)
-            out.append(("c", region.right_tail))
+        for name, run in _STRETCHES[type(region)]:
+            value = getattr(region, name)
+            if run:
+                out.extend(("e", v) for v in value)
+            else:
+                out.append(("c", value))
     return out
 
 
@@ -211,32 +211,14 @@ def star_spec(spec: WeightSpec) -> WeightSpec:
     """Reverse the index order and negate every value."""
     out = []
     for region in reversed(spec.regions):
-        if isinstance(region, Finite):
-            out.append(
-                Finite(tuple(v.negate() for v in reversed(region.values)))
-            )
-        elif isinstance(region, Omega):
-            out.append(
-                OmegaStar(
-                    region.tail.negate(),
-                    tuple(v.negate() for v in reversed(region.exceptions)),
-                )
-            )
-        elif isinstance(region, OmegaStar):
-            out.append(
-                Omega(
-                    tuple(v.negate() for v in reversed(region.exceptions)),
-                    region.tail.negate(),
-                )
-            )
-        else:
-            out.append(
-                Zeta(
-                    region.right_tail.negate(),
-                    tuple(v.negate() for v in reversed(region.exceptions)),
-                    region.left_tail.negate(),
-                )
-            )
+        stretches = []
+        for name, run in reversed(_STRETCHES[type(region)]):
+            value = getattr(region, name)
+            if run:
+                stretches.append(tuple(v.negate() for v in reversed(value)))
+            else:
+                stretches.append(value.negate())
+        out.append(_MIRROR.get(type(region), type(region))(*stretches))
     return WeightSpec(tuple(out))
 
 
@@ -244,76 +226,35 @@ def parse_spec(data) -> WeightSpec:
     """Read a spec from a JSON object (or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or not isinstance(data.get("regions"), list):
-        raise ValueError("a spec document is an object with a 'regions' list")
+    items = _field(
+        data, "regions", "a spec document is an object with a 'regions' list", list
+    )
     regions = []
-    for item in data["regions"]:
-        if not isinstance(item, dict) or "type" not in item:
-            raise ValueError("each region is an object with a 'type' field")
-        t = item["type"]
-        if t == "finite":
-            regions.append(
-                Finite(parse_elems(item.get("values", ()), "'values'"))
-            )
-        elif t == "omega":
-            regions.append(
-                Omega(
-                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
-                    parse_entry(item["tail"], "'tail'"),
-                )
-            )
-        elif t == "omega_star":
-            regions.append(
-                OmegaStar(
-                    parse_entry(item["tail"], "'tail'"),
-                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
-                )
-            )
-        elif t == "zeta":
-            regions.append(
-                Zeta(
-                    parse_entry(item["left_tail"], "'left_tail'"),
-                    parse_elems(item.get("exceptions", ()), "'exceptions'"),
-                    parse_entry(item["right_tail"], "'right_tail'"),
-                )
-            )
-        else:
+    for item in items:
+        t = _field(item, "type", "each region is an object with a 'type' field")
+        cls = _TYPES.get(t) if isinstance(t, str) else None
+        if cls is None:
             raise ValueError(f"unknown region type {t!r}")
+        stretches = []
+        for name, run in _STRETCHES[cls]:
+            shape = f"a region of type {t!r} needs a {name!r} field"
+            if run:
+                value = _field(item, name, shape, default=())
+                stretches.append(parse_elems(value, f"{name!r}"))
+            else:
+                stretches.append(parse_entry(_field(item, name, shape), f"{name!r}"))
+        regions.append(cls(*stretches))
     return WeightSpec(tuple(regions))
 
 
 def spec_to_json(spec: WeightSpec) -> dict:
     regions = []
     for region in spec.regions:
-        if isinstance(region, Finite):
-            regions.append(
-                {"type": "finite", "values": [str(v) for v in region.values]}
-            )
-        elif isinstance(region, Omega):
-            regions.append(
-                {
-                    "type": "omega",
-                    "exceptions": [str(v) for v in region.exceptions],
-                    "tail": str(region.tail),
-                }
-            )
-        elif isinstance(region, OmegaStar):
-            regions.append(
-                {
-                    "type": "omega_star",
-                    "tail": str(region.tail),
-                    "exceptions": [str(v) for v in region.exceptions],
-                }
-            )
-        else:
-            regions.append(
-                {
-                    "type": "zeta",
-                    "left_tail": str(region.left_tail),
-                    "exceptions": [str(v) for v in region.exceptions],
-                    "right_tail": str(region.right_tail),
-                }
-            )
+        doc = {"type": _NAMES[type(region)]}
+        for name, run in _STRETCHES[type(region)]:
+            value = getattr(region, name)
+            doc[name] = [str(v) for v in value] if run else str(value)
+        regions.append(doc)
     return {"regions": regions}
 
 

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import classifier, cls
-from .core import FieldElem, Tableau, TableauFamily, parse_elem, parse_elems, parse_entry
+from .core import FieldElem, Tableau, TableauFamily, _field, parse_elem, parse_elems, parse_entry
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
 from .rs_infinite import Axis, _ideal_of, eventually_constant, plus_rho, rs_infinite
 
@@ -41,9 +41,13 @@ def _emit(obj) -> int:
     return 0
 
 
+def _load(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _cmd_classify(args) -> int:
-    with open(args.spec) as fh:
-        spec = classifier.parse_spec(json.load(fh))
+    spec = classifier.parse_spec(_load(args.spec))
     return _emit(classifier.ideal_to_json(classifier.classify(spec)))
 
 
@@ -54,16 +58,11 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_seq_of(args) -> int:
-    with open(args.tableaux) as fh:
-        data = json.load(fh)
-    items = data["tableaux"] if isinstance(data, dict) else None
-    if not isinstance(items, list):
-        raise ValueError("a tableau document is an object with a 'tableaux' list")
+    shape = "a tableau document is an object with a 'tableaux' list"
     tabs = []
-    for item in items:
-        if not isinstance(item, dict) or not isinstance(item.get("rows"), list):
-            raise ValueError("each tableau is an object with a 'rows' list")
-        rows = tuple(parse_elems(row, "a tableau row") for row in item["rows"])
+    for item in _field(_load(args.tableaux), "tableaux", shape, list):
+        rows = _field(item, "rows", "each tableau is an object with a 'rows' list", list)
+        rows = tuple(parse_elems(row, "a tableau row") for row in rows)
         if not rows or not rows[0]:
             raise ValueError("tableaux must have at least one nonempty row")
         tabs.append(Tableau(rows[0][0].anchor, rows))
@@ -87,17 +86,16 @@ _AXES = {"neg": Axis.NEG, "pos": Axis.POS, "all": Axis.ALL}
 
 
 def _cmd_rs_inf(args) -> int:
-    with open(args.block) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a block document is an object with an 'axis' field")
-    name = data.get("axis")
+    data = _load(args.block)
+    shape = "a block document is an object with an 'axis' field"
+    name = _field(data, "axis", shape)
     axis = _AXES.get(name) if isinstance(name, str) else None
     if axis is None:
         raise ValueError(f"unknown axis {name!r}; use neg, pos or all")
-    window = parse_elems(data.get("exceptions", ()), "'exceptions'")
+    window = parse_elems(_field(data, "exceptions", shape, default=()), "'exceptions'")
     lt, rt = (
-        None if data.get(side) is None else parse_entry(data[side], f"'{side}'")
+        None if (v := _field(data, side, shape, default=None)) is None
+        else parse_entry(v, f"'{side}'")
         for side in ("left_tail", "right_tail")
     )
     block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)
@@ -111,7 +109,7 @@ def _cmd_rs_inf(args) -> int:
         row_json["right_law"] = str(row.right_law)
     return _emit(
         {
-            "axis": data["axis"],
+            "axis": name,
             "r": res.r,
             "first_row": row_json,
             "underline": [str(v) for v in res.underline],
@@ -160,12 +158,13 @@ def _cmd_cls_member(args) -> int:
     return _emit({"member": cls.member(p, vec)})
 
 
-_NEGATIVE_LEAD = re.compile(r"-[0-9]")
+_NEGATIVE_LEAD = re.compile(r"-[0-9]|-[^-].*,")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with a minus and a digit ("-3,4")
-    as a value, so a sequence may begin with a negative entry."""
+    """Reads an argument that starts with a minus and a digit ("-3,4"),
+    or a single-dash argument that holds a comma ("-a,3"), as a value, so
+    a sequence may begin with a negative entry."""
 
     def _parse_optional(self, arg_string):
         if _NEGATIVE_LEAD.match(arg_string):

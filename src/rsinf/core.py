@@ -145,6 +145,25 @@ def parse_elems(values, what: str) -> tuple[FieldElem, ...]:
     return tuple(parse_entry(v, f"an entry of {what}") for v in values)
 
 
+_REQUIRED = object()
+
+
+def _field(doc, name: str, shape: str, kind: type = object, default=_REQUIRED):
+    """Read field `name` of a decoded JSON document.
+
+    `shape` says what a well-formed container holds ("a spec document is
+    an object with a 'regions' list"), naming the field and the document;
+    it is the ValueError raised when `doc` is not an object, lacks `name`
+    and no default is given, or holds a `name` that is not a `kind`.
+    """
+    if not isinstance(doc, dict) or (name not in doc and default is _REQUIRED):
+        raise ValueError(shape)
+    value = doc.get(name, default)
+    if not isinstance(value, kind):
+        raise ValueError(shape)
+    return value
+
+
 def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
     """Compare two values in the integral partial order.
 

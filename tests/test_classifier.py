@@ -1,8 +1,11 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from rsinf.classifier import (
+    _tokens,
     Finite,
     Omega,
     OmegaStar,
@@ -145,7 +148,8 @@ def test_parse_spec_errors():
         parse_spec({"regions": [{"values": []}]})
     with pytest.raises(ValueError, match="unknown region type"):
         parse_spec({"regions": [{"type": "ray", "tail": "0"}]})
-    with pytest.raises(KeyError):
+    # a missing tail is named, with the type of the region that lacks it
+    with pytest.raises(ValueError, match="a region of type 'omega' needs a 'tail' field"):
         parse_spec({"regions": [{"type": "omega"}]})
     # a string where a list belongs is not read character by character
     with pytest.raises(ValueError, match="'exceptions' must be a list"):
@@ -162,3 +166,52 @@ def test_ideal_to_json():
     }
     z = ideal_to_json(ZeroIdeal("because"))
     assert z == {"ideal": "zero", "reason": "because"}
+
+
+def _random_spec(rng):
+    """1-4 regions of every kind over integers, halves and symbols, with
+    empty runs among them; the tails mostly share one class, so proper
+    and zero ideals both occur."""
+    anchors = [Fraction(0), Fraction(1, 2), "a", "-a"]
+    tail_anchor = rng.choice(anchors)
+
+    def run():
+        return tuple(
+            FieldElem(rng.choice(anchors), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 3))
+        )
+
+    def tail():
+        anchor = tail_anchor if rng.random() < 0.85 else rng.choice(anchors)
+        return FieldElem(anchor, rng.randint(-4, 4))
+
+    kinds = [
+        lambda: Finite(run()),
+        lambda: Omega(run(), tail()),
+        lambda: OmegaStar(tail(), run()),
+        lambda: Zeta(tail(), run(), tail()),
+    ]
+    while True:
+        regions = tuple(rng.choice(kinds)() for _ in range(rng.randint(1, 4)))
+        if not all(isinstance(r, Finite) for r in regions):
+            return WeightSpec(regions)
+
+
+def test_spec_properties_over_all_region_kinds():
+    rng = random.Random(20240505)
+    seen = set()
+    for _ in range(600):
+        s = _random_spec(rng)
+        seen.update(type(r) for r in s.regions)
+        assert parse_spec(spec_to_json(s)) == s
+        m = star_spec(s)
+        assert star_spec(m) == s
+        assert _tokens(m) == [(kind, v.negate()) for kind, v in reversed(_tokens(s))]
+        out, mirrored = classify(s), classify(m)
+        if isinstance(out, ZeroIdeal):
+            assert isinstance(mirrored, ZeroIdeal)
+        else:
+            assert isinstance(mirrored, ProperIdeal)
+            assert (mirrored.r, mirrored.g) == (out.r, out.g)
+            assert (mirrored.X, mirrored.Y) == (out.Y, out.X)
+    assert seen == {Finite, Omega, OmegaStar, Zeta}

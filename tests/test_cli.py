@@ -1,10 +1,16 @@
 import importlib
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rsinf
 from rsinf.cli import main
 
 
@@ -90,6 +96,10 @@ def test_interchange_path(capsys):
         (["interchange", "--shifted", "-2,-1", "--k", "-1", "-1,0"],
          {"connected": False, "joseph_equal": True}),
         (["interchange", "--", "-1,5,3", "5,-1,3"], {"connected": True, "path": [1]}),
+        # a single-dash argument with a comma is a value too
+        (["rs", "-a,3"],
+         {"tableaux": [{"class": "-a", "rows": [["-a"]]}, {"class": "0", "rows": [["3"]]}]}),
+        (["interchange", "-a,1", "1,-a"], {"connected": True, "path": [1]}),
     ],
 )
 def test_sequence_may_start_with_a_negative_entry(capsys, argv, want):
@@ -225,6 +235,12 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
         ("classify", {"regions": 5}, "a spec document is an object with a 'regions' list"),
         ("classify", [{"type": "omega"}], "a spec document is an object with a 'regions' list"),
         ("classify", {"regions": [5]}, "each region is an object with a 'type' field"),
+        # a missing required field is named, with what lacks it
+        ("classify", {"regions": [{"type": "omega", "exceptions": []}]},
+         "a region of type 'omega' needs a 'tail' field"),
+        ("classify", {"regions": [{"type": "zeta", "left_tail": 0, "exceptions": []}]},
+         "a region of type 'zeta' needs a 'right_tail' field"),
+        ("seq-of", {"tables": []}, "a tableau document is an object with a 'tableaux' list"),
     ],
 )
 def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, message):
@@ -233,6 +249,104 @@ def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, mes
     code, out = run(capsys, command, str(path))
     assert code == 1
     assert json.loads(out) == {"error": message}
+
+
+# Fuzzed documents: well-formed ones, ones with the right keys holding
+# anything JSON can, and anything at all.  Integers stay within +-20 and
+# lists within 6 entries, because a two-sided block's answer grows with
+# the gap between its tails.
+_ENTRY = st.integers(-20, 20) | st.sampled_from(
+    ["0", "-3", "1/2", "-3/2", "a", "-a", "a+1", "b-2", "2/4", "1/0", "", "x y"]
+)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | _ENTRY,
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(
+        st.sampled_from(["regions", "type", "values", "exceptions", "tail", "left_tail",
+                         "right_tail", "axis", "tableaux", "rows", "class"]),
+        kids, max_size=6,
+    ),
+    max_leaves=12,
+)
+_ENTRIES = st.lists(_ENTRY, max_size=6)
+
+
+def _doc(required, optional):
+    """Objects with the given keys, and objects whose keys may be missing
+    or hold junk."""
+    keys = {**required, **optional}
+    return st.fixed_dictionaries(required, optional=optional) | st.fixed_dictionaries(
+        {}, optional={k: v | _JUNK for k, v in keys.items()}
+    )
+
+
+_REGION = _JUNK | st.one_of(
+    _doc({"type": st.just("finite")}, {"values": _ENTRIES}),
+    _doc({"type": st.just("omega"), "tail": _ENTRY}, {"exceptions": _ENTRIES}),
+    _doc({"type": st.just("omega_star"), "tail": _ENTRY}, {"exceptions": _ENTRIES}),
+    _doc({"type": st.just("zeta"), "left_tail": _ENTRY, "right_tail": _ENTRY},
+         {"exceptions": _ENTRIES}),
+)
+_TABLEAU = _JUNK | _doc({"rows": st.lists(_ENTRIES, max_size=6)}, {"class": _ENTRY})
+_DOCS = {
+    "classify": _doc({"regions": st.lists(_REGION, max_size=4)}, {}),
+    "rs-inf": st.one_of(
+        _doc({"axis": st.just("neg"), "left_tail": _ENTRY}, {"exceptions": _ENTRIES}),
+        _doc({"axis": st.just("pos"), "right_tail": _ENTRY}, {"exceptions": _ENTRIES}),
+        _doc({"axis": st.just("all"), "left_tail": _ENTRY, "right_tail": _ENTRY},
+             {"exceptions": _ENTRIES}),
+    ),
+    "seq-of": _doc({"tableaux": st.lists(_TABLEAU, max_size=4)}, {}),
+}
+
+
+def _answer(argv):
+    """Call main in process: exit 0 with one JSON line, or exit 1 with
+    one {"error": <str>} line."""
+    with redirect_stdout(io.StringIO()) as buf:
+        code = main(argv)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 1, (argv, lines)
+    out = json.loads(lines[0])
+    if code == 1:
+        assert list(out) == ["error"] and isinstance(out["error"], str), (argv, out)
+    else:
+        assert code == 0, (argv, code)
+
+
+@pytest.mark.parametrize("command", sorted(_DOCS))
+def test_fuzzed_documents_answer_or_error(tmp_path_factory, command):
+    path = tmp_path_factory.mktemp(command) / "doc.json"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_DOCS[command] | _JUNK)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        _answer([command, str(path)])
+
+    check()
+
+
+def _sequence(entries):
+    return ",".join(str(e) for e in entries)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["rs", "interchange"]),
+    st.lists(st.lists(_ENTRY, max_size=6).map(_sequence), min_size=2, max_size=2),
+    st.booleans(),
+    st.none() | st.integers(-20, 20),
+)
+def test_fuzzed_sequences_answer_or_error(command, sequences, shifted, k):
+    positional = sequences[:1] if command == "rs" else sequences
+    options = ["--shifted"] if shifted else []
+    if command == "interchange" and k is not None:
+        options += ["--k", str(k)]
+    # a lone negated symbol ("-a") reads as an option, as documented; it
+    # needs "--" before it
+    if any(a.startswith("-") and "," not in a and not a[1:2].isdigit() for a in positional):
+        options.append("--")
+    _answer([command, *options, *positional])
 
 
 @pytest.mark.parametrize(
@@ -326,12 +440,15 @@ def test_missing_arguments_exit_2(argv):
 
 
 def test_installed_entry_point():
+    # the child finds the package imported here, installed or not
+    pkg_dir = os.path.dirname(os.path.abspath(rsinf.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "rsinf.cli", "rs", "2,1"],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)},
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "tableaux": [{"class": "0", "rows": [["2", "1"]]}]
     }
