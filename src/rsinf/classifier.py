@@ -222,13 +222,14 @@ def star_spec(spec: WeightSpec) -> WeightSpec:
     return WeightSpec(tuple(out))
 
 
+_SPEC_SHAPE = "a spec document is an object with a 'regions' list"
+
+
 def parse_spec(data) -> WeightSpec:
     """Read a spec from a JSON object (or JSON text)."""
     if isinstance(data, str):
         data = json.loads(data)
-    items = _field(
-        data, "regions", "a spec document is an object with a 'regions' list", list
-    )
+    items = _field(data, "regions", _SPEC_SHAPE, list)
     regions = []
     for item in items:
         t = _field(item, "type", "each region is an object with a 'type' field")

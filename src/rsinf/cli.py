@@ -47,7 +47,12 @@ def _load(path: str):
 
 
 def _cmd_classify(args) -> int:
-    spec = classifier.parse_spec(_load(args.spec))
+    doc = _load(args.spec)
+    # parse_spec reads a str as JSON text; a file holding a JSON string
+    # would be decoded twice
+    if not isinstance(doc, dict):
+        raise ValueError(classifier._SPEC_SHAPE)
+    spec = classifier.parse_spec(doc)
     return _emit(classifier.ideal_to_json(classifier.classify(spec)))
 
 
@@ -93,9 +98,9 @@ def _cmd_rs_inf(args) -> int:
     if axis is None:
         raise ValueError(f"unknown axis {name!r}; use neg, pos or all")
     window = parse_elems(_field(data, "exceptions", shape, default=()), "'exceptions'")
+    # an absent tail is None; a present one, null included, is an entry
     lt, rt = (
-        None if (v := _field(data, side, shape, default=None)) is None
-        else parse_entry(v, f"'{side}'")
+        parse_entry(_field(data, side, shape), f"'{side}'") if side in data else None
         for side in ("left_tail", "right_tail")
     )
     block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)

@@ -9,13 +9,14 @@ Two representations appear.  EventuallyConstantSeq holds raw values:
 an explicit window plus constant tails.  StablyDecreasingSeq holds the
 position-shifted values, whose tails follow the law value(p) = law - p;
 this is the form the insertion machinery consumes.  plus_rho converts
-the first into the second.
+the first into the second.  Both share one geometry (_TailedSeq) and
+differ only in what a tail gives at a position.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .core import FieldElem, Tableau, as_partition, elem
@@ -32,8 +33,82 @@ def _coerce_window(values) -> tuple[FieldElem, ...]:
     return tuple(elem(v) for v in values)
 
 
+def _first(axis: Axis, edge: int, n: int) -> int:
+    """The position of the first of n window entries: the window ends at
+    edge on NEG and starts there otherwise."""
+    return edge - n + 1 if axis is Axis.NEG else edge
+
+
+# which tails each axis has, and the sentence naming them, worded per class
+_HAS_TAILS = {Axis.NEG: (True, False), Axis.POS: (False, True), Axis.ALL: (True, True)}
+_NEEDS = {
+    Axis.NEG: "a NEG sequence has exactly a left {}",
+    Axis.POS: "a POS sequence has exactly a right {}",
+    Axis.ALL: "an ALL sequence has both {}s",
+}
+_MIRROR = {Axis.NEG: Axis.POS, Axis.POS: Axis.NEG, Axis.ALL: Axis.ALL}
+
+
 @dataclass(frozen=True)
-class EventuallyConstantSeq:
+class _TailedSeq:
+    """The geometry both sequence forms share: an explicit window placed
+    by ``edge`` on its axis, and a left tail below it (NEG, ALL) and a
+    right tail above it (POS, ALL).  A subclass adds its two tail fields,
+    names them in ``_TAIL``, and says in ``_at`` what a tail gives at a
+    position."""
+
+    axis: Axis
+    window: tuple[FieldElem, ...]
+    edge: int
+
+    def __post_init__(self):
+        self._check_tails(self.axis, *self._tails)
+
+    @classmethod
+    def _check_tails(cls, axis: Axis, left, right) -> None:
+        if (left is not None, right is not None) != _HAS_TAILS[axis]:
+            raise ValueError(_NEEDS[axis].format(cls._TAIL))
+
+    @classmethod
+    def _canonical(cls, axis: Axis, window, edge: int | None, left, right):
+        """Build a canonical sequence: the tails are checked first, then
+        window entries equal to what the tail facing them gives there are
+        stripped from the tail-facing ends.  An ALL sequence keeps its
+        edge at its first window entry, or at 0 if nothing but one law or
+        constant is left."""
+        w = _coerce_window(window)
+        left = elem(left) if left is not None else None
+        right = elem(right) if right is not None else None
+        cls._check_tails(axis, left, right)
+        if edge is None:
+            edge = -1 if axis is Axis.NEG else 1
+        first = _first(axis, edge, len(w))
+        lo, hi = 0, len(w)
+        if axis is not Axis.POS:
+            while lo < hi and w[lo] == cls._at(left, first + lo):
+                lo += 1
+        if axis is not Axis.NEG:
+            while hi > lo and w[hi - 1] == cls._at(right, first + hi - 1):
+                hi -= 1
+        if axis is Axis.ALL:
+            edge = 0 if lo == hi and left == right else first + lo
+        return cls(axis, w[lo:hi], edge, left, right)
+
+    def value(self, p: int) -> FieldElem:
+        if self.axis is Axis.NEG and p > self.edge:
+            raise ValueError(f"position {p} is beyond the domain end {self.edge}")
+        if self.axis is Axis.POS and p < self.edge:
+            raise ValueError(f"position {p} is below the domain start {self.edge}")
+        i = p - _first(self.axis, self.edge, len(self.window))
+        if i < 0:
+            return self._at(self._tails[0], p)
+        if i >= len(self.window):
+            return self._at(self._tails[1], p)
+        return self.window[i]
+
+
+@dataclass(frozen=True)
+class EventuallyConstantSeq(_TailedSeq):
     """Raw values: an explicit window with constant tails.
 
     For NEG the window ends at ``edge`` and ``left_tail`` repeats below
@@ -41,40 +116,18 @@ class EventuallyConstantSeq:
     above it; for ALL the window starts at ``edge`` with both tails.
     """
 
-    axis: Axis
-    window: tuple[FieldElem, ...]
-    edge: int
     left_tail: FieldElem | None = None
     right_tail: FieldElem | None = None
 
-    def __post_init__(self):
-        if self.axis is Axis.NEG:
-            if self.left_tail is None or self.right_tail is not None:
-                raise ValueError("a NEG sequence has exactly a left tail")
-        elif self.axis is Axis.POS:
-            if self.right_tail is None or self.left_tail is not None:
-                raise ValueError("a POS sequence has exactly a right tail")
-        else:
-            if self.left_tail is None or self.right_tail is None:
-                raise ValueError("an ALL sequence has both tails")
+    _TAIL = "tail"
 
-    def value(self, p: int) -> FieldElem:
-        if self.axis is Axis.NEG:
-            if p > self.edge:
-                raise ValueError(f"position {p} is beyond the domain end {self.edge}")
-            i = p - (self.edge - len(self.window) + 1)
-            return self.window[i] if i >= 0 else self.left_tail
-        if self.axis is Axis.POS:
-            if p < self.edge:
-                raise ValueError(f"position {p} is below the domain start {self.edge}")
-            i = p - self.edge
-            return self.window[i] if i < len(self.window) else self.right_tail
-        i = p - self.edge
-        if i < 0:
-            return self.left_tail
-        if i >= len(self.window):
-            return self.right_tail
-        return self.window[i]
+    @property
+    def _tails(self):
+        return self.left_tail, self.right_tail
+
+    @staticmethod
+    def _at(tail: FieldElem, p: int) -> FieldElem:
+        return tail
 
 
 def eventually_constant(
@@ -83,70 +136,29 @@ def eventually_constant(
 ) -> EventuallyConstantSeq:
     """Build a canonical EventuallyConstantSeq, stripping tail-valued
     window entries at the tail-facing ends."""
-    w = list(_coerce_window(window))
-    lt = elem(left_tail) if left_tail is not None else None
-    rt = elem(right_tail) if right_tail is not None else None
-    if edge is None:
-        edge = -1 if axis is Axis.NEG else 1
-    if axis is Axis.NEG:
-        while w and w[0] == lt:
-            w.pop(0)
-    elif axis is Axis.POS:
-        while w and w[-1] == rt:
-            w.pop()
-    else:
-        while w and w[0] == lt:
-            w.pop(0)
-            edge += 1
-        while w and w[-1] == rt:
-            w.pop()
-        if not w and lt == rt:
-            edge = 0
-    return EventuallyConstantSeq(axis, tuple(w), edge, lt, rt)
+    return EventuallyConstantSeq._canonical(axis, window, edge, left_tail, right_tail)
 
 
 @dataclass(frozen=True)
-class StablyDecreasingSeq:
+class StablyDecreasingSeq(_TailedSeq):
     """Position-shifted values: tails follow value(p) = law - p.
 
     Window geometry matches EventuallyConstantSeq; the law fields hold
     the tail anchors, so the value at a tail position p is law.shift(-p).
     """
 
-    axis: Axis
-    window: tuple[FieldElem, ...]
-    edge: int
     left_law: FieldElem | None = None
     right_law: FieldElem | None = None
 
-    def __post_init__(self):
-        if self.axis is Axis.NEG:
-            if self.left_law is None or self.right_law is not None:
-                raise ValueError("a NEG sequence has exactly a left law")
-        elif self.axis is Axis.POS:
-            if self.right_law is None or self.left_law is not None:
-                raise ValueError("a POS sequence has exactly a right law")
-        else:
-            if self.left_law is None or self.right_law is None:
-                raise ValueError("an ALL sequence has both laws")
+    _TAIL = "law"
 
-    def value(self, p: int) -> FieldElem:
-        if self.axis is Axis.NEG:
-            if p > self.edge:
-                raise ValueError(f"position {p} is beyond the domain end {self.edge}")
-            i = p - (self.edge - len(self.window) + 1)
-            return self.window[i] if i >= 0 else self.left_law.shift(-p)
-        if self.axis is Axis.POS:
-            if p < self.edge:
-                raise ValueError(f"position {p} is below the domain start {self.edge}")
-            i = p - self.edge
-            return self.window[i] if i < len(self.window) else self.right_law.shift(-p)
-        i = p - self.edge
-        if i < 0:
-            return self.left_law.shift(-p)
-        if i >= len(self.window):
-            return self.right_law.shift(-p)
-        return self.window[i]
+    @property
+    def _tails(self):
+        return self.left_law, self.right_law
+
+    @staticmethod
+    def _at(law: FieldElem, p: int) -> FieldElem:
+        return law.shift(-p)
 
 
 def stably_decreasing(
@@ -155,43 +167,12 @@ def stably_decreasing(
 ) -> StablyDecreasingSeq:
     """Build a canonical StablyDecreasingSeq, stripping law-conformant
     window entries at the law-facing ends."""
-    w = list(_coerce_window(window))
-    ll = elem(left_law) if left_law is not None else None
-    rl = elem(right_law) if right_law is not None else None
-    if edge is None:
-        edge = -1 if axis is Axis.NEG else 1
-    if axis is Axis.NEG:
-        while w:
-            p0 = edge - len(w) + 1
-            if w[0] != ll.shift(-p0):
-                break
-            w.pop(0)
-    elif axis is Axis.POS:
-        while w:
-            p1 = edge + len(w) - 1
-            if w[-1] != rl.shift(-p1):
-                break
-            w.pop()
-    else:
-        while w and w[0] == ll.shift(-edge):
-            w.pop(0)
-            edge += 1
-        while w:
-            p1 = edge + len(w) - 1
-            if w[-1] != rl.shift(-p1):
-                break
-            w.pop()
-        if not w and ll == rl:
-            edge = 0
-    return StablyDecreasingSeq(axis, tuple(w), edge, ll, rl)
+    return StablyDecreasingSeq._canonical(axis, window, edge, left_law, right_law)
 
 
 def plus_rho(block: EventuallyConstantSeq) -> StablyDecreasingSeq:
     """Shift every value by minus its position; tails become laws."""
-    if block.axis is Axis.NEG:
-        lo = block.edge - len(block.window) + 1
-    else:
-        lo = block.edge
+    lo = _first(block.axis, block.edge, len(block.window))
     window = [v.shift(-(lo + i)) for i, v in enumerate(block.window)]
     return stably_decreasing(
         block.axis, window, edge=block.edge,
@@ -201,27 +182,15 @@ def plus_rho(block: EventuallyConstantSeq) -> StablyDecreasingSeq:
 
 def star_seq(x):
     """The mirror p -> -f(-p), swapping the NEG and POS axes."""
-    if isinstance(x, EventuallyConstantSeq):
-        window = tuple(v.negate() for v in reversed(x.window))
-        lt = x.right_tail.negate() if x.right_tail is not None else None
-        rt = x.left_tail.negate() if x.left_tail is not None else None
-        if x.axis is Axis.NEG:
-            return eventually_constant(Axis.POS, window, edge=-x.edge, right_tail=rt)
-        if x.axis is Axis.POS:
-            return eventually_constant(Axis.NEG, window, edge=-x.edge, left_tail=lt)
-        edge = -(x.edge + len(x.window) - 1)
-        return eventually_constant(Axis.ALL, window, edge=edge, left_tail=lt, right_tail=rt)
-    if isinstance(x, StablyDecreasingSeq):
-        window = tuple(v.negate() for v in reversed(x.window))
-        ll = x.right_law.negate() if x.right_law is not None else None
-        rl = x.left_law.negate() if x.left_law is not None else None
-        if x.axis is Axis.NEG:
-            return stably_decreasing(Axis.POS, window, edge=-x.edge, right_law=rl)
-        if x.axis is Axis.POS:
-            return stably_decreasing(Axis.NEG, window, edge=-x.edge, left_law=ll)
-        edge = -(x.edge + len(x.window) - 1)
-        return stably_decreasing(Axis.ALL, window, edge=edge, left_law=ll, right_law=rl)
-    raise TypeError(f"cannot mirror {type(x).__name__}")
+    if not isinstance(x, _TailedSeq):
+        raise TypeError(f"cannot mirror {type(x).__name__}")
+    axis = _MIRROR[x.axis]
+    first = _first(x.axis, x.edge, len(x.window))
+    # the mirrored window runs from -last to -first
+    edge = -first if axis is Axis.NEG else -(first + len(x.window) - 1)
+    left, right = (t.negate() if t is not None else None for t in reversed(x._tails))
+    window = tuple(v.negate() for v in reversed(x.window))
+    return type(x)._canonical(axis, window, edge, left, right)
 
 
 def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
@@ -241,69 +210,45 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
         raise ValueError("insertion positions must be strictly increasing")
     if not vals:
         return f2
+    neg = f2.axis is Axis.NEG
+    if neg and pos[-1] > f2.edge + 1:
+        raise ValueError(
+            f"insertion position {pos[-1]} is past the domain end {f2.edge}"
+        )
+    if f2.axis is Axis.POS and pos[0] < f2.edge - 1:
+        raise ValueError(
+            f"insertion position {pos[0]} is below the domain start {f2.edge}"
+        )
     s = len(vals)
     inserted = dict(zip(pos, vals))
-
-    def pull(p: int) -> FieldElem:
-        try:
-            return f2.value(p)
-        except ValueError as exc:
-            raise ValueError(
-                f"insertion at {pos} needs {type(f2).__name__} values outside its domain"
-            ) from exc
-
-    if f2.axis is Axis.NEG:
-        if pos[-1] > f2.edge + 1:
-            raise ValueError(
-                f"insertion position {pos[-1]} is past the domain end {f2.edge}"
-            )
-        top = max(f2.edge, pos[-1])
-        w_lo = f2.edge - len(f2.window) + 1
-        lo = min(pos[0], w_lo - s) - 1
-        out = []
-        for p in range(lo, top + 1):
-            if p in inserted:
-                out.append(inserted[p])
-            else:
-                above = s - bisect_right(pos, p)
-                out.append(pull(p + above))
-        return stably_decreasing(
-            Axis.NEG, out, edge=top, left_law=f2.left_law.shift(-s)
-        )
-
-    if f2.axis is Axis.POS:
-        if pos[0] < f2.edge - 1:
-            raise ValueError(
-                f"insertion position {pos[0]} is below the domain start {f2.edge}"
-            )
-        bottom = min(f2.edge, pos[0])
-        w_hi = f2.edge + len(f2.window) - 1
-        hi = max(w_hi + s, pos[-1]) + 1
-        out = []
-        for p in range(bottom, hi + 1):
-            if p in inserted:
-                out.append(inserted[p])
-            else:
-                below = bisect_left(pos, p)
-                out.append(pull(p - below))
-        return stably_decreasing(
-            Axis.POS, out, edge=bottom, right_law=f2.right_law.shift(s)
-        )
-
-    w_lo = f2.edge
-    w_hi = f2.edge + len(f2.window) - 1
-    lo = min(pos[0], w_lo) - 1
-    hi = max(pos[-1], w_hi + s) + 1
+    # read far enough past the window and the insertions that both ends
+    # follow the laws, and no further than the domain of the result
+    first = _first(f2.axis, f2.edge, len(f2.window))
+    lo = min(pos[0], first - s) - 1
+    hi = max(pos[-1], first + len(f2.window) - 1 + s) + 1
+    if neg:
+        hi = max(f2.edge, pos[-1])
+    elif f2.axis is Axis.POS:
+        lo = min(f2.edge, pos[0])
     out = []
     for p in range(lo, hi + 1):
         if p in inserted:
             out.append(inserted[p])
-        else:
-            below = bisect_left(pos, p)
-            out.append(pull(p - below))
+            continue
+        # an entry of f2 moves past the insertions below it, or on NEG
+        # past those above it
+        source = p - bisect_left(pos, p) + (s if neg else 0)
+        try:
+            out.append(f2.value(source))
+        except ValueError as exc:
+            raise ValueError(
+                f"insertion at {pos} needs {type(f2).__name__} values outside its domain"
+            ) from exc
+    left, right = f2._tails
     return stably_decreasing(
-        Axis.ALL, out, edge=lo,
-        left_law=f2.left_law, right_law=f2.right_law.shift(s),
+        f2.axis, out, edge=hi if neg else lo,
+        left_law=left.shift(-s if neg else 0) if left is not None else None,
+        right_law=right.shift(s) if right is not None else None,
     )
 
 
@@ -330,33 +275,31 @@ class InfiniteRSResult:
 
 
 def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
-    """Insert a finite window of g and read off the stable skeleton."""
-    if g.axis is Axis.NEG:
-        a = g.edge - len(g.window) + 1 - margin
-        b = g.edge
-    else:
-        a = g.edge - margin
-        b = g.edge + len(g.window) - 1 + margin
-    tableaux = insert_by_class([g.value(p) for p in range(a, b + 1)])
-    law_anchor = g.left_law.anchor if g.axis is not Axis.POS else g.right_law.anchor
+    """Insert a finite window of a NEG or ALL g and read off the stable
+    skeleton."""
+    first = _first(g.axis, g.edge, len(g.window))
+    last = first + len(g.window) - 1
+    a = first - margin
+    b = g.edge if g.axis is Axis.NEG else last + margin
+    # the laws' values, then the window, then (ALL only) the right law's
+    left, right = g.left_law, g.right_law
+    values = [left.shift(-p) for p in range(a, first)]
+    values.extend(g.window)
+    values.extend(right.shift(-p) for p in range(last + 1, b + 1))
+    tableaux = insert_by_class(values)
+    law_anchor = left.anchor
     if law_anchor not in tableaux:
         raise ValueError("window too small: no law-class values present")
 
     t1_rows = tableaux[law_anchor]
     row_vals = t1_rows[0]
-    if g.axis is Axis.NEG:
-        p0 = b - len(row_vals) + 1
-        left_anchor = row_vals[0].shift(p0)
-        first_row = stably_decreasing(
-            Axis.NEG, row_vals, edge=b, left_law=left_anchor
-        )
-    else:
-        left_anchor = row_vals[0].shift(a)
-        right_anchor = row_vals[-1].shift(a + len(row_vals) - 1)
-        first_row = stably_decreasing(
-            Axis.ALL, row_vals, edge=a,
-            left_law=left_anchor, right_law=right_anchor,
-        )
+    # row 1 ends at b on NEG and starts at a on ALL, like the window
+    edge = b if g.axis is Axis.NEG else a
+    p0 = _first(g.axis, edge, len(row_vals))
+    first_row = stably_decreasing(
+        g.axis, row_vals, edge=edge, left_law=row_vals[0].shift(p0),
+        right_law=row_vals[-1].shift(p0 + len(row_vals) - 1) if g.axis is Axis.ALL else None,
+    )
 
     lower_rows = t1_rows[1:]
     finite = tuple(
@@ -401,7 +344,7 @@ def _stable_margin(g: StablyDecreasingSeq) -> int:
     A POS input goes through its mirror, a NEG input.
     """
     left = g.left_law
-    w_lo = g.edge - len(g.window) + 1 if g.axis is Axis.NEG else g.edge
+    w_lo = _first(g.axis, g.edge, len(g.window))
     same = [e.offset for e in g.window if e.anchor == left.anchor]
     d = 1
     if same:

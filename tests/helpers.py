@@ -3,9 +3,9 @@
 from collections import deque
 from fractions import Fraction
 
-from rsinf.core import FieldElem, Tableau, TableauFamily
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
-from rsinf.rs_infinite import Axis, eventually_constant
+from rsinf.rs_infinite import Axis, EventuallyConstantSeq, eventually_constant
 
 ANCHORS = (Fraction(0), "a", "b")
 
@@ -98,3 +98,32 @@ def bfs_connected(f, g, shifted=False):
                 return InterchangePath(tuple(reversed(steps)))
             queue.append(nxt)
     return None
+
+
+def raw_value(x, p):
+    """The value of an EventuallyConstantSeq or StablyDecreasingSeq at p,
+    read straight from its fields: the window runs up to ``edge`` on NEG
+    and from ``edge`` otherwise, and a tail gives its constant (raw
+    values) or its law minus p (shifted values).  Raises ValueError
+    outside the domain."""
+    first = x.edge - len(x.window) + 1 if x.axis is Axis.NEG else x.edge
+    if (x.axis is Axis.NEG and p > x.edge) or (x.axis is Axis.POS and p < x.edge):
+        raise ValueError(f"{p} lies outside the domain")
+    if first <= p < first + len(x.window):
+        return x.window[p - first]
+    if isinstance(x, EventuallyConstantSeq):
+        return x.left_tail if p < first else x.right_tail
+    return (x.left_law if p < first else x.right_law).shift(-p)
+
+
+def weave_value(positions, values, f2, p):
+    """The value at p of f2 with `values` woven in at `positions`, by
+    definition: an inserted value sits at its position, and every other
+    entry of f2 moves past the insertions on its side: up from below on
+    POS and ALL, down from above on NEG.  Raises ValueError where that
+    entry would come from outside the domain of f2."""
+    if p in positions:
+        return elem(values[positions.index(p)])
+    if f2.axis is Axis.NEG:
+        return raw_value(f2, p + sum(q > p for q in positions))
+    return raw_value(f2, p - sum(q < p for q in positions))

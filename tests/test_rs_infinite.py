@@ -31,6 +31,14 @@ def test_axis_tail_requirements():
         EventuallyConstantSeq(Axis.ALL, (), 1, elem(0), None)
     blk = eventually_constant(Axis.NEG, [3], left_tail=0)
     assert blk.left_tail == elem(0) and blk.right_tail is None
+    # the canonicalizing constructors check the tails before reading them
+    for build, tail in ((eventually_constant, "tail"), (stably_decreasing, "law")):
+        with pytest.raises(ValueError, match=f"^a NEG sequence has exactly a left {tail}$"):
+            build(Axis.NEG, [1])
+        with pytest.raises(ValueError, match=f"^a POS sequence has exactly a right {tail}$"):
+            build(Axis.POS, [1])
+        with pytest.raises(ValueError, match=f"^an ALL sequence has both {tail}s$"):
+            build(Axis.ALL, [1], **{f"left_{tail}": 0})
 
 
 def test_window_canonicalization():
