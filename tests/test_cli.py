@@ -224,10 +224,6 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
          "'right_tail' must be a string or an integer, not false"),
         ("rs-inf", {"axis": "neg", "exceptions": [], "left_tail": True},
          "'left_tail' must be a string or an integer, not true"),
-        ("rs-inf", {"axis": "neg", "left_tail": None},
-         "'left_tail' must be a string or an integer, not null"),
-        ("rs-inf", {"axis": "all", "left_tail": 0, "right_tail": None},
-         "'right_tail' must be a string or an integer, not null"),
         ("rs-inf", {"axis": "pos", "exceptions": [1.5], "right_tail": 0},
          "an entry of 'exceptions' must be a string or an integer, not 1.5"),
         ("seq-of", {"tableaux": [{"rows": [[None]]}]},
@@ -238,10 +234,6 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
         ("rs-inf", {"axis": ["neg"]}, "unknown axis ['neg']; use neg, pos or all"),
         ("classify", {"regions": 5}, "a spec document is an object with a 'regions' list"),
         ("classify", [{"type": "omega"}], "a spec document is an object with a 'regions' list"),
-        # a file holding a JSON string is not decoded a second time
-        ("classify", '{"regions":[{"type":"omega","exceptions":[2],"tail":0}]}',
-         "a spec document is an object with a 'regions' list"),
-        ("classify", "neg", "a spec document is an object with a 'regions' list"),
         ("classify", {"regions": [5]}, "each region is an object with a 'type' field"),
         # a missing required field is named, with what lacks it
         ("classify", {"regions": [{"type": "omega", "exceptions": []}]},
@@ -252,6 +244,30 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
     ],
 )
 def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, message):
+    _assert_error_answer(tmp_path, capsys, command, doc, message)
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # a present null tail is a malformed entry, not a missing field
+        ("rs-inf", {"axis": "neg", "left_tail": None},
+         "'left_tail' must be a string or an integer, not null"),
+        ("rs-inf", {"axis": "all", "left_tail": 0, "right_tail": None},
+         "'right_tail' must be a string or an integer, not null"),
+        # a file holding a JSON string is not decoded a second time
+        ("classify", '{"regions":[{"type":"omega","exceptions":[2],"tail":0}]}',
+         "a spec document is an object with a 'regions' list"),
+        ("classify", "neg", "a spec document is an object with a 'regions' list"),
+    ],
+)
+def test_null_tails_and_string_documents_answer_an_error(
+    tmp_path, capsys, command, doc, message
+):
+    _assert_error_answer(tmp_path, capsys, command, doc, message)
+
+
+def _assert_error_answer(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, command, str(path))
