@@ -8,52 +8,45 @@ ctypedef long long i64
 ctypedef Py_ssize_t isz
 
 
-def insert_sequence(offsets, positions):
-    """Insert all (offset, position) pairs; return rows of input indices."""
+def insert_sequence(offsets):
+    """Insert all offsets in order; return rows of input indices."""
     cdef isz n = len(offsets)
-    cdef vector[vector[i64]] koff, kpos
+    cdef vector[vector[i64]] koff
     cdef vector[vector[isz]] idxs
-    cdef i64 off, pos, toff, tpos
+    cdef i64 off, toff
     cdef isz t, r, lo, hi, mid, m, idx, tidx
 
     for t in range(n):
         off = offsets[t]
-        pos = positions[t]
         idx = t
         r = 0
         while True:
             if r == <isz>koff.size():
                 koff.push_back(vector[i64]())
-                kpos.push_back(vector[i64]())
                 idxs.push_back(vector[isz]())
                 koff[r].push_back(off)
-                kpos[r].push_back(pos)
                 idxs[r].push_back(idx)
                 break
             m = <isz>koff[r].size()
-            # find the leftmost entry strictly smaller in (offset, position)
-            # order; it is the bump target
+            # find the leftmost offset not larger than off; it is the bump
+            # target, so an equal offset displaces the older entry
             lo = 0
             hi = m
             while lo < hi:
                 mid = (lo + hi) >> 1
-                if koff[r][mid] > off or (koff[r][mid] == off and kpos[r][mid] > pos):
+                if koff[r][mid] > off:
                     lo = mid + 1
                 else:
                     hi = mid
             if lo == m:
                 koff[r].push_back(off)
-                kpos[r].push_back(pos)
                 idxs[r].push_back(idx)
                 break
             toff = koff[r][lo]
-            tpos = kpos[r][lo]
             tidx = idxs[r][lo]
             koff[r][lo] = off
-            kpos[r][lo] = pos
             idxs[r][lo] = idx
             off = toff
-            pos = tpos
             idx = tidx
             r += 1
 

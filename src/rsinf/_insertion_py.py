@@ -1,16 +1,16 @@
-"""Pure-Python Schensted bumping over integer (offset, position) pairs.
+"""Pure-Python Schensted bumping over integer offsets.
 
-The pair order is: larger offset first, and among equal offsets larger
-position first.  Encoding each pair as the key (-offset, -position) turns
-that into the ordinary tuple order, so a row of keys is kept sorted
-ascending and a new key bumps the leftmost strictly greater entry.
+A row keeps the keys -offset sorted ascending, so its offsets strictly
+decrease, and a new key bumps the leftmost entry not smaller than it: an
+equal offset displaces the older equal entry.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left
 
 
-def insert_one(key_rows, idx_rows, key, idx):
-    """Insert one (key, idx) pair, mutating the row lists in place."""
+def insert_one(key_rows, idx_rows, offset, idx):
+    """Insert one (offset, idx) pair, mutating the row lists in place."""
+    key = -offset
     r = 0
     while True:
         if r == len(key_rows):
@@ -18,7 +18,7 @@ def insert_one(key_rows, idx_rows, key, idx):
             idx_rows.append([idx])
             return
         row = key_rows[r]
-        i = bisect_right(row, key)
+        i = bisect_left(row, key)
         if i == len(row):
             row.append(key)
             idx_rows[r].append(idx)
@@ -28,10 +28,10 @@ def insert_one(key_rows, idx_rows, key, idx):
         r += 1
 
 
-def insert_sequence(offsets, positions):
-    """Insert all pairs in order; return rows of indices into the input."""
+def insert_sequence(offsets):
+    """Insert all offsets in order; return rows of indices into the input."""
     key_rows = []
     idx_rows = []
-    for t in range(len(offsets)):
-        insert_one(key_rows, idx_rows, (-offsets[t], -positions[t]), t)
+    for t, offset in enumerate(offsets):
+        insert_one(key_rows, idx_rows, offset, t)
     return idx_rows

@@ -19,10 +19,10 @@ else:
 BACKEND = "compiled" if _impl is not None else "pure"
 
 
-def insert_sequence(offsets, positions):
+def insert_sequence(offsets):
     if _impl is not None:
         try:
-            return _impl.insert_sequence(offsets, positions)
+            return _impl.insert_sequence(offsets)
         except OverflowError:
             pass
-    return _insertion_py.insert_sequence(offsets, positions)
+    return _insertion_py.insert_sequence(offsets)

@@ -102,8 +102,17 @@ class ClsParams:
                 raise ValueError(f"{name} must have positive parts")
 
 
+def _int(value, name: str) -> int:
+    """value itself if it is an int; a float or bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def cls_params(r1: int, r2: int, g: int, X=(), Y=()) -> ClsParams:
-    return ClsParams(int(r1), int(r2), int(g), tuple(map(int, X)), tuple(map(int, Y)))
+    X = tuple(_int(x, "an entry of X") for x in X)
+    Y = tuple(_int(y, "an entry of Y") for y in Y)
+    return ClsParams(_int(r1, "r'"), _int(r2, "r''"), _int(g, "g"), X, Y)
 
 
 def factorization(p: ClsParams) -> tuple:
@@ -141,7 +150,9 @@ def _check_level(p: ClsParams, n: int):
 
 def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     """Level-n weights of the parameter tuple, unbounded families
-    truncated at the entry bound."""
+    truncated at the nonnegative entry bound (zero is in every level)."""
+    if bound < 0:
+        raise ValueError(f"the entry bound must be nonnegative, got {bound}")
     _check_level(p, n)
     out = {(0,) * n}
     for kind, idx, mult in factorization(p):
@@ -227,7 +238,7 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
     and the two unbounded factors are checked in closed form on the
     residual.
     """
-    v = normalize(vec)
+    v = normalize(tuple(_int(x, "an entry of the weight") for x in vec))
     if n is None:
         n = len(v)
     elif n != len(v):

@@ -20,25 +20,19 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
 
 
 def insert_by_class(vals) -> dict:
-    """Insert the entries one integrality class at a time.
-
-    Entry i sits at position i + 1; within a class the pairs
-    (value, position) are inserted in sequence order.  Returns anchor ->
-    rows of FieldElem, classes in order of first appearance.
+    """Insert the entries one integrality class at a time, in sequence
+    order.  Returns anchor -> rows of the input's own entries, classes in
+    order of first appearance.
     """
     by_class: dict = {}
-    for pos, e in enumerate(vals, start=1):
-        if e.anchor not in by_class:
-            by_class[e.anchor] = ([], [])
-        offs, poss = by_class[e.anchor]
-        offs.append(e.offset)
-        poss.append(pos)
+    for e in vals:
+        by_class.setdefault(e.anchor, []).append(e)
     return {
         anchor: tuple(
-            tuple(FieldElem(anchor, offs[i]) for i in row)
-            for row in insert_sequence(offs, poss)
+            tuple(es[i] for i in row)
+            for row in insert_sequence([e.offset for e in es])
         )
-        for anchor, (offs, poss) in by_class.items()
+        for anchor, es in by_class.items()
     }
 
 
@@ -55,7 +49,7 @@ class InsertionStep:
     """State after inserting one more entry.
 
     ``positions`` mirrors the family shape and holds, for each box, the
-    1-based input position of the pair currently occupying that box.
+    1-based input position of the entry currently occupying that box.
     """
 
     family: TableauFamily
@@ -63,28 +57,22 @@ class InsertionStep:
 
 
 def rs_trace(values) -> tuple[InsertionStep, ...]:
-    """All intermediate states of rs, one per input entry."""
+    """All intermediate states of rs, one per input entry.  A step
+    rebuilds only the class of the entry it inserts."""
     vals = _seq(values)
-    order: list = []
-    state: dict = {}
+    rows: dict = {}
+    built: dict = {}
     steps = []
     for pos, e in enumerate(vals, start=1):
-        if e.anchor not in state:
-            state[e.anchor] = ([], [])
-            order.append(e.anchor)
-        key_rows, idx_rows = state[e.anchor]
-        insert_one(key_rows, idx_rows, (-e.offset, -pos), pos)
-        pairs = []
-        for anchor in order:
-            kr, ir = state[anchor]
-            rows = tuple(
-                tuple(FieldElem(anchor, -k[0]) for k in row) for row in kr
-            )
-            pairs.append((Tableau(anchor, rows), tuple(tuple(row) for row in ir)))
-        # keep positions aligned with the family's canonical class order
-        pairs.sort(key=lambda p: str(FieldElem(p[0].anchor, 0)))
-        family = TableauFamily(tuple(p[0] for p in pairs))
-        steps.append(InsertionStep(family, tuple(p[1] for p in pairs)))
+        key_rows, idx_rows = rows.setdefault(e.anchor, ([], []))
+        insert_one(key_rows, idx_rows, e.offset, pos)
+        built[e.anchor] = (
+            Tableau(e.anchor, tuple(tuple(vals[i - 1] for i in row) for row in idx_rows)),
+            tuple(tuple(row) for row in idx_rows),
+        )
+        family = TableauFamily(tuple(tab for tab, _ in built.values()))
+        # positions follow the family's canonical class order
+        steps.append(InsertionStep(family, tuple(built[t.anchor][1] for t in family)))
     return tuple(steps)
 
 

@@ -19,7 +19,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .core import FieldElem, Tableau, as_partition, elem
+from .core import FieldElem, Tableau, TableauFamily, as_partition, elem
 from .rs_finite import insert_by_class, seq_of
 
 
@@ -302,13 +302,9 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     )
 
     lower_rows = t1_rows[1:]
-    finite = tuple(
-        Tableau(anchor, tableaux[anchor])
-        for anchor in sorted(
-            (a for a in tableaux if a != law_anchor),
-            key=lambda a: str(FieldElem(a, 0)),
-        )
-    )
+    finite = TableauFamily(
+        tuple(Tableau(a, rows) for a, rows in tableaux.items() if a != law_anchor)
+    ).tableaux
     rest: list[Tableau] = []
     if lower_rows:
         rest.append(Tableau(law_anchor, lower_rows))

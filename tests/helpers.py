@@ -1,5 +1,6 @@
 """Random object generators and oracles shared across the test modules."""
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -127,3 +128,28 @@ def weave_value(positions, values, f2, p):
     if f2.axis is Axis.NEG:
         return raw_value(f2, p + sum(q > p for q in positions))
     return raw_value(f2, p - sum(q < p for q in positions))
+
+
+def pair_insert(offsets, positions):
+    """Schensted bumping over (offset, position) pairs, keyed as
+    (-offset, -position): larger offset first, and among equal offsets
+    larger position first.  Returns rows of indices into the input.  The
+    pair-keyed form of the kernel, kept as its oracle."""
+    key_rows, idx_rows = [], []
+    for idx, (offset, position) in enumerate(zip(offsets, positions)):
+        key = (-offset, -position)
+        r = 0
+        while r < len(key_rows):
+            row = key_rows[r]
+            i = bisect_right(row, key)
+            if i == len(row):
+                break
+            key, row[i] = row[i], key
+            idx, idx_rows[r][i] = idx_rows[r][i], idx
+            r += 1
+        if r == len(key_rows):
+            key_rows.append([])
+            idx_rows.append([])
+        key_rows[r].append(key)
+        idx_rows[r].append(idx)
+    return idx_rows

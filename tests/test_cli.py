@@ -433,6 +433,13 @@ def test_cls_level_too_small(capsys):
     assert "too small" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("params", ["1,0,0;;", "0,0,1;;"])
+def test_cls_level_negative_bound(capsys, params):
+    code, out = run(capsys, "cls-level", params, "--level=3", "--bound=-1")
+    assert code == 1
+    assert json.loads(out) == {"error": "the entry bound must be nonnegative, got -1"}
+
+
 def test_cls_gamma_line(capsys):
     code, out = run(capsys, "cls-gamma", "2,0,0;;", "--level=2")
     assert code == 0

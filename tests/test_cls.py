@@ -54,6 +54,19 @@ def test_params_validation():
         cls_params(0, 0, 0, X=(1, 2))
     with pytest.raises(ValueError, match="positive parts"):
         cls_params(0, 0, 0, Y=(1, 0))
+    # a parameter is an int, never truncated into one
+    with pytest.raises(TypeError, match="r' must be an integer, not 1.7"):
+        cls_params(1.7, 0, 0)
+    with pytest.raises(TypeError, match="r' must be an integer, not True"):
+        cls_params(True, 0, 0)
+    with pytest.raises(TypeError, match="r'' must be an integer, not 2.0"):
+        cls_params(0, 2.0, 0)
+    with pytest.raises(TypeError, match="g must be an integer, not False"):
+        cls_params(0, 0, False)
+    with pytest.raises(TypeError, match="an entry of X must be an integer, not 1.5"):
+        cls_params(0, 0, 0, X=(2, 1.5))
+    with pytest.raises(TypeError, match="an entry of Y must be an integer, not '1'"):
+        cls_params(0, 0, 0, Y="1")
 
 
 def test_factorization():
@@ -90,6 +103,27 @@ def test_member_fixtures():
     assert not member(cls_params(1, 0, 0), (7, 1, 0))
     with pytest.raises(ValueError, match="expected level"):
         member(cls_params(0, 0, 0), (1, 0), 3)
+
+
+def test_member_rejects_non_integer_entries():
+    # truncating (2.5, 1, 0) would answer about (2, 1, 0)
+    assert member(cls_params(1, 0, 0), (2, 1, 0)) is False
+    assert member(cls_params(0, 0, 1), (1, 1, 0))
+    with pytest.raises(TypeError, match="an entry of the weight must be an integer, not 2.5"):
+        member(cls_params(1, 0, 0), (2.5, 1, 0))
+    with pytest.raises(TypeError, match="not True"):
+        member(cls_params(0, 0, 1), (True, True, 0))
+
+
+def test_negative_bound_is_refused():
+    # every level set holds the zero vector, which a negative bound would drop
+    assert (0, 0, 0) in cls_level(cls_params(1, 0, 0), 3, 0)
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+        cls_level(cls_params(1, 0, 0), 3, -1)
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        cls_level(cls_params(0, 0, 1), 3, -1)
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        q_union_level(1, 0, (), (), 3, -2)
 
 
 def test_q_union_covers_both_splits():

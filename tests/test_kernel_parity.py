@@ -1,14 +1,19 @@
-"""The compiled insertion kernel and the pure one must agree exactly."""
+"""The compiled insertion kernel and the pure one must agree exactly, and
+both with the pair-keyed insertion of tests/helpers.py."""
 
+import inspect
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pair_insert
 from rsinf import _kernel
 from rsinf._insertion_py import insert_sequence as pure_insert
 
@@ -25,30 +30,49 @@ def test_backend_reports_something_sensible():
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_backends_agree(offsets):
-    positions = list(range(1, len(offsets) + 1))
-    assert _kernel.insert_sequence(offsets, positions) == pure_insert(
-        offsets, positions
-    )
+    assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+
+
+def _duplicate_heavy(rng, max_len):
+    n = rng.randint(0, max_len)
+    spread = rng.choice((0, 1, 2, 5, 50))
+    return [rng.randint(-spread, spread) for _ in range(n)]
 
 
 @compiled_only
-def test_backends_agree_on_scattered_positions():
+def test_backends_agree_on_duplicate_heavy_input():
     rng = random.Random(42)
-    for _ in range(50):
-        n = rng.randint(0, 40)
-        offsets = [rng.randint(-9, 9) for _ in range(n)]
-        positions = rng.sample(range(-100, 100), n)
-        assert _kernel.insert_sequence(offsets, positions) == pure_insert(
-            offsets, positions
-        )
+    for _ in range(500):
+        offsets = _duplicate_heavy(rng, 200)
+        assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+
+
+def test_kernel_matches_pair_keyed_insertion():
+    # positions arrive in increasing order, so the position tie-break of
+    # the pair order only ever says "the older equal entry is bumped"
+    rng = random.Random(1961)
+    for _ in range(2000):
+        offsets = _duplicate_heavy(rng, 60)
+        want = pair_insert(offsets, range(1, len(offsets) + 1))
+        assert pure_insert(offsets) == want, offsets
+        assert _kernel.insert_sequence(offsets) == want, offsets
+
+
+def test_compiled_source_takes_the_pure_signature():
+    # the extension cannot be built without Cython, so its source is read
+    # to catch a contract that drifts from the pure kernel's
+    src = Path(inspect.getfile(_kernel)).with_name("_insertion.pyx").read_text()
+    m = re.search(r"^def insert_sequence\(([^)]*)\):", src, re.M)
+    assert m, "the .pyx defines no insertion kernel"
+    params = [p.strip() for p in m.group(1).split(",") if p.strip()]
+    assert params == list(inspect.signature(pure_insert).parameters)
+    assert params == list(inspect.signature(_kernel.insert_sequence).parameters)
 
 
 def test_huge_offsets_fall_back_to_pure():
     offsets = [10**30, 3, -(10**25), 3, 10**30]
-    positions = [1, 2, 3, 4, 5]
-    assert _kernel.insert_sequence(offsets, positions) == pure_insert(
-        offsets, positions
-    )
+    assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+    assert pure_insert(offsets) == pair_insert(offsets, range(1, 6))
 
 
 def test_env_override_selects_pure_backend():
@@ -79,11 +103,11 @@ def test_env_override_selects_pure_backend():
 def test_bump_prefers_the_older_equal_entry():
     # rows hold input slots; inserting an equal value displaces the old
     # copy, so slot 2 stays in the first row and slot 0 drops out
-    assert pure_insert([2, 1, 2], [1, 2, 3]) == [[2, 1], [0]]
+    assert pure_insert([2, 1, 2]) == [[2, 1], [0]]
     # a strictly larger value bumps the leftmost smaller-or-equal entry
-    assert pure_insert([5, 3, 8], [1, 2, 3]) == [[2, 1], [0]]
+    assert pure_insert([5, 3, 8]) == [[2, 1], [0]]
 
 
 def test_empty_input():
-    assert _kernel.insert_sequence([], []) == []
-    assert pure_insert([], []) == []
+    assert _kernel.insert_sequence([]) == []
+    assert pure_insert([]) == []

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,31 @@ def test_trace_ends_at_rs(values):
         assert steps[-1].family == rs(values)
     else:
         assert steps == ()
+
+
+_TRACE_ANCHORS = (Fraction(0), Fraction(1, 2), "a")
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TRACE_ANCHORS), st.integers(-3, 3)), max_size=14
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_trace_steps_are_prefix_insertions(pairs):
+    # step k is the insertion of the first k entries, and each box's
+    # position names the input entry that sits in it
+    vals = tuple(FieldElem(anchor, offset) for anchor, offset in pairs)
+    steps = rs_trace(vals)
+    assert len(steps) == len(vals)
+    for k, step in enumerate(steps, start=1):
+        assert step.family == rs(vals[:k])
+        assert len(step.positions) == len(step.family)
+        for tab, pos_rows in zip(step.family, step.positions):
+            assert tuple(map(len, pos_rows)) == tab.shape
+            for row, prow in zip(tab.rows, pos_rows):
+                for entry, p in zip(row, prow):
+                    assert 1 <= p <= k and vals[p - 1] == entry
 
 
 def test_seq_of_paper_examples():
