@@ -4,14 +4,15 @@ Weights at level n are weakly decreasing integer n-tuples, normalized so
 the last entry is zero.  A parameter tuple (r', r'', g, X, Y) factors
 into basic families; the level set of the parameter is the Minkowski sum
 of the factors' level sets.  The three unbounded families are truncated
-by an explicit entry bound, which is enough for membership tests since
-every summand of a vector is dominated by it.
+by an explicit entry bound when a level set is enumerated.  Membership
+needs no bound: it is decided in one pass over the weight's differences.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 WeightVec = tuple[int, ...]
 
@@ -51,6 +52,18 @@ def _bounded_dominant(n: int, bound: int):
         yield head + (0,)
 
 
+# Each finite family at level n is the zero vector and the step vectors
+# f_{k,n} for k in an interval [first, last] of 1..n-1, given here as a
+# function of (i, n).  In difference form f_{k,n} is one unit at position
+# k, so a family supplies one unit anywhere on its interval, or nothing.
+_SPANS = {
+    "T": lambda i, n: (1, 0),
+    "L": lambda i, n: (1, min(i, n - 1)),
+    "R": lambda i, n: (max(n - i, 1), n - 1),
+    "E": lambda i, n: (1, n - 1),
+}
+
+
 def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
     """Level-n weights of one basic family.
 
@@ -61,14 +74,9 @@ def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
     first i coordinates, constant on the first n-i coordinates, and
     unconstrained.
     """
-    if kind == "T":
-        return frozenset({(0,) * n})
-    if kind == "L":
-        return frozenset(f_kn(k, n) for k in range(min(i, n) + 1))
-    if kind == "R":
-        return frozenset(f_kn(k, n) for k in range(max(n - i, 0), n + 1))
-    if kind == "E":
-        return frozenset(f_kn(k, n) for k in range(n))
+    if kind in _SPANS:
+        first, last = _SPANS[kind](i, n)
+        return frozenset({(0,) * n, *(f_kn(k, n) for k in range(first, last + 1))})
     if kind == "Linf":
         return frozenset(
             v for v in _bounded_dominant(n, bound) if not any(v[i:])
@@ -150,7 +158,13 @@ def _check_level(p: ClsParams, n: int):
 
 def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     """Level-n weights of the parameter tuple, unbounded families
-    truncated at the nonnegative entry bound (zero is in every level)."""
+    truncated at the nonnegative entry bound (zero is in every level).
+
+    A sum of normalized dominant vectors is normalized dominant, so the
+    Minkowski sums are taken entrywise with no further normalization.
+    """
+    n = _int(n, "the level")
+    bound = _int(bound, "the entry bound")
     if bound < 0:
         raise ValueError(f"the entry bound must be nonnegative, got {bound}")
     _check_level(p, n)
@@ -158,11 +172,7 @@ def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     for kind, idx, mult in factorization(p):
         base = basic_level(kind, idx, n, bound)
         for _ in range(mult):
-            out = {
-                normalize(tuple(a + b for a, b in zip(u, v)))
-                for u in out
-                for v in base
-            }
+            out = {tuple(map(add, u, v)) for u in out for v in base}
     return frozenset(out)
 
 
@@ -173,7 +183,7 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     their multiplicity, unbounded one-sided factors with coefficient
     2i - 1, and each full-step factor the middle step.
     """
-    length = 2 * n
+    length = 2 * _int(n, "the level")
     _check_level(p, length)
     total = [0] * length
     for kind, idx, mult in factorization(p):
@@ -196,88 +206,68 @@ def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
     """Whether u = a + b with a supported on the first r1 coordinates and
     b constant on the first n - r2, both normalized dominant.
 
-    Position-by-position feasibility: carry the set of possible (a_i, b_i)
-    pairs, requiring a and b weakly decreasing and b exactly constant up
-    to the cut.  r1 = 0 or r2 = 0 degenerate to a = 0 or b = 0.
+    In differences d_k = u_k - u_{k+1} (k = 1..n-1), such an a is any
+    nonnegative amount at the free positions k <= r1 and such a b any at
+    the free positions k >= n - r2, both zero elsewhere.  So a free
+    position absorbs whatever u has there and every other one must be
+    empty: u splits exactly when it ends in 0 and every d_k is
+    nonnegative, and zero unless k is free (so u is nonnegative too).
     """
     n = len(u)
-    if any(x < 0 for x in u) or u[-1] != 0:
+    if u[-1] != 0:
         return False
-    cut = n - r2
-    prev = None
-    for i in range(n):
-        ui = u[i]
-        if i >= r1:
-            cand = [(0, ui)]
-        else:
-            cand = [(a, ui - a) for a in range(ui, -1, -1)]
-        if prev is None:
-            frontier = set(cand)
-        else:
-            frontier = set()
-            for a, b in cand:
-                for pa, pb in prev:
-                    if a > pa:
-                        continue
-                    if (b != pb) if i < cut else (b > pb):
-                        continue
-                    frontier.add((a, b))
-                    break
-        if not frontier:
-            return False
-        prev = frontier
-    return True
+    return all(
+        d == 0 or (d > 0 and (k <= r1 or k >= n - r2))
+        for k, d in enumerate((x - y for x, y in zip(u, u[1:])), 1)
+    )
 
 
 def member(p: ClsParams, vec, n: int | None = None) -> bool:
     """Whether the weight lies in the parameter's level set.
 
-    Equivalent to membership in cls_level(p, n, max(vec)) but computed by
-    searching for one decomposition: the finite factors are enumerated
-    (every summand is dominated by vec, so the entry bound is implied)
-    and the two unbounded factors are checked in closed form on the
-    residual.
+    The answer of `vec in cls_level(p, n, max(vec))`, in one pass.  In
+    differences d_k = v_k - v_{k+1}, f_{k,n} is one unit at k, so each
+    finite factor (kind, i, m) supplies up to m units, each on its
+    _SPANS interval, and L-inf/R-inf absorb anything at the free
+    positions (_split_linf_rinf).  A factor may take its zero vector, so
+    v is a member exactly when the finite factors cover d_k at every
+    non-free k: a matching in a convex bipartite graph.
+
+    The sweep gives each unit of demand, left to right, to a factor with
+    units left whose interval ends first (Glover 1967), which is exact.
+    Take a covering allocation that agrees with the sweep up to a unit at
+    k that the sweep gives F and it gives G.  If it spends one of F's
+    remaining units on a later unit at k', then k <= k' <= end(F) <=
+    end(G), so the two units can trade factors; otherwise F has a unit
+    to spare.  Either way it still covers and agrees one unit longer.
     """
     v = normalize(tuple(_int(x, "an entry of the weight") for x in vec))
     if n is None:
         n = len(v)
-    elif n != len(v):
+    elif _int(n, "the level") != len(v):
         raise ValueError(f"vector has length {len(v)}, expected level {n}")
     _check_level(p, n)
-    finite = [
-        (sorted(basic_level(kind, idx, n, 0), reverse=True), mult)
-        for kind, idx, mult in factorization(p)
-        if kind in ("L", "R", "E")
-    ]
-    dead: set = set()
-
-    def dfs(fi: int, residual: tuple) -> bool:
-        if fi == len(finite):
-            return _split_linf_rinf(residual, p.r1, p.r2)
-        key = (fi, residual)
-        if key in dead:
-            return False
-        vecs, mult = finite[fi]
-        for combo in itertools.combinations_with_replacement(vecs, mult):
-            nxt = list(residual)
-            ok = True
-            for w in combo:
-                for i in range(n):
-                    nxt[i] -= w[i]
-                    if nxt[i] < 0:
-                        ok = False
-            if ok and dfs(fi + 1, tuple(nxt)):
-                return True
-        dead.add(key)
-        return False
-
-    return dfs(0, v)
+    # [first, last, units left] of each finite factor, earliest last first
+    supply = sorted(
+        ([*_SPANS[kind](i, n), m] for kind, i, m in factorization(p) if kind in _SPANS),
+        key=itemgetter(1),
+    )
+    d = [x - y for x, y in zip(v, v[1:])]  # d[k - 1] is the difference at k
+    for k in range(p.r1 + 1, n - p.r2):  # the positions that are not free
+        for s in supply:
+            if s[0] <= k <= s[1]:
+                take = min(s[2], d[k - 1])
+                s[2] -= take
+                d[k - 1] -= take
+    residual = tuple(itertools.accumulate(reversed(d), initial=0))[::-1]
+    return _split_linf_rinf(residual, p.r1, p.r2)
 
 
 def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
     """Union of the level sets over all splits r = r' + r''; splits whose
     level is too small are skipped, and if none is defined the level is
     too small outright."""
+    r, n, bound = _int(r, "r"), _int(n, "the level"), _int(bound, "the entry bound")
     out = set()
     found = False
     for r1 in range(r + 1):

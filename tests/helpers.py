@@ -1,9 +1,11 @@
 """Random object generators and oracles shared across the test modules."""
 
+import itertools
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
+from rsinf.cls import f_kn, factorization, normalize
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
 from rsinf.rs_infinite import Axis, EventuallyConstantSeq, eventually_constant
@@ -153,3 +155,80 @@ def pair_insert(offsets, positions):
         key_rows[r].append(key)
         idx_rows[r].append(idx)
     return idx_rows
+
+
+def frontier_split(u, r1, r2):
+    """Whether u = a + b with a supported on the first r1 coordinates and
+    b constant on the first n - r2, both normalized dominant, decided
+    position by position: carry the set of possible (a_i, b_i) pairs,
+    requiring a and b weakly decreasing and b exactly constant up to the
+    cut.  The dynamic program the closed-form split replaced, kept as its
+    oracle."""
+    n = len(u)
+    if any(x < 0 for x in u) or u[-1] != 0:
+        return False
+    cut = n - r2
+    prev = None
+    for i in range(n):
+        ui = u[i]
+        if i >= r1:
+            cand = [(0, ui)]
+        else:
+            cand = [(a, ui - a) for a in range(ui, -1, -1)]
+        if prev is None:
+            frontier = set(cand)
+        else:
+            frontier = set()
+            for a, b in cand:
+                for pa, pb in prev:
+                    if a > pa:
+                        continue
+                    if (b != pb) if i < cut else (b > pb):
+                        continue
+                    frontier.add((a, b))
+                    break
+        if not frontier:
+            return False
+        prev = frontier
+    return True
+
+
+# the k whose step vectors f_{k,n} make up each finite family at level n
+FINITE_STEPS = {
+    "L": lambda i, n: range(min(i, n) + 1),
+    "R": lambda i, n: range(max(n - i, 0), n + 1),
+    "E": lambda i, n: range(n),
+}
+
+
+def search_member(p, vec):
+    """Membership by searching for a decomposition: every choice of one
+    step vector per copy of each finite factor, memoised on dead
+    (factor, residual) pairs, with frontier_split deciding the residual.
+    The search that one-pass membership replaced, kept as its oracle."""
+    v = normalize(vec)
+    n = len(v)
+    finite = [
+        (sorted({f_kn(k, n) for k in FINITE_STEPS[kind](i, n)}, reverse=True), mult)
+        for kind, i, mult in factorization(p)
+        if kind in FINITE_STEPS
+    ]
+    dead = set()
+
+    def dfs(fi, residual):
+        if fi == len(finite):
+            return frontier_split(residual, p.r1, p.r2)
+        if (fi, residual) in dead:
+            return False
+        vecs, mult = finite[fi]
+        for combo in itertools.combinations_with_replacement(vecs, mult):
+            nxt = list(residual)
+            for w in combo:
+                for i in range(n):
+                    nxt[i] -= w[i]
+            if min(nxt) >= 0 and dfs(fi + 1, tuple(nxt)):
+                return True
+        dead.add((fi, residual))
+        return False
+
+    return dfs(0, v)

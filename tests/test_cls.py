@@ -1,10 +1,14 @@
+import importlib
+import itertools
 import random
 
 import pytest
 
+from helpers import frontier_split, search_member
 from rsinf.cls import (
     ClsParams,
     LevelError,
+    _split_linf_rinf,
     basic_level,
     cls_level,
     cls_params,
@@ -173,12 +177,127 @@ def test_member_matches_enumeration():
 
 
 def _dominant(n, bound):
-    import itertools
-
     for head in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
         yield head + (0,)
 
 
-def _rand_partition(rng):
-    parts = sorted((rng.randint(1, 2) for _ in range(rng.randint(0, 2))), reverse=True)
-    return tuple(parts)
+def _rand_partition(rng, parts=2, size=2):
+    """A random partition of at most `parts` parts, each at most `size`."""
+    k = rng.randint(0, parts)
+    return tuple(sorted((rng.randint(1, size) for _ in range(k)), reverse=True))
+
+
+def _rand_params(rng, r=3, g=3, parts=4, size=4):
+    """Random parameters with r', r'' <= r, g at most g, and partitions
+    of at most `parts` parts, each at most `size`."""
+    return cls_params(rng.randint(0, r), rng.randint(0, r), rng.randint(0, g),
+                      _rand_partition(rng, parts, size), _rand_partition(rng, parts, size))
+
+
+def _rand_weight(rng, n, top):
+    return tuple(sorted((rng.randint(0, top) for _ in range(n - 1)), reverse=True)) + (0,)
+
+
+def test_level_and_bound_must_be_integers():
+    p = cls_params(1, 0, 0)
+    # True would answer the bound-1 set, and 3.0 used to pass the level check
+    with pytest.raises(TypeError, match="the entry bound must be an integer, not True"):
+        cls_level(p, 3, True)
+    with pytest.raises(TypeError, match="the level must be an integer, not 3.0"):
+        cls_level(p, 3.0, 2)
+    with pytest.raises(TypeError, match="the entry bound must be an integer, not 2.5"):
+        cls_level(p, 3, 2.5)
+    with pytest.raises(TypeError, match="the level must be an integer, not 2.0"):
+        gamma(p, 2.0)
+    with pytest.raises(TypeError, match="the level must be an integer, not 3.0"):
+        q_union_level(1, 0, (), (), 3.0, 2)
+    with pytest.raises(TypeError, match="the entry bound must be an integer, not False"):
+        q_union_level(1, 0, (), (), 3, False)
+    with pytest.raises(TypeError, match="r must be an integer, not 1.0"):
+        q_union_level(1.0, 0, (), (), 3, 2)
+    with pytest.raises(TypeError, match="the level must be an integer, not 3.0"):
+        member(p, (1, 0, 0), 3.0)
+    assert member(p, (1, 0, 0), 3)
+
+
+def test_split_matches_frontier_dp():
+    # every vector, dominant or not, with entries -1..3, at levels 1..6
+    checked = 0
+    for n in range(1, 7):
+        for u in itertools.product(range(-1, 4), repeat=n):
+            for r1 in range(n + 2):
+                for r2 in range(n + 2):
+                    assert _split_linf_rinf(u, r1, r2) == frontier_split(u, r1, r2), (u, r1, r2)
+                    checked += 1
+    assert checked == 1_179_195
+
+
+def test_member_matches_decomposition_search():
+    rng = random.Random(8)
+    answers = []
+    for _ in range(600):
+        p = _rand_params(rng, r=2, g=2, parts=3, size=3)
+        n = rng.randint(1, 8)
+        if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+            continue
+        for _ in range(5):
+            v = _rand_weight(rng, n, rng.randint(0, 8))
+            answers.append(member(p, v))
+            assert answers[-1] == search_member(p, v), (p, v)
+    assert answers.count(False) > 400 and answers.count(True) > 1000
+
+
+def test_member_matches_enumerated_level_beyond_the_acceptance_grid():
+    # a10 enumerates levels up to 4 with r', r'', g <= 2 and partitions of
+    # at most four boxes; these go to level 7, g <= 3 and partitions of up
+    # to four parts of size up to 4
+    rng = random.Random(12)
+    answers = []
+    while len(answers) < 6000:
+        p = _rand_params(rng, r=1)
+        n = rng.randint(5, 7)
+        if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+            continue
+        bound = rng.randint(3, 4)
+        lv = cls_level(p, n, bound)
+        for v in _dominant(n, bound):
+            answers.append(member(p, v))
+            assert answers[-1] == (v in lv), (p, n, v)
+    assert answers.count(False) > 1000
+
+
+def test_member_makes_one_split_and_no_level_enumeration(monkeypatch):
+    cls = importlib.import_module("rsinf.cls")
+    calls = {"split": 0, "basic_level": 0}
+
+    def counting(name, orig):
+        def wrapped(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cls, "_split_linf_rinf", counting("split", cls._split_linf_rinf))
+    monkeypatch.setattr(cls, "basic_level", counting("basic_level", cls.basic_level))
+    rng = random.Random(9)
+    for _ in range(200):
+        p = _rand_params(rng)
+        n = rng.randint(1, 8)
+        if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+            continue
+        calls.update(split=0, basic_level=0)
+        member(p, _rand_weight(rng, n, 6))
+        assert calls == {"split": 1, "basic_level": 0}, p
+
+
+def test_level_sets_hold_normalized_dominant_vectors():
+    # cls_level adds vectors without normalizing, which relies on this
+    rng = random.Random(10)
+    for _ in range(60):
+        p = _rand_params(rng, r=2, g=2, parts=3, size=3)
+        n = rng.randint(1, 6)
+        if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+            continue
+        for v in cls_level(p, n, rng.randint(0, 3)):
+            assert len(v) == n and v[-1] == 0, (p, v)
+            assert all(a >= b for a, b in zip(v, v[1:])), (p, v)
