@@ -19,6 +19,11 @@ from typing import Iterable, Union
 
 Anchor = Union[Fraction, str]
 
+# The anchor of every integer-class element built here.  Sharing one object
+# lets tuple and dataclass equality take their identity shortcut instead of
+# running Fraction.__eq__.
+_ZERO = Fraction(0)
+
 
 class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
@@ -41,16 +46,25 @@ class FieldElem:
     offset: int
 
     def __post_init__(self):
-        if isinstance(self.anchor, Fraction):
-            if not 0 <= self.anchor < 1:
-                raise ValueError(f"rational anchor {self.anchor} not reduced into [0,1)")
-        elif isinstance(self.anchor, str):
-            if not re.fullmatch(r"-?[A-Za-z_][A-Za-z_0-9]*", self.anchor):
-                raise ValueError(f"bad symbol name {self.anchor!r}")
+        # Every element passes here, so the checks avoid Fraction arithmetic:
+        # a Fraction's denominator is positive, which makes the range test
+        # exact on numerator and denominator.  The exact-type tests come
+        # first; subclasses of Fraction, str and int still pass.
+        anchor, offset = self.anchor, self.offset
+        if type(anchor) is Fraction or (
+            not isinstance(anchor, str) and isinstance(anchor, Fraction)
+        ):
+            if not 0 <= anchor.numerator < anchor.denominator:
+                raise ValueError(f"rational anchor {anchor} not reduced into [0,1)")
+        elif isinstance(anchor, str):
+            if not _SYMBOL_RE.fullmatch(anchor):
+                raise ValueError(f"bad symbol name {anchor!r}")
         else:
-            raise TypeError(f"anchor must be Fraction or str, got {type(self.anchor)!r}")
-        if not isinstance(self.offset, int):
-            raise TypeError(f"offset must be int, got {self.offset!r}")
+            raise TypeError(f"anchor must be Fraction or str, got {type(anchor)!r}")
+        if type(offset) is not int and (
+            isinstance(offset, bool) or not isinstance(offset, int)
+        ):
+            raise TypeError(f"offset must be int, got {offset!r}")
 
     @property
     def is_rational(self) -> bool:
@@ -81,7 +95,11 @@ class FieldElem:
 
 
 def from_rational(q) -> FieldElem:
+    if type(q) is int:
+        return FieldElem(_ZERO, q)
     q = Fraction(q)
+    if q.denominator == 1:
+        return FieldElem(_ZERO, q.numerator)
     floor = q.numerator // q.denominator
     return FieldElem(q - floor, floor)
 
@@ -99,9 +117,12 @@ def elem(x) -> FieldElem:
     raise TypeError(f"cannot coerce {x!r} to a field element")
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_FRAC_RE = re.compile(r"([+-]?\d+)/([+-]?\d+)")
-_SYM_RE = re.compile(r"(-?[A-Za-z_][A-Za-z_0-9]*)([+-]\d+)?")
+# Symbol names and literals are ASCII: \d and \w would also match the
+# digits and letters of other scripts.
+_SYMBOL_RE = re.compile(r"-?[A-Za-z_][A-Za-z_0-9]*")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FRAC_RE = re.compile(r"([+-]?[0-9]+)/([+-]?[0-9]+)")
+_SYM_RE = re.compile(rf"({_SYMBOL_RE.pattern})([+-][0-9]+)?")
 
 
 def parse_elem(text: str) -> FieldElem:
@@ -112,7 +133,7 @@ def parse_elem(text: str) -> FieldElem:
     """
     s = text.strip()
     if _INT_RE.fullmatch(s):
-        return from_rational(int(s))
+        return FieldElem(_ZERO, int(s))
     m = _FRAC_RE.fullmatch(s)
     if m:
         den = int(m.group(2))
@@ -200,8 +221,14 @@ def negate(a: FieldElem) -> FieldElem:
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a partition: weakly decreasing nonnegative ints, no trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    """Normalize to a partition: weakly decreasing nonnegative ints, no trailing zeros.
+
+    Parts must be ints; a float or bool is refused, not truncated.
+    """
+    p = tuple(parts)
+    for x in p:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"a partition part must be an int, not {x!r}")
     for i in range(len(p) - 1):
         if p[i] < p[i + 1]:
             raise ValueError(f"not weakly decreasing: {p}")
@@ -225,12 +252,13 @@ class Tableau:
     rows: tuple[tuple[FieldElem, ...], ...]
 
     def __post_init__(self):
+        anchor = self.anchor
         for row in self.rows:
             if not row:
                 raise ValueError("empty tableau row")
             for e in row:
-                if e.anchor != self.anchor:
-                    raise ValueError(f"entry {e} not in class of anchor {self.anchor}")
+                if e.anchor is not anchor and e.anchor != anchor:
+                    raise ValueError(f"entry {e} not in class of anchor {anchor}")
         for r in range(len(self.rows) - 1):
             if len(self.rows[r]) < len(self.rows[r + 1]):
                 raise ValueError("row lengths must weakly decrease")
@@ -251,7 +279,7 @@ class Tableau:
             if fe.offset != 0:
                 raise ValueError(f"anchor {anchor} is not reduced; put the integer part in the offsets")
             anchor = fe.anchor
-        return cls(anchor, tuple(tuple(FieldElem(anchor, int(o)) for o in row) for row in rows))
+        return cls(anchor, tuple(tuple(FieldElem(anchor, o) for o in row) for row in rows))
 
     @property
     def shape(self) -> tuple[int, ...]:

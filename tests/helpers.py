@@ -1,6 +1,7 @@
 """Random object generators and oracles shared across the test modules."""
 
 import itertools
+import re
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -11,6 +12,28 @@ from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
 from rsinf.rs_infinite import Axis, EventuallyConstantSeq, eventually_constant
 
 ANCHORS = (Fraction(0), "a", "b")
+
+
+def fraction_fieldelem_check(anchor, offset):
+    """FieldElem's check as it was with Fraction comparisons: raises what
+    FieldElem(anchor, offset) raised, and returns None where it built."""
+    if isinstance(anchor, Fraction):
+        if not 0 <= anchor < 1:
+            raise ValueError(f"rational anchor {anchor} not reduced into [0,1)")
+    elif isinstance(anchor, str):
+        if not re.fullmatch(r"-?[A-Za-z_][A-Za-z_0-9]*", anchor):
+            raise ValueError(f"bad symbol name {anchor!r}")
+    else:
+        raise TypeError(f"anchor must be Fraction or str, got {type(anchor)!r}")
+    if not isinstance(offset, int):
+        raise TypeError(f"offset must be int, got {offset!r}")
+
+
+def floor_from_rational(q) -> FieldElem:
+    """from_rational as it was: floor, subtract, and a fresh anchor each time."""
+    q = Fraction(q)
+    floor = q.numerator // q.denominator
+    return FieldElem(q - floor, floor)
 
 
 def rand_tableau(rng, anchor, max_boxes):

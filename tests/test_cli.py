@@ -41,6 +41,10 @@ def test_rs_bad_entry(capsys):
     code, out = run(capsys, "rs", "3,oops+")
     assert code == 1
     assert "error" in json.loads(out)
+    # a non-ASCII digit is not read as 3
+    code, out = run(capsys, "rs", "٣")
+    assert code == 1
+    assert json.loads(out) == {"error": "malformed element literal '٣'"}
 
 
 def test_seq_of_round_trip(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import floor_from_rational, fraction_fieldelem_check
+from rsinf import core
 from rsinf.core import (
     Comparison,
     FieldElem,
@@ -22,6 +25,7 @@ from rsinf.core import (
     same_class,
     shift_by_int,
 )
+from rsinf.rs_finite import rs
 
 
 def test_rational_anchors_are_reduced():
@@ -60,7 +64,11 @@ def test_parse_elem(text, anchor, offset):
     assert parse_elem(text) == FieldElem(anchor, offset)
 
 
-@pytest.mark.parametrize("text", ["", "a+", "1/0", "2x", "a b", "++3"])
+# '٣' is ARABIC-INDIC DIGIT THREE and '１/２' uses FULLWIDTH digits: literals
+# are ASCII, so neither is read as a number
+@pytest.mark.parametrize(
+    "text", ["", "a+", "1/0", "2x", "a b", "++3", "٣", "a+٣", "１/２"]
+)
 def test_parse_elem_rejects(text):
     with pytest.raises(ValueError):
         parse_elem(text)
@@ -149,6 +157,29 @@ def test_as_partition():
         as_partition([2, -1])
 
 
+def test_as_partition_refuses_non_integer_parts():
+    # a float part was truncated: [2.9, 1.5] read as (2, 1)
+    with pytest.raises(TypeError, match="part must be an int, not 2.9"):
+        as_partition([2.9, 1.5])
+    with pytest.raises(TypeError, match="part must be an int, not 1.0"):
+        as_partition([2, 1.0])
+    with pytest.raises(TypeError, match="part must be an int, not True"):
+        as_partition([2, True])
+    with pytest.raises(TypeError, match="part must be an int, not '1'"):
+        as_partition(["1"])
+
+
+def test_bool_offsets_are_refused():
+    # FieldElem(Fraction(0), True) used to build and print 1
+    for anchor in (Fraction(0), Fraction(1, 2), "a"):
+        for flag in (True, False):
+            with pytest.raises(TypeError) as exc:
+                FieldElem(anchor, flag)
+            assert str(exc.value) == f"offset must be int, got {flag!r}"
+    with pytest.raises(TypeError, match="offset must be int, got True"):
+        Tableau.from_offsets(0, [[True]])
+
+
 def test_tableau_validation():
     t = Tableau.from_offsets(0, [[2, 1], [2]])
     assert t.shape == (2, 1)
@@ -167,6 +198,26 @@ def test_tableau_validation():
     # entries must share the anchor
     with pytest.raises(ValueError):
         Tableau("a", ((elem(1),),))
+
+
+def test_tableau_from_offsets_does_not_truncate():
+    # [[1.7, 0.2]] used to give offsets ((1, 0),)
+    with pytest.raises(TypeError, match="offset must be int, got 1.7"):
+        Tableau.from_offsets(0, [[1.7, 0.2]])
+    with pytest.raises(TypeError, match="offset must be int, got '3'"):
+        Tableau.from_offsets("a", [["3"]])
+
+
+def test_tableau_reports_its_first_fault():
+    # the row is not strictly decreasing and the second row is in another
+    # class: the class of every entry is checked first
+    with pytest.raises(ValueError, match="not in class of anchor 0"):
+        Tableau(Fraction(0), ((elem(1), elem(1)), (elem("a"),)))
+    # row lengths are checked before row order, row order before columns
+    with pytest.raises(ValueError, match="row lengths must weakly decrease"):
+        Tableau.from_offsets(0, [[1], [3, 3]])
+    with pytest.raises(ValueError, match="row not strictly decreasing"):
+        Tableau.from_offsets(0, [[1, 1], [2]])
 
 
 def test_tableau_from_offsets_requires_reduced_anchor():
@@ -192,3 +243,106 @@ def test_family_size_and_access():
     assert len(fam) == 2
     assert fam.size() == 3
     assert fam[0].anchor == Fraction(0)
+
+
+class _Third(Fraction):
+    """A Fraction subclass: FieldElem accepts it as a rational anchor."""
+
+
+class _Name(str):
+    pass
+
+
+class _Offset(int):
+    pass
+
+
+def _fieldelem_corpus(rng):
+    """(anchor, offset) pairs around every branch of the FieldElem check."""
+    big = 2**64 + 3
+    rationals = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(60)]
+    rationals += [
+        Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+        Fraction(big - 1, big), Fraction(big, big - 1), Fraction(-1, big),
+        Fraction(1, big), _Third(1, 3), _Third(4, 3), _Third(-1, 3), _Third(0),
+    ]
+    symbols = [
+        "a", "-a", "x_1", "_", "_9", "A", "-Zz", "b", "", "-", "--a", "1a", "a-",
+        "a+1", "a b", " a", "a\n", "é", "٣", "a٣", "ｘ", _Name("a"), _Name("1"),
+    ]
+    others = [None, 1.5, 0.0, 0, 3, big, -big, True, [0], (0,), {}, b"a", 1j]
+    offsets = [0, 1, -1, 7, big, -big, _Offset(2), True, False, 1.0, 2.5, None,
+               "3", [1], Fraction(1), Fraction(3, 2)]
+    corpus = [(a, o) for a in rationals + symbols + others for o in offsets]
+    corpus += [
+        (rng.choice(rationals + symbols + others), rng.randint(-big, big))
+        for _ in range(500)
+    ]
+    return corpus
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_fieldelem_check_matches_the_fraction_check():
+    corpus = _fieldelem_corpus(random.Random(20261018))
+    built = 0
+    for anchor, offset in corpus:
+        expected = _outcome(fraction_fieldelem_check, anchor, offset)
+        got = _outcome(FieldElem, anchor, offset)
+        if expected is None and isinstance(offset, bool):
+            # the one intended difference: bool offsets are refused now
+            assert got == (TypeError, f"offset must be int, got {offset!r}")
+            continue
+        assert got == expected, (anchor, offset)
+        built += expected is None
+    assert 0 < built < len(corpus)
+
+
+def test_from_rational_matches_floor_and_subtract():
+    rng = random.Random(7)
+    big = 2**70 + 1
+    values = [rng.randint(-50, 50) for _ in range(100)]
+    values += [Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(200)]
+    values += [0, -1, big, -big, Fraction(big, 3), Fraction(-big, big - 1),
+               Fraction(8, 4), Fraction(-9, 3), _Third(7, 3), _Third(6, 3),
+               _Offset(5), True, False, 2.5, -0.75, 3.0, "5/3", "-4", "x", None]
+    for q in values:
+        expected = _outcome(floor_from_rational, q)
+        assert _outcome(from_rational, q) == expected, q
+        if expected is None:
+            e, ref = from_rational(q), floor_from_rational(q)
+            assert e == ref and hash(e) == hash(ref), q
+            assert type(e.offset) is int and type(e.anchor) is Fraction, q
+
+
+def test_integer_elements_share_one_anchor():
+    built = [
+        elem(3), elem(-2**70), elem(Fraction(8, 4)), elem("5"), elem(" -4 "),
+        parse_elem("+6"), parse_elem("6/3"), parse_elem("-9/-3"),
+        parse_entry(4, "'tail'"), parse_entry("4", "'tail'"),
+        from_rational(0), from_rational(Fraction(-7)), from_rational(2.0),
+        negate(elem(3)), negate(elem(Fraction(-3, 3))), elem(3).shift(-5),
+        shift_by_int(elem(0), 2), Tableau.from_offsets(0, [[1]]).rows[0][0],
+        Tableau.from_offsets(Fraction(0), [[1]]).rows[0][0],
+    ]
+    built += [e for t in rs(["3", 1, elem(2), "a"]) for row in t.rows for e in row
+              if t.anchor == 0]
+    for e in built:
+        assert e.anchor is core._ZERO, e
+    # an element built by hand keeps its own anchor and still equals the
+    # shared one
+    user = FieldElem(Fraction(0), 3)
+    assert user.anchor is not core._ZERO
+    assert user == elem(3) and hash(user) == hash(elem(3))
+    assert compare_z(user, elem(2)) is Comparison.GREATER
+    assert len({user, elem(3), parse_elem("3")}) == 1
+    fam = rs([user, "1", 2, FieldElem(Fraction(0), 5), "a", elem(4)])
+    assert [t.anchor for t in fam] == [Fraction(0), "a"]
+    assert fam == rs(["3", "1", "2", "5", "a", "4"])
+    assert Tableau(Fraction(0), ((user, elem(1)),)).offsets() == ((3, 1),)
