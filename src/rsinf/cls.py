@@ -3,16 +3,17 @@
 Weights at level n are weakly decreasing integer n-tuples, normalized so
 the last entry is zero.  A parameter tuple (r', r'', g, X, Y) factors
 into basic families; the level set of the parameter is the Minkowski sum
-of the factors' level sets.  The three unbounded families are truncated
-by an explicit entry bound when a level set is enumerated.  Membership
-needs no bound: it is decided in one pass over the weight's differences.
+of the factors' level sets, the unbounded ones truncated by an entry
+bound.  In a weight's differences each factor supplies units to a prefix
+or a suffix of positions, so a level set is enumerated by Hall's
+condition on intervals, and membership is decided in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import itemgetter, sub
 
 WeightVec = tuple[int, ...]
 
@@ -24,12 +25,9 @@ class LevelError(ValueError):
 def normalize(v) -> WeightVec:
     """Shift so the last entry is zero; requires a dominant vector."""
     t = tuple(int(x) for x in v)
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
+    if any(a < b for a, b in zip(t, t[1:])):
         raise ValueError(f"{t} is not weakly decreasing")
-    if not t:
-        return t
-    last = t[-1]
-    return tuple(x - last for x in t)
+    return tuple(x - t[-1] for x in t) if t else t
 
 
 def f_kn(k: int, n: int) -> WeightVec:
@@ -39,17 +37,6 @@ def f_kn(k: int, n: int) -> WeightVec:
     if k == n:
         return (0,) * n
     return (1,) * k + (0,) * (n - k)
-
-
-def _bounded_dominant(n: int, bound: int):
-    """All normalized dominant n-vectors with entries at most bound."""
-    if n == 0:
-        yield ()
-        return
-    for head in itertools.combinations_with_replacement(
-        range(bound, -1, -1), n - 1
-    ):
-        yield head + (0,)
 
 
 # Each finite family at level n is the zero vector and the step vectors
@@ -62,6 +49,48 @@ _SPANS = {
     "R": lambda i, n: (max(n - i, 1), n - 1),
     "E": lambda i, n: (1, n - 1),
 }
+# Truncated at the bound, these supply up to bound units on the interval of L, R, E.
+_UNBOUNDED = ("Linf", "Rinf", "Einf")
+
+
+def _level_set(n: int, factors, bound: int) -> frozenset:
+    """Normalized dominant n-vectors whose differences are a sum of one
+    vector per factor (kind, i, m), supported on its interval and of
+    total at most m, or m * bound for an unbounded kind.
+
+    Each nonempty interval is a prefix or a suffix of 1..n-1, so by
+    Hall's theorem v qualifies exactly when v_a - v_{b+1} <= left[a] +
+    right[b] for all a <= b: the capacity of the prefixes that reach a
+    plus that of the suffixes that start by b.  So v_{n-1}, ..., v_1 are
+    fixed in turn, v_k from v_{k+1} up to left[k] + min over b >= k of
+    (right[b] + v_{b+1}), that minimum carried down.  No branch dies:
+    v_k = v_{k+1} passes, since the passed test on [k+1, b] and left[k]
+    >= left[k+1] give v_{k+1} - v_{b+1} <= left[k] + right[b], b > k.
+    """
+    if n < 2:
+        return frozenset({(0,) * n})
+    left, right = [0] * n, [0] * n  # at positions 1..n-1
+    for kind, i, cap in factors:
+        first, last = _SPANS[kind[0]](i, n)
+        if kind in _UNBOUNDED:
+            cap *= bound
+        if first == 1 <= last:
+            left[last] += cap
+        elif first <= last:
+            right[first] += cap
+    left = list(itertools.accumulate(reversed(left)))[::-1]
+    right = list(itertools.accumulate(right))
+    v, out = [0] * n, []  # v[k - 1] is v_k
+    stack = [(n - 1, x, right[-1]) for x in range(left[-1] + right[-1] + 1)]
+    while stack:
+        k, x, low = stack.pop()  # v_k = x; low is the minimum over b >= k
+        v[k - 1] = x
+        if k == 1:
+            out.append(tuple(v))
+        else:
+            low = min(low, right[k - 1] + x)
+            stack.extend([(k - 1, y, low) for y in range(x, left[k - 1] + low + 1)])
+    return frozenset(out)
 
 
 def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
@@ -70,26 +99,20 @@ def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
     Finite families: "T" is the zero family, "L"/"R"/"E" are the step
     vectors with at most i leading ones, at least n-i leading ones, and
     any proper number of leading ones.  Unbounded families "Linf",
-    "Rinf", "Einf" are truncated at the entry bound: supported on the
-    first i coordinates, constant on the first n-i coordinates, and
-    unconstrained.
+    "Rinf", "Einf" are truncated at the nonnegative entry bound:
+    supported on the first i coordinates, constant on the first n-i
+    coordinates, and unconstrained.
     """
-    if kind in _SPANS:
-        first, last = _SPANS[kind](i, n)
-        return frozenset({(0,) * n, *(f_kn(k, n) for k in range(first, last + 1))})
-    if kind == "Linf":
-        return frozenset(
-            v for v in _bounded_dominant(n, bound) if not any(v[i:])
-        )
-    if kind == "Rinf":
-        return frozenset(
-            v
-            for v in _bounded_dominant(n, bound)
-            if len(set(v[: max(n - i, 0)])) <= 1
-        )
-    if kind == "Einf":
-        return frozenset(_bounded_dominant(n, bound))
-    raise ValueError(f"unknown family kind {kind!r}")
+    if kind not in _SPANS and kind not in _UNBOUNDED:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return _level_set(n, [(kind, i, 1)], bound)
+
+
+def _int(value, name: str) -> int:
+    """value itself if it is an int; a float or bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,6 +124,13 @@ class ClsParams:
     Y: tuple[int, ...]
 
     def __post_init__(self):
+        for x in self.X:
+            _int(x, "an entry of X")
+        for y in self.Y:
+            _int(y, "an entry of Y")
+        _int(self.r1, "r'")
+        _int(self.r2, "r''")
+        _int(self.g, "g")
         if self.r1 < 0 or self.r2 < 0 or self.g < 0:
             raise ValueError("r', r'' and g must be nonnegative")
         for name, part in (("X", self.X), ("Y", self.Y)):
@@ -110,17 +140,8 @@ class ClsParams:
                 raise ValueError(f"{name} must have positive parts")
 
 
-def _int(value, name: str) -> int:
-    """value itself if it is an int; a float or bool is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
 def cls_params(r1: int, r2: int, g: int, X=(), Y=()) -> ClsParams:
-    X = tuple(_int(x, "an entry of X") for x in X)
-    Y = tuple(_int(y, "an entry of Y") for y in Y)
-    return ClsParams(_int(r1, "r'"), _int(r2, "r''"), _int(g, "g"), X, Y)
+    return ClsParams(r1, r2, g, tuple(X), tuple(Y))
 
 
 def factorization(p: ClsParams) -> tuple:
@@ -130,50 +151,34 @@ def factorization(p: ClsParams) -> tuple:
     contributes L(r'+j) with multiplicity X_j - X_{j+1}, and likewise Y
     on the R side.
     """
-    fs = []
-    if p.r1 > 0:
-        fs.append(("Linf", p.r1, 1))
-    for jj in range(1, len(p.X) + 1):
-        m = p.X[jj - 1] - (p.X[jj] if jj < len(p.X) else 0)
-        if m:
-            fs.append(("L", p.r1 + jj, m))
-    if p.g:
-        fs.append(("E", 0, p.g))
-    if p.r2 > 0:
-        fs.append(("Rinf", p.r2, 1))
-    for jj in range(1, len(p.Y) + 1):
-        m = p.Y[jj - 1] - (p.Y[jj] if jj < len(p.Y) else 0)
-        if m:
-            fs.append(("R", p.r2 + jj, m))
-    return tuple(fs)
+    left = [("Linf", p.r1, 1)] if p.r1 else []
+    right = [("Rinf", p.r2, 1)] if p.r2 else []
+    for fs, kind, r, part in ((left, "L", p.r1, p.X), (right, "R", p.r2, p.Y)):
+        for j, m in enumerate(map(sub, part, (*part[1:], 0)), 1):
+            if m:
+                fs.append((kind, r + j, m))
+    return (*left, *([("E", 0, p.g)] if p.g else ()), *right)
 
 
 def _check_level(p: ClsParams, n: int):
     if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
-        raise LevelError(
-            f"level {n} is too small for parameters "
-            f"({p.r1},{p.r2},{p.g};{p.X};{p.Y})"
-        )
+        raise LevelError(f"level {n} is too small for parameters "
+                         f"({p.r1},{p.r2},{p.g};{p.X};{p.Y})")
 
 
 def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     """Level-n weights of the parameter tuple, unbounded families
     truncated at the nonnegative entry bound (zero is in every level).
 
-    A sum of normalized dominant vectors is normalized dominant, so the
-    Minkowski sums are taken entrywise with no further normalization.
+    The Minkowski sum of the factors' level sets, enumerated member by
+    member with the interval test of _level_set: no sum is formed.
     """
     n = _int(n, "the level")
     bound = _int(bound, "the entry bound")
     if bound < 0:
         raise ValueError(f"the entry bound must be nonnegative, got {bound}")
     _check_level(p, n)
-    out = {(0,) * n}
-    for kind, idx, mult in factorization(p):
-        base = basic_level(kind, idx, n, bound)
-        for _ in range(mult):
-            out = {tuple(map(add, u, v)) for u in out for v in base}
-    return frozenset(out)
+    return _level_set(n, factorization(p), bound)
 
 
 def gamma(p: ClsParams, n: int) -> WeightVec:
@@ -187,19 +192,12 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     _check_level(p, length)
     total = [0] * length
     for kind, idx, mult in factorization(p):
-        if kind == "Linf":
-            w, coef = f_kn(idx, length), 2 * idx - 1
-        elif kind == "L":
-            w, coef = f_kn(idx, length), mult
-        elif kind == "E":
-            w, coef = f_kn(n, length), mult
-        elif kind == "Rinf":
-            w, coef = f_kn(length - idx, length), 2 * idx - 1
-        else:
-            w, coef = f_kn(length - idx, length), mult
-        for i in range(length):
-            total[i] += coef * w[i]
-    return normalize(tuple(total))
+        # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized
+        k = n if kind == "E" else idx if kind[0] == "L" else length - idx
+        coef = 2 * idx - 1 if kind.endswith("inf") else mult
+        for i in range(k):
+            total[i] += coef
+    return tuple(total)
 
 
 def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
@@ -213,13 +211,8 @@ def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
     empty: u splits exactly when it ends in 0 and every d_k is
     nonnegative, and zero unless k is free (so u is nonnegative too).
     """
-    n = len(u)
-    if u[-1] != 0:
-        return False
-    return all(
-        d == 0 or (d > 0 and (k <= r1 or k >= n - r2))
-        for k, d in enumerate((x - y for x, y in zip(u, u[1:])), 1)
-    )
+    d = [x - y for x, y in zip(u, u[1:])]  # d[k - 1] is d_k
+    return u[-1] == 0 and min(d, default=0) >= 0 and not any(d[r1:max(len(d) - r2, 0)])
 
 
 def member(p: ClsParams, vec, n: int | None = None) -> bool:
@@ -241,24 +234,32 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
     end(G), so the two units can trade factors; otherwise F has a unit
     to spare.  Either way it still covers and agrees one unit longer.
     """
-    v = normalize(tuple(_int(x, "an entry of the weight") for x in vec))
+    t = tuple(vec)
+    d = []  # d[k - 1] is the difference at k
+    for k, x in enumerate(t):
+        if type(x) is not int:
+            _int(x, "an entry of the weight")
+        if k:
+            d.append(t[k - 1] - x)
+    if min(d, default=0) < 0:
+        raise ValueError(f"{tuple(map(int, t))} is not weakly decreasing")
     if n is None:
-        n = len(v)
-    elif _int(n, "the level") != len(v):
-        raise ValueError(f"vector has length {len(v)}, expected level {n}")
+        n = len(t)
+    elif _int(n, "the level") != len(t):
+        raise ValueError(f"vector has length {len(t)}, expected level {n}")
     _check_level(p, n)
     # [first, last, units left] of each finite factor, earliest last first
     supply = sorted(
         ([*_SPANS[kind](i, n), m] for kind, i, m in factorization(p) if kind in _SPANS),
         key=itemgetter(1),
     )
-    d = [x - y for x, y in zip(v, v[1:])]  # d[k - 1] is the difference at k
     for k in range(p.r1 + 1, n - p.r2):  # the positions that are not free
-        for s in supply:
-            if s[0] <= k <= s[1]:
-                take = min(s[2], d[k - 1])
-                s[2] -= take
-                d[k - 1] -= take
+        if d[k - 1]:
+            for s in supply:
+                if s[0] <= k <= s[1]:
+                    take = min(s[2], d[k - 1])
+                    s[2] -= take
+                    d[k - 1] -= take
     residual = tuple(itertools.accumulate(reversed(d), initial=0))[::-1]
     return _split_linf_rinf(residual, p.r1, p.r2)
 
@@ -268,15 +269,13 @@ def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
     level is too small are skipped, and if none is defined the level is
     too small outright."""
     r, n, bound = _int(r, "r"), _int(n, "the level"), _int(bound, "the entry bound")
-    out = set()
-    found = False
+    out, found = set(), False
     for r1 in range(r + 1):
-        p = cls_params(r1, r - r1, g, X, Y)
         try:
-            out |= cls_level(p, n, bound)
+            out |= cls_level(cls_params(r1, r - r1, g, X, Y), n, bound)
+            found = True
         except LevelError:
-            continue
-        found = True
+            pass
     if not found:
         raise LevelError(f"level {n} is too small for every split of r={r}")
     return frozenset(out)

@@ -81,10 +81,10 @@ class FieldElem:
 
     def __str__(self) -> str:
         if isinstance(self.anchor, Fraction):
-            value = self.anchor + self.offset
-            if value.denominator == 1:
-                return str(value.numerator)
-            return f"{value.numerator}/{value.denominator}"
+            # num/den is reduced, and adding an integer keeps it so
+            num, den = self.anchor.numerator, self.anchor.denominator
+            num += self.offset * den
+            return str(num) if den == 1 else f"{num}/{den}"
         if self.offset > 0:
             return f"{self.anchor}+{self.offset}"
         if self.offset < 0:
@@ -191,7 +191,7 @@ def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
     Values with different anchors do not differ by an integer and are
     incomparable; otherwise the offsets decide.
     """
-    if a.anchor != b.anchor:
+    if a.anchor is not b.anchor and a.anchor != b.anchor:
         return Comparison.INCOMPARABLE
     if a.offset < b.offset:
         return Comparison.LESS
@@ -201,15 +201,15 @@ def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
 
 
 def same_class(a: FieldElem, b: FieldElem) -> bool:
-    return a.anchor == b.anchor
+    return a.anchor is b.anchor or a.anchor == b.anchor
 
 
 def gt_z(a: FieldElem, b: FieldElem) -> bool:
-    return a.anchor == b.anchor and a.offset > b.offset
+    return (a.anchor is b.anchor or a.anchor == b.anchor) and a.offset > b.offset
 
 
 def ge_z(a: FieldElem, b: FieldElem) -> bool:
-    return a.anchor == b.anchor and a.offset >= b.offset
+    return (a.anchor is b.anchor or a.anchor == b.anchor) and a.offset >= b.offset
 
 
 def shift_by_int(a: FieldElem, k: int) -> FieldElem:

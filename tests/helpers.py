@@ -5,6 +5,7 @@ import re
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from operator import add
 
 from rsinf.cls import f_kn, factorization, normalize
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem
@@ -255,3 +256,43 @@ def search_member(p, vec):
         return False
 
     return dfs(0, v)
+
+
+def bounded_dominant(n, bound):
+    """All normalized dominant n-vectors with entries at most bound."""
+    if n == 0:
+        yield ()
+        return
+    for head in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
+        yield head + (0,)
+
+
+def enumerated_basic_level(kind, i, n, bound):
+    """One basic family's level-n weights, filtered from every bounded
+    dominant vector for the unbounded kinds.  The enumeration that the
+    interval search replaced, kept as its oracle."""
+    if kind == "T":
+        return frozenset({(0,) * n})
+    if kind in FINITE_STEPS:
+        return frozenset({(0,) * n, *(f_kn(k, n) for k in FINITE_STEPS[kind](i, n))})
+    if kind == "Linf":
+        return frozenset(v for v in bounded_dominant(n, bound) if not any(v[i:]))
+    if kind == "Rinf":
+        return frozenset(
+            v for v in bounded_dominant(n, bound) if len(set(v[: max(n - i, 0)])) <= 1
+        )
+    if kind == "Einf":
+        return frozenset(bounded_dominant(n, bound))
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
+def product_cls_level(p, n, bound):
+    """The level set as the Minkowski sum of the factors' enumerated level
+    sets, one set product per copy of each factor.  The construction
+    that the interval search replaced, kept as its oracle."""
+    out = {(0,) * n}
+    for kind, idx, mult in factorization(p):
+        base = enumerated_basic_level(kind, idx, n, bound)
+        for _ in range(mult):
+            out = {tuple(map(add, u, v)) for u in out for v in base}
+    return frozenset(out)

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from helpers import frontier_split, search_member
+from helpers import (
+    bounded_dominant,
+    enumerated_basic_level,
+    frontier_split,
+    product_cls_level,
+    search_member,
+)
 from rsinf.cls import (
     ClsParams,
     LevelError,
@@ -159,7 +165,7 @@ def test_small_levels_coincide():
 
 def test_member_matches_enumeration():
     rng = random.Random(11)
-    vectors = [normalize(v) for v in _dominant(3, 3)]
+    vectors = [normalize(v) for v in bounded_dominant(3, 3)]
     for _ in range(40):
         p = cls_params(
             rng.randint(0, 1),
@@ -174,11 +180,6 @@ def test_member_matches_enumeration():
             continue
         for v in vectors:
             assert member(p, v) == (v in lv), (p, v)
-
-
-def _dominant(n, bound):
-    for head in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
-        yield head + (0,)
 
 
 def _rand_partition(rng, parts=2, size=2):
@@ -218,6 +219,40 @@ def test_level_and_bound_must_be_integers():
     with pytest.raises(TypeError, match="the level must be an integer, not 3.0"):
         member(p, (1, 0, 0), 3.0)
     assert member(p, (1, 0, 0), 3)
+    # the dataclass itself refuses what cls_params refuses: 1.5 used to
+    # truncate to g = 1, and an X of (1.0,) answered as if it were (1,)
+    with pytest.raises(TypeError, match="g must be an integer, not 1.5"):
+        ClsParams(0, 0, 1.5, (), ())
+    with pytest.raises(TypeError, match="an entry of X must be an integer, not 1.0"):
+        ClsParams(0, 0, 0, (1.0,), ())
+    with pytest.raises(TypeError, match="an entry of Y must be an integer, not True"):
+        ClsParams(0, 0, 0, (), (True,))
+    with pytest.raises(TypeError, match="r' must be an integer, not True"):
+        ClsParams(True, 0, 0, (), ())
+    with pytest.raises(TypeError, match="r'' must be an integer, not 0.0"):
+        ClsParams(0, 0.0, 0, (), ())
+    # X is checked first, as cls_params did
+    with pytest.raises(TypeError, match="an entry of X must be an integer, not 2.5"):
+        ClsParams(0.5, 0, 0, (2.5,), ())
+    assert ClsParams(1, 0, 2, (2, 1), ()) == cls_params(1, 0, 2, [2, 1])
+
+
+def test_member_reports_entries_before_order():
+    # every entry is checked before the order, and the order error shows
+    # the whole weight
+    p = cls_params(1, 0, 0)
+    with pytest.raises(ValueError, match=r"^\(1, 2, 0\) is not weakly decreasing$"):
+        member(p, (1, 2, 0))
+    with pytest.raises(ValueError, match=r"^\(3, 4, 5\) is not weakly decreasing$"):
+        member(p, iter([3, 4, 5]))
+    with pytest.raises(TypeError, match="an entry of the weight must be an integer, not 0.5"):
+        member(p, (1, 2, 0.5))
+    with pytest.raises(ValueError, match="vector has length 3, expected level 4"):
+        member(p, (2, 1, 0), 4)
+    with pytest.raises(LevelError, match="level 0 is too small"):
+        member(p, ())
+    # a weight need not end in zero: it is read up to a constant
+    assert member(p, (9, 2, 2)) and not member(p, (9, 3, 2))
 
 
 def test_split_matches_frontier_dp():
@@ -260,7 +295,7 @@ def test_member_matches_enumerated_level_beyond_the_acceptance_grid():
             continue
         bound = rng.randint(3, 4)
         lv = cls_level(p, n, bound)
-        for v in _dominant(n, bound):
+        for v in bounded_dominant(n, bound):
             answers.append(member(p, v))
             assert answers[-1] == (v in lv), (p, n, v)
     assert answers.count(False) > 1000
@@ -301,3 +336,59 @@ def test_level_sets_hold_normalized_dominant_vectors():
         for v in cls_level(p, n, rng.randint(0, 3)):
             assert len(v) == n and v[-1] == 0, (p, v)
             assert all(a >= b for a, b in zip(v, v[1:])), (p, v)
+
+
+def test_basic_level_matches_enumeration():
+    for kind in ("T", "L", "R", "E", "Linf", "Rinf", "Einf"):
+        for n in range(9):
+            for i in range(10):
+                for bound in range(4):
+                    assert basic_level(kind, i, n, bound) == enumerated_basic_level(
+                        kind, i, n, bound
+                    ), (kind, i, n, bound)
+    assert basic_level("Einf", 0, 0, 3) == {()}
+    assert basic_level("Linf", 2, 4, 0) == {(0, 0, 0, 0)}
+
+
+def test_cls_level_matches_set_products():
+    # three parameter tuples with r', r'', g <= 3 in every (level, bound)
+    # cell of levels 1..8 and bounds 0..5
+    rng = random.Random(13)
+    sizes = []
+    for n in range(1, 9):
+        for bound in range(6):
+            drawn = 0
+            while drawn < 3:
+                p = _rand_params(rng, r=3, g=3, parts=3, size=3)
+                if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+                    continue
+                lv = cls_level(p, n, bound)
+                assert lv == product_cls_level(p, n, bound), (p, n, bound)
+                sizes.append(len(lv))
+                drawn += 1
+    assert min(sizes) == 1 and max(sizes) > 10_000
+
+
+def test_q_union_level_matches_set_products():
+    rng = random.Random(14)
+    for _ in range(40):
+        r, g = rng.randint(0, 3), rng.randint(0, 2)
+        x, y = _rand_partition(rng), _rand_partition(rng)
+        n, bound = rng.randint(3, 5), rng.randint(0, 3)
+        expected = set()
+        for r1 in range(r + 1):
+            p = cls_params(r1, r - r1, g, x, y)
+            if n > p.r1 + len(p.X) and n > p.r2 + len(p.Y):
+                expected |= product_cls_level(p, n, bound)
+        if expected:
+            assert q_union_level(r, g, x, y, n, bound) == expected, (r, g, x, y, n, bound)
+
+
+def test_deep_levels_are_searched_without_recursion():
+    assert cls_level(cls_params(0, 0, 0), 5000, 3) == {(0,) * 5000}
+    assert cls_level(cls_params(0, 0, 0, (1,)), 3000, 3) == {
+        (0,) * 3000,
+        (1,) + (0,) * 2999,
+    }
+    assert len(cls_level(cls_params(1, 1, 0), 2000, 2)) == 9  # 0..2 at each end
+    assert member(cls_params(0, 0, 0, (1,)), (1,) + (0,) * 2999)

@@ -99,6 +99,21 @@ def test_str_forms():
     assert str(FieldElem(Fraction(0), -4)) == "-4"
 
 
+def test_rational_str_matches_fraction_sum():
+    # __str__ prints numerator + offset * denominator over the denominator
+    # with int arithmetic; it must read exactly as the Fraction sum prints
+    rng = random.Random(21)
+    values = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3)]
+    for _ in range(2000):
+        den = rng.choice((1, 2, 3, 7, 10, 2**40 + 15, rng.randint(1, 10**6)))
+        values.append(Fraction(rng.randint(-(10**20), 10**20), den))
+    for q in values:
+        e = from_rational(q)
+        assert str(e) == str(e.anchor + e.offset) == str(q), q
+    assert any(q < 0 and q.denominator > 1 for q in values)
+    assert str(FieldElem(Fraction(3, 7), -2)) == "-11/7"
+
+
 @given(
     st.one_of(
         st.fractions(max_denominator=12),
