@@ -10,7 +10,6 @@ downstream ever uses.
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 from dataclasses import dataclass
@@ -23,13 +22,6 @@ Anchor = Union[Fraction, str]
 # lets tuple and dataclass equality take their identity shortcut instead of
 # running Fraction.__eq__.
 _ZERO = Fraction(0)
-
-
-class Comparison(enum.Enum):
-    INCOMPARABLE = "incomparable"
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
 
 
 @dataclass(frozen=True)
@@ -66,18 +58,38 @@ class FieldElem:
         ):
             raise TypeError(f"offset must be int, got {offset!r}")
 
+    def __eq__(self, other):
+        # offsets first, then the one anchor test: comparing (anchor,
+        # offset) tuples would run Fraction.__eq__ on a symbol and a rational
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.offset == other.offset and same_anchor(self.anchor, other.anchor)
+
     @property
     def is_rational(self) -> bool:
         return isinstance(self.anchor, Fraction)
 
     def shift(self, k: int) -> "FieldElem":
+        if type(k) is int:
+            # the anchor was checked when self was built, and int + int is an int
+            out = object.__new__(FieldElem)
+            object.__setattr__(out, "anchor", self.anchor)
+            object.__setattr__(out, "offset", self.offset + k)
+            return out
         return FieldElem(self.anchor, self.offset + k)
 
     def negate(self) -> "FieldElem":
-        if isinstance(self.anchor, Fraction):
-            return from_rational(-(self.anchor + self.offset))
-        flipped = self.anchor[1:] if self.anchor.startswith("-") else "-" + self.anchor
-        return FieldElem(flipped, -self.offset)
+        """-(anchor + offset), without Fraction arithmetic: a rational
+        anchor a = num/den in (0, 1) gives -(a + o) = (1 - a) + (-o - 1),
+        and 1 - a = (den - num)/den is again reduced and in (0, 1)."""
+        anchor = self.anchor
+        if isinstance(anchor, str):
+            flipped = anchor[1:] if anchor.startswith("-") else "-" + anchor
+            return FieldElem(flipped, -self.offset)
+        num, den = anchor.numerator, anchor.denominator
+        if num == 0:
+            return FieldElem(_ZERO, -self.offset)
+        return FieldElem(Fraction(den - num, den), -self.offset - 1)
 
     def __str__(self) -> str:
         if isinstance(self.anchor, Fraction):
@@ -185,39 +197,22 @@ def _field(doc, name: str, shape: str, kind: type = object, default=_REQUIRED):
     return value
 
 
-def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
-    """Compare two values in the integral partial order.
-
-    Values with different anchors do not differ by an integer and are
-    incomparable; otherwise the offsets decide.
-    """
-    if a.anchor is not b.anchor and a.anchor != b.anchor:
-        return Comparison.INCOMPARABLE
-    if a.offset < b.offset:
-        return Comparison.LESS
-    if a.offset > b.offset:
-        return Comparison.GREATER
-    return Comparison.EQUAL
+def same_anchor(a: Anchor, b: Anchor) -> bool:
+    """Anchor equality: identity first, and a symbol never meets a
+    rational, so Fraction.__eq__ runs only between two distinct rationals."""
+    return a is b or (isinstance(a, str) is isinstance(b, str) and a == b)
 
 
 def same_class(a: FieldElem, b: FieldElem) -> bool:
-    return a.anchor is b.anchor or a.anchor == b.anchor
+    return same_anchor(a.anchor, b.anchor)
 
 
 def gt_z(a: FieldElem, b: FieldElem) -> bool:
-    return (a.anchor is b.anchor or a.anchor == b.anchor) and a.offset > b.offset
+    return same_anchor(a.anchor, b.anchor) and a.offset > b.offset
 
 
 def ge_z(a: FieldElem, b: FieldElem) -> bool:
-    return (a.anchor is b.anchor or a.anchor == b.anchor) and a.offset >= b.offset
-
-
-def shift_by_int(a: FieldElem, k: int) -> FieldElem:
-    return a.shift(k)
-
-
-def negate(a: FieldElem) -> FieldElem:
-    return a.negate()
+    return same_anchor(a.anchor, b.anchor) and a.offset >= b.offset
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
@@ -257,7 +252,7 @@ class Tableau:
             if not row:
                 raise ValueError("empty tableau row")
             for e in row:
-                if e.anchor is not anchor and e.anchor != anchor:
+                if not same_anchor(e.anchor, anchor):
                     raise ValueError(f"entry {e} not in class of anchor {anchor}")
         for r in range(len(self.rows) - 1):
             if len(self.rows[r]) < len(self.rows[r + 1]):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from ._insertion_py import insert_one
 from ._kernel import insert_sequence
-from .core import FieldElem, Tableau, TableauFamily, elem, ge_z, gt_z, same_class
+from .core import FieldElem, Tableau, TableauFamily, elem, ge_z, gt_z, same_anchor, same_class
 
 
 def _seq(values) -> tuple[FieldElem, ...]:
@@ -22,11 +22,16 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
 def insert_by_class(vals) -> dict:
     """Insert the entries one integrality class at a time, in sequence
     order.  Returns anchor -> rows of the input's own entries, classes in
-    order of first appearance.
+    order of first appearance.  A run of entries with one anchor object
+    is looked up once, so hashing costs one per class change.
     """
     by_class: dict = {}
+    last = bucket = None
     for e in vals:
-        by_class.setdefault(e.anchor, []).append(e)
+        if e.anchor is not last:
+            last = e.anchor
+            bucket = by_class.setdefault(last, [])
+        bucket.append(e)
     return {
         anchor: tuple(
             tuple(es[i] for i in row)
@@ -230,8 +235,8 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
     if not a:
         return True
     anchor = a[0].anchor
-    ka = [e.offset for e in rho_shift(a) if e.anchor == anchor]
-    kb = [e.offset for e in rho_shift(b) if e.anchor == anchor]
+    ka = [e.offset for e in rho_shift(a) if same_anchor(e.anchor, anchor)]
+    kb = [e.offset for e in rho_shift(b) if same_anchor(e.anchor, anchor)]
     if not kb:
         return False
     c = max(ka) - max(kb)

@@ -19,7 +19,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .core import FieldElem, Tableau, TableauFamily, as_partition, elem
+from .core import FieldElem, Tableau, TableauFamily, as_partition, elem, same_anchor
 from .rs_finite import insert_by_class, seq_of
 
 
@@ -303,7 +303,7 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
 
     lower_rows = t1_rows[1:]
     finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux.items() if a != law_anchor)
+        tuple(Tableau(a, rows) for a, rows in tableaux.items() if not same_anchor(a, law_anchor))
     ).tableaux
     rest: list[Tableau] = []
     if lower_rows:
@@ -341,7 +341,7 @@ def _stable_margin(g: StablyDecreasingSeq) -> int:
     """
     left = g.left_law
     w_lo = _first(g.axis, g.edge, len(g.window))
-    same = [e.offset for e in g.window if e.anchor == left.anchor]
+    same = [e.offset for e in g.window if same_anchor(e.anchor, left.anchor)]
     d = 1
     if same:
         d = max(d, max(same) - (left.offset - w_lo) + 1)
@@ -369,7 +369,7 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
         return InfiniteRSResult(
             Axis.POS, row, m.lower_rows, m.finite_tableaux, underline, mirrored=True
         )
-    if g.axis is Axis.ALL and g.left_law.anchor != g.right_law.anchor:
+    if g.axis is Axis.ALL and not same_anchor(g.left_law.anchor, g.right_law.anchor):
         raise ValueError("the two tails lie in different integrality classes")
     return _extract(g, _stable_margin(g))
 
@@ -387,11 +387,11 @@ def partition_from_row(
     if row.axis is not Axis.NEG:
         raise ValueError("expected the first row of a NEG-axis result")
     anchor = h.shift(r)
-    if row.left_law.anchor != anchor.anchor:
+    if not same_anchor(row.left_law.anchor, anchor.anchor):
         raise ValueError(
             f"row tail class {row.left_law} does not match the class of {h}"
         )
-    if row.left_law != anchor:
+    if row.left_law.offset != anchor.offset:
         raise ValueError(
             f"row tail law {row.left_law} is not {h} shifted by {r}"
         )
@@ -401,7 +401,7 @@ def partition_from_row(
         p = row.edge - i
         w = row.window[n - 1 - i]
         expected = anchor.shift(-p)
-        if w.anchor != expected.anchor:
+        if not same_anchor(w.anchor, expected.anchor):
             raise ValueError(f"row value {w} is not in the class of {h}")
         out.append(expected.offset - w.offset)
     return as_partition(out)
@@ -425,7 +425,7 @@ def _ideal_of(block: EventuallyConstantSeq, res: InfiniteRSResult) -> tuple:
         x = partition_from_row(mirror, block.right_tail.negate())
         return (res.r, 0, x, ())
     row = res.first_row
-    if row.left_law.anchor != row.right_law.anchor:
+    if not same_anchor(row.left_law.anchor, row.right_law.anchor):
         raise ValueError("two-sided block with tails in different classes")
     gdeg = row.left_law.offset - row.right_law.offset
     if gdeg < 0:

@@ -1,5 +1,6 @@
 """Random object generators and oracles shared across the test modules."""
 
+import enum
 import itertools
 import re
 from bisect import bisect_right
@@ -8,7 +9,8 @@ from fractions import Fraction
 from operator import add
 
 from rsinf.cls import f_kn, factorization, normalize
-from rsinf.core import FieldElem, Tableau, TableauFamily, elem
+from rsinf._kernel import insert_sequence
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem, from_rational, same_class
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
 from rsinf.rs_infinite import Axis, EventuallyConstantSeq, eventually_constant
 
@@ -35,6 +37,54 @@ def floor_from_rational(q) -> FieldElem:
     q = Fraction(q)
     floor = q.numerator // q.denominator
     return FieldElem(q - floor, floor)
+
+
+def fraction_negate(e: FieldElem) -> FieldElem:
+    """FieldElem.negate as it was: Fraction arithmetic on rational anchors."""
+    if isinstance(e.anchor, Fraction):
+        return from_rational(-(e.anchor + e.offset))
+    return e.negate()
+
+
+def setdefault_insert_by_class(vals) -> dict:
+    """insert_by_class as it was: one dict lookup per entry."""
+    by_class: dict = {}
+    for e in vals:
+        by_class.setdefault(e.anchor, []).append(e)
+    return {
+        anchor: tuple(
+            tuple(es[i] for i in row)
+            for row in insert_sequence([e.offset for e in es])
+        )
+        for anchor, es in by_class.items()
+    }
+
+
+class Comparison(enum.Enum):
+    INCOMPARABLE = "incomparable"
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+
+
+def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
+    """Compare two values in the integral partial order: values with
+    different anchors are incomparable, otherwise the offsets decide."""
+    if not same_class(a, b):
+        return Comparison.INCOMPARABLE
+    if a.offset < b.offset:
+        return Comparison.LESS
+    if a.offset > b.offset:
+        return Comparison.GREATER
+    return Comparison.EQUAL
+
+
+def shift_by_int(a: FieldElem, k: int) -> FieldElem:
+    return a.shift(k)
+
+
+def negate(a: FieldElem) -> FieldElem:
+    return a.negate()
 
 
 def rand_tableau(rng, anchor, max_boxes):

@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import rand_block, rand_family
+from helpers import Comparison, compare_z, rand_block, rand_family
 
 from rsinf.classifier import (
     ProperIdeal,
@@ -23,11 +23,9 @@ from rsinf.classifier import (
 )
 from rsinf.cls import LevelError, cls_level, cls_params, gamma, member, normalize
 from rsinf.core import (
-    Comparison,
     FieldElem,
     Tableau,
     TableauFamily,
-    compare_z,
     elem,
     parse_elem,
 )

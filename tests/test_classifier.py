@@ -29,7 +29,8 @@ from rsinf.classifier import (
     zeta,
 )
 from rsinf.core import FieldElem, elem
-from rsinf.rs_infinite import Axis
+from rsinf.rs_finite import rs
+from rsinf.rs_infinite import Axis, block_ideal
 
 
 def test_region_factories_coerce():
@@ -215,3 +216,47 @@ def test_spec_properties_over_all_region_kinds():
             assert (mirrored.r, mirrored.g) == (out.r, out.g)
             assert (mirrored.X, mirrored.Y) == (out.Y, out.X)
     assert seen == {Finite, Omega, OmegaStar, Zeta}
+
+
+# integer tails, symbol exceptions next to them and inside the windows
+_INT_AND_SYMBOL_DOC = {"regions": [
+    {"type": "omega", "exceptions": ["a", "3", "-b+2", "0"], "tail": "1"},
+    {"type": "finite", "values": ["2", "b", "-1"]},
+    {"type": "zeta", "left_tail": "4", "exceptions": ["a-1", "7", "-2"], "right_tail": "-3"},
+    {"type": "omega_star", "tail": "2", "exceptions": ["5", "a+4", "-6"]},
+]}
+
+
+def test_integer_and_symbol_specs_make_no_fraction_calls(monkeypatch):
+    spec = parse_spec(_INT_AND_SYMBOL_DOC)
+    word = [v for kind, v in _tokens(spec) if kind == "e"]
+    calls = dict.fromkeys(("__new__", "__add__", "__neg__", "__eq__"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn = Fraction.__dict__[name]
+        if name == "__new__":
+            fn = staticmethod(counting(name, fn.__func__))
+        else:
+            fn = counting(name, fn)
+        monkeypatch.setattr(Fraction, name, fn)
+    out = classify(spec)
+    mirrored = classify(star_spec(spec))
+    head, middles, tail = segment(spec)
+    blocks = [block_ideal(b) for b in (head, *middles, tail)]
+    fam = rs(word)
+    seen = dict(calls)
+    # the wrappers do count Fraction work
+    assert -(Fraction(1, 2) + 1) == Fraction(-3, 2)
+    assert all(calls.values())
+    monkeypatch.undo()
+    assert seen == dict.fromkeys(calls, 0)
+    assert out == ProperIdeal(15, 9, (4,), (10,))
+    assert mirrored == ProperIdeal(15, 9, (10,), (4,))
+    assert sum(b[0] for b in blocks) == 15
+    assert sorted(str(t.anchor) for t in fam) == ["-b", "0", "a", "b"]

@@ -5,25 +5,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import floor_from_rational, fraction_fieldelem_check
+from helpers import (
+    Comparison,
+    compare_z,
+    floor_from_rational,
+    fraction_fieldelem_check,
+    fraction_negate,
+    negate,
+    shift_by_int,
+)
 from rsinf import core
 from rsinf.core import (
-    Comparison,
     FieldElem,
     Tableau,
     TableauFamily,
     as_partition,
-    compare_z,
     elem,
     from_rational,
     ge_z,
     gt_z,
-    negate,
     parse_elem,
     parse_elems,
     parse_entry,
+    same_anchor,
     same_class,
-    shift_by_int,
 )
 from rsinf.rs_finite import rs
 
@@ -361,3 +366,63 @@ def test_integer_elements_share_one_anchor():
     assert [t.anchor for t in fam] == [Fraction(0), "a"]
     assert fam == rs(["3", "1", "2", "5", "a", "4"])
     assert Tableau(Fraction(0), ((user, elem(1)),)).offsets() == ((3, 1),)
+
+
+def _negate_corpus(rng):
+    """Elements with rational anchors of denominator up to 97 (some of
+    them Fraction subclasses) and offsets out to +-2**70, plus symbols."""
+    big = 2**70
+    offsets = [0, 1, -1, big, -big, big - 1, 1 - big, _Offset(5)]
+    offsets += [rng.randint(-big, big) for _ in range(20)]
+    offsets += [rng.randint(-100, 100) for _ in range(20)]
+    anchors = [core._ZERO, Fraction(0), _Third(0), _Third(1, 3), _Third(2, 3),
+               Fraction(1, 97), Fraction(96, 97), "a", "-a", _Name("b")]
+    for _ in range(150):
+        den = rng.randint(1, 97)
+        anchors.append(Fraction(rng.randrange(den), den))
+    return [FieldElem(a, rng.choice(offsets)) for a in anchors for _ in range(6)]
+
+
+def test_negate_matches_fraction_arithmetic():
+    corpus = _negate_corpus(random.Random(97))
+    for e in corpus:
+        got, want = e.negate(), fraction_negate(e)
+        assert got == want and hash(got) == hash(want), e
+        assert type(got.offset) is int, e
+        assert got.negate() == e, e
+    assert sum(isinstance(e.anchor, _Third) for e in corpus) == 18
+
+
+def test_integer_negate_gives_the_shared_anchor():
+    for anchor in (core._ZERO, Fraction(0), _Third(0)):
+        for offset in (0, 3, -2**70):
+            assert FieldElem(anchor, offset).negate().anchor is core._ZERO
+
+
+def test_shift_by_an_int_matches_the_constructor():
+    rng = random.Random(11)
+    for e in _negate_corpus(rng)[::7]:
+        for k in (0, 1, -1, 2**70, rng.randint(-10**6, 10**6)):
+            got, want = e.shift(k), FieldElem(e.anchor, e.offset + k)
+            assert type(got) is FieldElem and got.anchor is e.anchor
+            assert got == want and hash(got) == hash(want)
+    e = elem("a+2")
+    assert e.shift(_Offset(3)) == elem("a+5")
+
+
+@pytest.mark.parametrize("k", [1.5, "1", None])
+def test_shift_refuses_non_integers(k):
+    with pytest.raises(TypeError):
+        elem(3).shift(k)
+    with pytest.raises(TypeError):
+        elem("a").shift(k)
+
+
+def test_same_anchor():
+    assert not same_anchor("a", Fraction(0)) and not same_anchor(Fraction(0), "a")
+    assert same_anchor(Fraction(0), core._ZERO) and same_anchor(_Third(0), core._ZERO)
+    assert same_anchor("a", _Name("a")) and not same_anchor("a", "-a")
+    assert not same_anchor(Fraction(1, 2), core._ZERO)
+    # elements compare through the same test, offsets first
+    assert FieldElem("a", 0) != FieldElem(core._ZERO, 0)
+    assert FieldElem(Fraction(0), 2) == elem(2) and elem(2) != elem(3)

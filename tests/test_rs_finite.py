@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsinf.rs_finite as rs_finite_mod
-from helpers import bfs_connected, rand_family
-from rsinf.core import FieldElem, Tableau, TableauFamily, parse_elem
+from helpers import bfs_connected, rand_family, setdefault_insert_by_class
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem, parse_elem
 from rsinf.rs_finite import (
     InterchangePath,
     admissible,
     apply_interchange,
     connected,
+    insert_by_class,
     j,
     joseph_equal,
     rho_shift,
@@ -309,3 +310,29 @@ def test_connected_skips_the_search_when_insertions_differ(monkeypatch):
     # the counter sees the search when there is a path to find
     assert connected(seq("0,5,3"), seq("5,0,3")).positions == (1,)
     assert calls[0] > 0
+
+
+def _same_grouping(vals):
+    got, want = insert_by_class(vals), setdefault_insert_by_class(vals)
+    assert got == want
+    assert [id(a) for a in got] == [id(a) for a in want]
+
+
+def test_insert_by_class_groups_alternating_classes():
+    user = FieldElem(Fraction(0), 3)
+    vals = tuple(elem(v) for v in [user, "a", 1, "a", FieldElem(Fraction(0), 5), "1/2"])
+    _same_grouping(vals)
+    got = insert_by_class(vals)
+    # classes in order of first appearance, keyed by the first anchor seen
+    assert list(got) == [Fraction(0), "a", Fraction(1, 2)]
+    assert next(iter(got)) is user.anchor
+    assert got[Fraction(0)] == ((vals[4], vals[2]), (vals[0],))
+    assert got["a"] == ((vals[1],), (vals[3],))
+    rng = random.Random(5)
+    pool = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2), "a", "b"]
+    for _ in range(300):
+        vals = tuple(
+            FieldElem(rng.choice(pool), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 12))
+        )
+        _same_grouping(vals)
