@@ -29,9 +29,24 @@ def insert_one(key_rows, idx_rows, offset, idx):
 
 
 def insert_sequence(offsets):
-    """Insert all offsets in order; return rows of indices into the input."""
-    key_rows = []
-    idx_rows = []
-    for t, offset in enumerate(offsets):
-        insert_one(key_rows, idx_rows, offset, t)
-    return idx_rows
+    """Insert all offsets in order; return rows of indices into the input.
+
+    Entry t of n is packed into the one int key -offset * n + (n - 1 - t),
+    the pair key (-offset, -t) in lexicographic order: keys are distinct,
+    and among equal offsets the newer entry has the smaller key, so it
+    bumps the older one as insert_one does.  One list per row then carries
+    both the order and the index, decoded once at the end.
+    """
+    n = len(offsets)
+    rows = []
+    for offset, key in zip(offsets, range(n - 1, -1, -1)):
+        key -= offset * n
+        for row in rows:
+            i = bisect_left(row, key)
+            if i == len(row):
+                row.append(key)
+                break
+            key, row[i] = row[i], key
+        else:
+            rows.append([key])
+    return [[n - 1 - c % n for c in row] for row in rows]

@@ -14,6 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterable, Union
 
 Anchor = Union[Fraction, str]
@@ -40,10 +42,13 @@ class FieldElem:
     def __post_init__(self):
         # Every element passes here, so the checks avoid Fraction arithmetic:
         # a Fraction's denominator is positive, which makes the range test
-        # exact on numerator and denominator.  The exact-type tests come
-        # first; subclasses of Fraction, str and int still pass.
+        # exact on numerator and denominator.  The shared integer anchor and
+        # the exact-type tests come first; subclasses of Fraction, str and
+        # int still pass.
         anchor, offset = self.anchor, self.offset
-        if type(anchor) is Fraction or (
+        if anchor is _ZERO:
+            pass
+        elif type(anchor) is Fraction or (
             not isinstance(anchor, str) and isinstance(anchor, Fraction)
         ):
             if not 0 <= anchor.numerator < anchor.denominator:
@@ -89,7 +94,7 @@ class FieldElem:
         num, den = anchor.numerator, anchor.denominator
         if num == 0:
             return FieldElem(_ZERO, -self.offset)
-        return FieldElem(Fraction(den - num, den), -self.offset - 1)
+        return FieldElem(_rational_anchor(den - num, den), -self.offset - 1)
 
     def __str__(self) -> str:
         if isinstance(self.anchor, Fraction):
@@ -106,26 +111,45 @@ class FieldElem:
     __repr__ = __str__
 
 
+@lru_cache(maxsize=1024)
+def _rational_anchor(num: int, den: int) -> Fraction:
+    """The anchor num/den, for num/den reduced with 0 < num < den.
+
+    Every element of a class built through here holds one anchor object,
+    so identity shortcuts replace Fraction.__eq__ and __hash__.  The
+    bound keeps a stream of distinct denominators from growing the cache;
+    an anchor rebuilt after eviction is equal, only not identical.
+    """
+    return Fraction(num, den)
+
+
+def _from_ratio(num: int, den: int) -> FieldElem:
+    """num/den, given in lowest terms with den > 0, as a FieldElem."""
+    if den == 1:
+        return FieldElem(_ZERO, num)
+    floor, num = divmod(num, den)
+    return FieldElem(_rational_anchor(num, den), floor)
+
+
 def from_rational(q) -> FieldElem:
     if type(q) is int:
         return FieldElem(_ZERO, q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return FieldElem(_ZERO, q.numerator)
-    floor = q.numerator // q.denominator
-    return FieldElem(q - floor, floor)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return _from_ratio(q.numerator, q.denominator)
 
 
 def elem(x) -> FieldElem:
     """Coerce an int, Fraction, literal string, or FieldElem to FieldElem."""
     if isinstance(x, FieldElem):
         return x
+    # str before the Fraction test, which goes through the ABC machinery
+    if isinstance(x, str):
+        return parse_elem(x)
     if isinstance(x, bool):
         raise TypeError("bool is not a field element")
     if isinstance(x, (int, Fraction)):
         return from_rational(x)
-    if isinstance(x, str):
-        return parse_elem(x)
     raise TypeError(f"cannot coerce {x!r} to a field element")
 
 
@@ -148,10 +172,11 @@ def parse_elem(text: str) -> FieldElem:
         return FieldElem(_ZERO, int(s))
     m = _FRAC_RE.fullmatch(s)
     if m:
-        den = int(m.group(2))
+        num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             raise ValueError(f"zero denominator in literal {text!r}")
-        return from_rational(Fraction(int(m.group(1)), den))
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return _from_ratio(num // g, den // g)
     m = _SYM_RE.fullmatch(s)
     if m:
         return FieldElem(m.group(1), int(m.group(2) or 0))
@@ -252,7 +277,7 @@ class Tableau:
             if not row:
                 raise ValueError("empty tableau row")
             for e in row:
-                if not same_anchor(e.anchor, anchor):
+                if e.anchor is not anchor and not same_anchor(e.anchor, anchor):
                     raise ValueError(f"entry {e} not in class of anchor {anchor}")
         for r in range(len(self.rows) - 1):
             if len(self.rows[r]) < len(self.rows[r + 1]):
@@ -299,13 +324,15 @@ class TableauFamily:
     tableaux: tuple[Tableau, ...]
 
     def __post_init__(self):
-        anchors = [t.anchor for t in self.tableaux]
-        if len(set(anchors)) != len(anchors):
+        # the printed anchor names its class, so sorting by it puts equal
+        # anchors side by side, and no anchor is hashed
+        tabs = tuple(self.tableaux)
+        keys = [str(FieldElem(t.anchor, 0)) for t in tabs]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+            anchors = [t.anchor for t in tabs]
             raise ValueError(f"duplicate anchors in family: {anchors}")
-        ordered = tuple(
-            sorted(self.tableaux, key=lambda t: str(FieldElem(t.anchor, 0)))
-        )
-        object.__setattr__(self, "tableaux", ordered)
+        object.__setattr__(self, "tableaux", tuple(tabs[i] for i in order))
 
     def __iter__(self):
         return iter(self.tableaux)

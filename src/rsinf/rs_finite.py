@@ -11,7 +11,7 @@ from .core import FieldElem, Tableau, TableauFamily, elem, ge_z, gt_z, same_anch
 
 
 def _seq(values) -> tuple[FieldElem, ...]:
-    return tuple(elem(v) for v in values)
+    return tuple(map(elem, values))
 
 
 def rho_shift(values) -> tuple[FieldElem, ...]:
@@ -19,33 +19,37 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
     return tuple(e.shift(-(i + 1)) for i, e in enumerate(_seq(values)))
 
 
-def insert_by_class(vals) -> dict:
+def insert_by_class(vals) -> list:
     """Insert the entries one integrality class at a time, in sequence
-    order.  Returns anchor -> rows of the input's own entries, classes in
-    order of first appearance.  A run of entries with one anchor object
-    is looked up once, so hashing costs one per class change.
+    order.  Returns (anchor, rows of the input's own entries) pairs,
+    classes in order of first appearance.  A run of entries with one
+    anchor object is looked up once, and by the object's id in front of
+    its value, so each distinct anchor object is hashed at most once; the
+    entries keep their anchors alive, so no id is reused during the call.
     """
     by_class: dict = {}
+    by_id: dict = {}
     last = bucket = None
     for e in vals:
         if e.anchor is not last:
             last = e.anchor
-            bucket = by_class.setdefault(last, [])
+            bucket = by_id.get(id(last))
+            if bucket is None:
+                bucket = by_id[id(last)] = by_class.setdefault(last, [])
         bucket.append(e)
-    return {
-        anchor: tuple(
-            tuple(es[i] for i in row)
+    return [
+        (anchor, tuple(
+            tuple(map(es.__getitem__, row))
             for row in insert_sequence([e.offset for e in es])
-        )
+        ))
         for anchor, es in by_class.items()
-    }
+    ]
 
 
 def rs(values) -> TableauFamily:
     """Insert the sequence, one tableau per integrality class."""
-    tableaux = insert_by_class(_seq(values))
     return TableauFamily(
-        tuple(Tableau(anchor, rows) for anchor, rows in tableaux.items())
+        tuple(Tableau(anchor, rows) for anchor, rows in insert_by_class(_seq(values)))
     )
 
 

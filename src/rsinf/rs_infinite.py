@@ -28,9 +28,13 @@ class Axis(enum.Enum):
     POS = "pos"
     ALL = "all"
 
+    # members compare by identity, so the identity hash agrees with ==
+    # and spares the axis tables the Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
 
 def _coerce_window(values) -> tuple[FieldElem, ...]:
-    return tuple(elem(v) for v in values)
+    return tuple(map(elem, values))
 
 
 def _first(axis: Axis, edge: int, n: int) -> int:
@@ -288,10 +292,10 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     values.extend(right.shift(-p) for p in range(last + 1, b + 1))
     tableaux = insert_by_class(values)
     law_anchor = left.anchor
-    if law_anchor not in tableaux:
+    t1_rows = next((rows for a, rows in tableaux if same_anchor(a, law_anchor)), None)
+    if t1_rows is None:
         raise ValueError("window too small: no law-class values present")
 
-    t1_rows = tableaux[law_anchor]
     row_vals = t1_rows[0]
     # row 1 ends at b on NEG and starts at a on ALL, like the window
     edge = b if g.axis is Axis.NEG else a
@@ -303,7 +307,7 @@ def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
 
     lower_rows = t1_rows[1:]
     finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux.items() if not same_anchor(a, law_anchor))
+        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law_anchor))
     ).tableaux
     rest: list[Tableau] = []
     if lower_rows:

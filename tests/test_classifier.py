@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 from fractions import Fraction
@@ -216,6 +217,32 @@ def test_spec_properties_over_all_region_kinds():
             assert (mirrored.r, mirrored.g) == (out.r, out.g)
             assert (mirrored.X, mirrored.Y) == (out.Y, out.X)
     assert seen == {Finite, Omega, OmegaStar, Zeta}
+
+
+def test_classify_makes_no_enum_hash_call(monkeypatch):
+    # the axis tables are looked up by every sequence built, so Axis keeps
+    # the identity hash instead of the Python-level Enum.__hash__
+    specs = [_random_spec(random.Random(f"enum-hash-{i}")) for i in range(40)]
+    calls = [0]
+    enum_hash = enum.Enum.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return enum_hash(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counted)
+    outs = [classify(s) for s in specs]
+    seen = calls[0]
+
+    class Probe(enum.Enum):
+        X = 1
+
+    hash(Probe.X)
+    assert calls[0] == seen + 1  # the counter sees Enum.__hash__
+    monkeypatch.undo()
+    assert seen == 0
+    assert {type(o) for o in outs} == {ProperIdeal, ZeroIdeal}
+    assert {hash(a) for a in Axis} == {object.__hash__(a) for a in Axis}
 
 
 # integer tails, symbol exceptions next to them and inside the windows

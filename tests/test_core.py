@@ -426,3 +426,72 @@ def test_same_anchor():
     # elements compare through the same test, offsets first
     assert FieldElem("a", 0) != FieldElem(core._ZERO, 0)
     assert FieldElem(Fraction(0), 2) == elem(2) and elem(2) != elem(3)
+
+
+def test_rational_classes_share_one_anchor():
+    half = from_rational(Fraction(7, 2)).anchor
+    built = [
+        parse_elem("7/2"), parse_elem("-1/2"), parse_elem("3/-2"), parse_elem("10/4"),
+        elem("1/2"), elem(Fraction(-5, 2)), from_rational(_Third(1, 2)),
+        from_rational(0.5), parse_entry("9/2", "'tail'"), parse_elem("1/2").negate(),
+        elem("5/2").shift(-4), elem("1/2").shift(_Offset(2)),
+        Tableau.from_offsets(Fraction(1, 2), [[1]]).rows[0][0],
+    ]
+    built += [e for t in rs(["1/2", 3, "5/2", "a", "-3/2"]) for row in t.rows for e in row
+              if t.anchor == Fraction(1, 2)]
+    for e in built:
+        assert e.anchor is half, e
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    third = parse_elem("1/3").anchor
+    assert parse_elem("2/3").negate().anchor is third
+    assert elem(Fraction(4, 3)).anchor is third is from_rational(Fraction(-5, 3)).anchor
+    assert parse_elem("2/3").anchor is parse_elem("1/3").negate().anchor is not third
+
+
+def test_shared_anchors_match_fraction_arithmetic():
+    rng = random.Random(35)
+    for _ in range(400):
+        den = rng.randint(1, 40)
+        q = Fraction(rng.randint(-200, 200), den)
+        for e, ref in (
+            (from_rational(q), floor_from_rational(q)),
+            (parse_elem(f"{q.numerator * 3}/{q.denominator * 3}"), floor_from_rational(q)),
+            (from_rational(q).negate(), fraction_negate(floor_from_rational(q))),
+            (from_rational(q).shift(5), floor_from_rational(q + 5)),
+        ):
+            assert e == ref and hash(e) == hash(ref), q
+            assert e.anchor == ref.anchor and hash(e.anchor) == hash(ref.anchor), q
+
+
+def test_rs_hashes_each_anchor_object_at_most_once(monkeypatch):
+    word = ["1/2", 3, "2/3", "-1/2", "1/2", 0, "5/3", 4, "7/2", "2/3", -1, "1/2"] * 5
+    vals = [elem(v) for v in word]
+    anchors = {id(e.anchor) for e in vals}
+    assert len(anchors) == 3
+    calls = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    fam = rs(word)
+    seen = calls[0]
+    hash(Fraction(1, 5))
+    assert calls[0] == seen + 1  # the counter sees Fraction hashing
+    monkeypatch.undo()
+    assert seen <= len(anchors)
+    assert [str(t.anchor) for t in fam] == ["0", "1/2", "2/3"]
+    assert fam.size() == len(word)
+
+
+def test_rational_anchor_cache_is_bounded():
+    bound = core._rational_anchor.cache_info().maxsize
+    assert bound is not None and bound < 5000
+    for den in range(2, 5002):
+        e = parse_elem(f"{den + 1}/{den}")
+        assert e.offset == 1 and e.anchor == Fraction(1, den)
+        assert core._rational_anchor.cache_info().currsize <= bound
+    # an anchor rebuilt after eviction is equal, only not the same object
+    assert parse_elem("1/2") == FieldElem(Fraction(1, 2), 0)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_insert
-from rsinf import _kernel
+from rsinf import _insertion_py, _kernel, rs_finite
+from rsinf._insertion_py import insert_one
 from rsinf._insertion_py import insert_sequence as pure_insert
 
 compiled_only = pytest.mark.skipif(
@@ -111,3 +112,60 @@ def test_bump_prefers_the_older_equal_entry():
 def test_empty_input():
     assert _kernel.insert_sequence([]) == []
     assert pure_insert([]) == []
+
+
+def _insert_one_loop(offsets):
+    """The kernel as a loop of single insertions, the form rs_trace uses."""
+    key_rows, idx_rows = [], []
+    for t, offset in enumerate(offsets):
+        insert_one(key_rows, idx_rows, offset, t)
+    return idx_rows
+
+
+def _oracle_corpus(rng):
+    """Empty and one-entry words, one value repeated 500 times,
+    duplicate-heavy words of up to 2,000 entries, and offsets of +-2**70
+    among small ones, where the packed keys outgrow 64 bits."""
+    big = 2**70
+    corpus = [[], [0], [-7], [big], [5] * 500]
+    for spread in (0, 1, 2, 5, 50):
+        for n in (2, 60, rng.randint(100, 2000)):
+            corpus.append([rng.randint(-spread, spread) for _ in range(n)])
+    for n in (2, 40, 300):
+        corpus.append([rng.choice((big, -big, big - 1, 1 - big, rng.randint(-3, 3)))
+                       for _ in range(n)])
+    return corpus
+
+
+def test_packed_kernel_matches_single_insertions_and_pair_keys():
+    corpus = _oracle_corpus(random.Random(20261018))
+    assert max(map(len, corpus)) > 1000
+    for offsets in corpus:
+        got = pure_insert(offsets)
+        assert got == _insert_one_loop(offsets), offsets
+        assert got == pair_insert(offsets, range(1, len(offsets) + 1)), offsets
+        assert _kernel.insert_sequence(offsets) == got, offsets
+    # one repeated value bumps its older copy down every row
+    assert pure_insert([5] * 500) == [[t] for t in range(499, -1, -1)]
+
+
+def test_only_rs_trace_inserts_one_entry_at_a_time(monkeypatch):
+    # kernel.insert_one_calls in the benchmark counts the rs_trace path;
+    # the batch kernel bumps inline and never calls insert_one
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return insert_one(*args)
+
+    monkeypatch.setattr(_insertion_py, "insert_one", counted)
+    monkeypatch.setattr(rs_finite, "insert_one", counted)
+    offsets = [3, 1, 3, 0, 2, 2, 5]
+    assert pure_insert(offsets) == _kernel.insert_sequence(offsets)
+    word = ["3", "1/2", "a", 1, "3", "a-1", "1/2", 0]
+    rs_finite.rs(word)
+    rs_finite.j(word)
+    assert calls[0] == 0
+    steps = rs_finite.rs_trace(word)
+    assert calls[0] == len(word) == len(steps)
+    assert steps[-1].family == rs_finite.rs(word)
