@@ -1,43 +1,11 @@
-"""Build the optional compiled insertion kernel.
+"""Build the optional C insertion kernel from src/rsinf/_insertion.c.
 
-The package is pure Python plus one Cython extension; if Cython or a
-compiler is missing the build falls back to the pure implementation.
+A C compiler and the Python headers build it from that hand-written
+source, with no code generator.  The extension is optional: with no
+working compiler the build skips it, and the package runs on the
+pure-Python kernel.
 """
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class OptionalBuildExt(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            print(f"skipping compiled kernel: {exc}")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"skipping compiled kernel {ext.name}: {exc}")
-
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "rsinf._insertion",
-                ["src/rsinf/_insertion.pyx"],
-                language="c++",
-                extra_compile_args=["-O2"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:
-    print(f"skipping compiled kernel: {exc}")
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("rsinf._insertion", ["src/rsinf/_insertion.c"], optional=True)])

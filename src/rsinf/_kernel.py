@@ -1,7 +1,22 @@
-"""Select the compiled insertion kernel, falling back to pure Python.
+"""The insertion kernel: the compiled one where it can run, else pure Python.
 
-Set RSINF_PURE=1 to force the pure implementation.  Offsets outside the
-64-bit range also fall back automatically.
+Both backends keep one contract, ``insert_sequence(offsets)``: integer
+offsets in, in input order; rows of indices into the input out, each row
+strictly decreasing, and an equal offset bumps the older entry.
+
+Three things choose the backend:
+
+* the import result: ``_insertion`` is the C extension that setup.py
+  builds from ``_insertion.c`` when a C compiler is present; without it
+  the pure kernel runs;
+* ``RSINF_PURE=1``, which selects the pure kernel even where the
+  extension is built;
+* per call, an offset outside 64 bits: the extension raises
+  ``OverflowError`` and this call runs the pure kernel instead.
+
+``BACKEND`` names the result of the first two.  ``rs_trace`` keeps the
+pure ``_insertion_py.insert_one`` on every backend, because it inserts
+one entry per step.
 """
 
 import os

@@ -22,23 +22,6 @@ class LevelError(ValueError):
     """The requested level is too small for the parameters."""
 
 
-def normalize(v) -> WeightVec:
-    """Shift so the last entry is zero; requires a dominant vector."""
-    t = tuple(int(x) for x in v)
-    if any(a < b for a, b in zip(t, t[1:])):
-        raise ValueError(f"{t} is not weakly decreasing")
-    return tuple(x - t[-1] for x in t) if t else t
-
-
-def f_kn(k: int, n: int) -> WeightVec:
-    """k ones followed by zeros, normalized (so k = n gives zeros)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == n:
-        return (0,) * n
-    return (1,) * k + (0,) * (n - k)
-
-
 # Each finite family at level n is the zero vector and the step vectors
 # f_{k,n} for k in an interval [first, last] of 1..n-1, given here as a
 # function of (i, n).  In difference form f_{k,n} is one unit at position

@@ -8,7 +8,7 @@ from collections import deque
 from fractions import Fraction
 from operator import add
 
-from rsinf.cls import f_kn, factorization, normalize
+from rsinf.cls import factorization
 from rsinf._kernel import insert_sequence
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem, from_rational, same_class
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
@@ -265,6 +265,23 @@ def frontier_split(u, r1, r2):
             return False
         prev = frontier
     return True
+
+
+def normalize(v):
+    """Shift so the last entry is zero; requires a dominant vector."""
+    t = tuple(int(x) for x in v)
+    if any(a < b for a, b in zip(t, t[1:])):
+        raise ValueError(f"{t} is not weakly decreasing")
+    return tuple(x - t[-1] for x in t) if t else t
+
+
+def f_kn(k: int, n: int):
+    """k ones followed by zeros, normalized (so k = n gives zeros)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if k == n:
+        return (0,) * n
+    return (1,) * k + (0,) * (n - k)
 
 
 # the k whose step vectors f_{k,n} make up each finite family at level n

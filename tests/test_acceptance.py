@@ -8,7 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import Comparison, compare_z, rand_block, rand_family
+from helpers import Comparison, compare_z, normalize, rand_block, rand_family
 
 from rsinf.classifier import (
     ProperIdeal,
@@ -21,7 +21,7 @@ from rsinf.classifier import (
     weight_spec,
     zeta,
 )
-from rsinf.cls import LevelError, cls_level, cls_params, gamma, member, normalize
+from rsinf.cls import LevelError, cls_level, cls_params, gamma, member
 from rsinf.core import (
     FieldElem,
     Tableau,

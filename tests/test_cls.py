@@ -7,7 +7,9 @@ import pytest
 from helpers import (
     bounded_dominant,
     enumerated_basic_level,
+    f_kn,
     frontier_split,
+    normalize,
     product_cls_level,
     search_member,
 )
@@ -18,11 +20,9 @@ from rsinf.cls import (
     basic_level,
     cls_level,
     cls_params,
-    f_kn,
     factorization,
     gamma,
     member,
-    normalize,
     q_union_level,
 )
 

@@ -1,12 +1,20 @@
 """The compiled insertion kernel and the pure one must agree exactly, and
-both with the pair-keyed insertion of tests/helpers.py."""
+both with the pair-keyed insertion of tests/helpers.py.
 
+The compiled kernel is built once per session by the repository's own
+setup.py into a temporary directory and loaded from there, so the setup
+declaration is tested too and nothing is written under src/.  Its tests
+skip only when no C compiler is found."""
+
+import importlib.util
 import inspect
 import os
 import random
-import re
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -18,20 +26,54 @@ from rsinf import _insertion_py, _kernel, rs_finite
 from rsinf._insertion_py import insert_one
 from rsinf._insertion_py import insert_sequence as pure_insert
 
-compiled_only = pytest.mark.skipif(
-    _kernel.BACKEND != "compiled", reason="extension module not built"
-)
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _build_ext(build_dir, env=None):
+    """Run setup.py build_ext into build_dir; return the process and the
+    extension files it built."""
+    out = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(build_dir / "lib"), "--build-temp", str(build_dir / "tmp")],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    return out, sorted((build_dir / "lib" / "rsinf").glob("_insertion.*"))
+
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def build(tmp_path_factory):
+    """The built extension's path, and what the build added under src/."""
+    if _c_compiler() is None:
+        pytest.skip("no C compiler found to build rsinf._insertion")
+    before = set((REPO / "src").rglob("*"))
+    out, built = _build_ext(tmp_path_factory.mktemp("build"))
+    assert out.returncode == 0 and len(built) == 1, out.stdout + out.stderr
+    return built[0], set((REPO / "src").rglob("*")) - before
+
+
+@pytest.fixture(scope="session")
+def built(build):
+    """The compiled kernel module, loaded from the build directory."""
+    spec = importlib.util.spec_from_file_location("rsinf._insertion", build[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reports_something_sensible():
     assert _kernel.BACKEND in ("compiled", "pure")
 
 
-@compiled_only
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
 @settings(max_examples=200, deadline=None)
-def test_backends_agree(offsets):
-    assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+def test_backends_agree(built, offsets):
+    want = pair_insert(offsets, range(1, len(offsets) + 1))
+    assert built.insert_sequence(offsets) == pure_insert(offsets) == want
 
 
 def _duplicate_heavy(rng, max_len):
@@ -40,12 +82,12 @@ def _duplicate_heavy(rng, max_len):
     return [rng.randint(-spread, spread) for _ in range(n)]
 
 
-@compiled_only
-def test_backends_agree_on_duplicate_heavy_input():
+def test_backends_agree_on_duplicate_heavy_input(built):
     rng = random.Random(42)
     for _ in range(500):
         offsets = _duplicate_heavy(rng, 200)
-        assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+        want = pair_insert(offsets, range(1, len(offsets) + 1))
+        assert built.insert_sequence(offsets) == pure_insert(offsets) == want, offsets
 
 
 def test_kernel_matches_pair_keyed_insertion():
@@ -59,15 +101,22 @@ def test_kernel_matches_pair_keyed_insertion():
         assert _kernel.insert_sequence(offsets) == want, offsets
 
 
-def test_compiled_source_takes_the_pure_signature():
-    # the extension cannot be built without Cython, so its source is read
-    # to catch a contract that drifts from the pure kernel's
-    src = Path(inspect.getfile(_kernel)).with_name("_insertion.pyx").read_text()
-    m = re.search(r"^def insert_sequence\(([^)]*)\):", src, re.M)
-    assert m, "the .pyx defines no insertion kernel"
-    params = [p.strip() for p in m.group(1).split(",") if p.strip()]
+def test_compiled_kernel_takes_the_pure_signature(built):
+    params = list(inspect.signature(built.insert_sequence).parameters)
     assert params == list(inspect.signature(pure_insert).parameters)
     assert params == list(inspect.signature(_kernel.insert_sequence).parameters)
+
+
+def test_build_writes_nothing_under_src(build):
+    assert build[1] == set()
+
+
+def test_build_without_a_compiler_exits_cleanly(tmp_path):
+    # optional=True: a failed compile skips the extension, and the package
+    # keeps the pure kernel
+    out, built = _build_ext(tmp_path, env={**os.environ, "CC": str(tmp_path / "no-cc")})
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert built == []
 
 
 def test_huge_offsets_fall_back_to_pure():
@@ -76,29 +125,56 @@ def test_huge_offsets_fall_back_to_pure():
     assert pure_insert(offsets) == pair_insert(offsets, range(1, 6))
 
 
-def test_env_override_selects_pure_backend():
-    # the child gets a fresh environment, so it is pointed at the directory
-    # holding the package imported here, not at whatever PYTHONPATH the
-    # caller set; it names the package it loaded on stderr, keeping stdout
-    # for the backend alone
-    pkg_dir = os.path.dirname(os.path.abspath(_kernel.__file__))
+def test_compiled_kernel_refuses_offsets_outside_64_bits(built, monkeypatch):
+    for offsets in ([2**63], [-(2**63) - 1], [3, 2**70, 1], [-(2**70)]):
+        with pytest.raises(OverflowError):
+            built.insert_sequence(offsets)
+    edges = [2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63)]
+    assert built.insert_sequence(edges) == pure_insert(edges)
+    # _kernel catches the OverflowError and answers with the pure kernel
+    monkeypatch.setattr(_kernel, "_impl", built)
+    offsets = [10**30, 3, -(10**25), 3, 10**30, 2**70, -(2**70)]
+    assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
+
+
+def _child_backend(pkg_dir, **env):
+    """BACKEND as a fresh interpreter reports it for the package in pkg_dir.
+
+    The child gets a fresh environment, so it is pointed at the directory
+    holding that package, not at whatever PYTHONPATH the caller set; it
+    names the package it loaded on stderr, keeping stdout for the backend
+    alone."""
     code = (
         "import sys, rsinf; from rsinf import _kernel; "
         "print(_kernel.BACKEND); print(rsinf.__file__, file=sys.stderr)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.path.dirname(pkg_dir),
-            "RSINF_PURE": "1",
-        },
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(pkg_dir), **env},
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
     assert os.path.samefile(os.path.dirname(out.stderr.strip()), pkg_dir)
+    return out.stdout.strip()
+
+
+def test_env_override_selects_pure_backend():
+    pkg_dir = os.path.dirname(os.path.abspath(_kernel.__file__))
+    assert _child_backend(pkg_dir, RSINF_PURE="1") == "pure"
+
+
+def test_built_package_selects_compiled_backend(build, tmp_path):
+    # a copy of the package holding the built extension imports it, unless
+    # RSINF_PURE is set
+    pkg_dir = tmp_path / "rsinf"
+    shutil.copytree(
+        os.path.dirname(os.path.abspath(_kernel.__file__)), pkg_dir,
+        ignore=shutil.ignore_patterns("__pycache__", "_insertion.*"),
+    )
+    shutil.copy(build[0], pkg_dir)
+    assert _child_backend(str(pkg_dir)) == "compiled"
+    assert _child_backend(str(pkg_dir), RSINF_PURE="1") == "pure"
 
 
 def test_bump_prefers_the_older_equal_entry():
@@ -147,6 +223,19 @@ def test_packed_kernel_matches_single_insertions_and_pair_keys():
         assert _kernel.insert_sequence(offsets) == got, offsets
     # one repeated value bumps its older copy down every row
     assert pure_insert([5] * 500) == [[t] for t in range(499, -1, -1)]
+
+
+def test_built_kernel_matches_the_oracle_corpus(built, monkeypatch):
+    # offsets of +-2**70 raise in the module, and _kernel falls back
+    monkeypatch.setattr(_kernel, "_impl", built)
+    for offsets in _oracle_corpus(random.Random(20261018)):
+        want = pure_insert(offsets)
+        assert _kernel.insert_sequence(offsets) == want, offsets
+        if all(-(2**63) <= x < 2**63 for x in offsets):
+            assert built.insert_sequence(offsets) == want, offsets
+        else:
+            with pytest.raises(OverflowError):
+                built.insert_sequence(offsets)
 
 
 def test_only_rs_trace_inserts_one_entry_at_a_time(monkeypatch):
