@@ -43,7 +43,10 @@ def _emit(obj) -> int:
 
 def _load(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the document nests too deeply") from None
 
 
 def _cmd_classify(args) -> int:

@@ -278,93 +278,78 @@ class InfiniteRSResult:
         return len(self.underline)
 
 
-def _extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
-    """Insert a finite window of a NEG or ALL g and read off the stable
-    skeleton."""
-    first = _first(g.axis, g.edge, len(g.window))
-    last = first + len(g.window) - 1
-    a = first - margin
-    b = g.edge if g.axis is Axis.NEG else last + margin
-    # the laws' values, then the window, then (ALL only) the right law's
-    left, right = g.left_law, g.right_law
-    values = [left.shift(-p) for p in range(a, first)]
-    values.extend(g.window)
-    values.extend(right.shift(-p) for p in range(last + 1, b + 1))
-    tableaux = insert_by_class(values)
-    law_anchor = left.anchor
-    t1_rows = next((rows for a, rows in tableaux if same_anchor(a, law_anchor)), None)
-    if t1_rows is None:
-        raise ValueError("window too small: no law-class values present")
+def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
+    """Insert a NEG or ALL g, laws included, and read off the result.
 
-    row_vals = t1_rows[0]
-    # row 1 ends at b on NEG and starts at a on ALL, like the window
-    edge = b if g.axis is Axis.NEG else a
-    p0 = _first(g.axis, edge, len(row_vals))
+    Only row 1 of the law class is infinite.  The left law (offset l)
+    inserts ..., h + 1, h with h = l - first + 1, so row 1 is the head
+    [h, oo) plus a finite part below h, kept in ``below`` as the kernel's
+    keys -offset.  The kernel bumps the largest entry <= v, an equal one
+    included, so a law-class window entry v >= h bumps its equal in the
+    head (row 1 is unchanged, v drops to row 2), and an entry v < h bumps
+    inside ``below``; nothing else bumps a head entry.  On ALL the right
+    law (offset r) then inserts t, t - 1, ... with t = r - last - 1.  Its
+    k-th value bumps the k-th largest entry <= t, so the entries <= t
+    drop largest first (the head's t..h when t >= h, then the tail of
+    ``below``) and the law ends row 1.  The drops reach row 2 in that
+    order, and the other classes occur only in the window, so one finite
+    insertion gives every finite row.  Row 1 holds the head's v at
+    position l - v: on NEG it ends at the edge, so its left law is
+    h + edge - len(below); on ALL the rest of ``below`` starts after the
+    smallest head entry kept, max(h, t + 1), and t follows it.
+    """
+    law = g.left_law
+    first = _first(g.axis, g.edge, len(g.window))
+    h = law.offset - first + 1
+
+    def at(v: int) -> FieldElem:
+        return law.shift(v - law.offset)
+
+    below, dropped, others = [], [], []
+    for e in g.window:
+        if not same_anchor(e.anchor, law.anchor):
+            others.append(e)
+        elif e.offset >= h:
+            dropped.append(e)
+        else:
+            i = bisect_left(below, -e.offset)
+            if i == len(below):
+                below.append(-e.offset)
+            else:
+                dropped.append(at(-below[i]))
+                below[i] = -e.offset
+    if g.axis is Axis.NEG:
+        edge, left_law, right_law = g.edge, at(h + g.edge - len(below)), None
+    else:
+        t = g.right_law.offset - (first + len(g.window))
+        dropped.extend(map(at, range(t, h - 1, -1)))
+        k = bisect_left(below, -t)
+        dropped.extend(at(-key) for key in below[k:])
+        del below[k:]
+        edge = law.offset - max(h, t + 1) + 1
+        left_law, right_law = law, at(t + edge + len(below))
     first_row = stably_decreasing(
-        g.axis, row_vals, edge=edge, left_law=row_vals[0].shift(p0),
-        right_law=row_vals[-1].shift(p0 + len(row_vals) - 1) if g.axis is Axis.ALL else None,
+        g.axis, [at(-key) for key in below], edge=edge,
+        left_law=left_law, right_law=right_law,
     )
 
-    lower_rows = t1_rows[1:]
+    tableaux = insert_by_class(dropped + others)
+    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, law.anchor)), ())
     finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law_anchor))
+        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law.anchor))
     ).tableaux
-    rest: list[Tableau] = []
-    if lower_rows:
-        rest.append(Tableau(law_anchor, lower_rows))
-    rest.extend(finite)
-    underline = seq_of(rest) if rest else ()
+    law_tab = (Tableau(law.anchor, lower_rows),) if lower_rows else ()
+    underline = seq_of(law_tab + finite)
     return InfiniteRSResult(g.axis, first_row, lower_rows, finite, underline)
-
-
-def _stable_margin(g: StablyDecreasingSeq) -> int:
-    """A NEG or ALL window margin past which growth changes no result.
-
-    Let the explicit window occupy w_lo..w_hi (so w_hi >= w_lo - 1), the
-    left law have offset l and, on ALL, the right law offset r, and let
-    hi and lo be the largest and smallest law-class window offsets.  The
-    margin is max(d_left, d_right, d_gap, 1) with d_left = hi - (l -
-    w_lo) + 1, d_right = (r - w_hi) - lo + 1 and d_gap = r - l + 1 (a
-    term without window entries is left out).  Margin m inserts the
-    positions a = w_lo - m .. b, with b = w_hi + m on ALL, w_hi on NEG.
-
-    Proof that margins m and m + 1 agree once m reaches the margin.  The
-    law value at a, offset l - w_lo + m, exceeds every later law-class
-    value (window: d_left; right tail, at most r - w_lo: d_gap), so it
-    stays in column 0 of row 1 and nothing bumps it; the value that
-    m + 1 prepends at a - 1 is larger still, and the rest of the
-    insertion runs unchanged one column over.  On ALL the law value at
-    b, offset r - w_hi - m, is below every earlier law-class value
-    (window: d_right; left tail, at least l - w_hi: d_gap), so it ends
-    row 1 and bumps nothing, and so does the value appended at b + 1.
-    Other classes occur only in the explicit window.  So growth only
-    adds law values at the grown ends of row 1, the laws read off its
-    end values stay the same, and stably_decreasing strips the added
-    values.  The floor of 1 puts a law value into a window without one.
-    A POS input goes through its mirror, a NEG input.
-    """
-    left = g.left_law
-    w_lo = _first(g.axis, g.edge, len(g.window))
-    same = [e.offset for e in g.window if same_anchor(e.anchor, left.anchor)]
-    d = 1
-    if same:
-        d = max(d, max(same) - (left.offset - w_lo) + 1)
-    if g.axis is Axis.ALL:
-        right = g.right_law.offset
-        w_hi = w_lo + len(g.window) - 1
-        if same:
-            d = max(d, (right - w_hi) - min(same) + 1)
-        d = max(d, right - left.offset + 1)
-    return d
 
 
 def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     """Insert an infinite stably decreasing sequence.
 
-    NEG and ALL inputs are handled directly by inserting once a window
-    large enough that further growth provably only extends the first row
-    (see _stable_margin).  A POS input is computed through its mirror and
-    the pieces are mirrored back.
+    NEG and ALL inputs are inserted directly, the left law kept as the
+    implicit head of row 1 (see _extract), at a cost linear in the window
+    plus r.  A POS input is computed through its mirror and the pieces
+    are mirrored back.
     """
     if g.axis is Axis.POS:
         m = rs_infinite(star_seq(g))
@@ -375,7 +360,7 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
         )
     if g.axis is Axis.ALL and not same_anchor(g.left_law.anchor, g.right_law.anchor):
         raise ValueError("the two tails lie in different integrality classes")
-    return _extract(g, _stable_margin(g))
+    return _extract(g)
 
 
 def partition_from_row(

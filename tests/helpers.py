@@ -10,9 +10,14 @@ from operator import add
 
 from rsinf.cls import factorization
 from rsinf._kernel import insert_sequence
-from rsinf.core import FieldElem, Tableau, TableauFamily, elem, from_rational, same_class
-from rsinf.rs_finite import InterchangePath, admissible, apply_interchange
-from rsinf.rs_infinite import Axis, EventuallyConstantSeq, eventually_constant
+from rsinf.core import (
+    FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor, same_class,
+)
+from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, insert_by_class, seq_of
+from rsinf.rs_infinite import (
+    Axis, EventuallyConstantSeq, InfiniteRSResult, StablyDecreasingSeq, _first,
+    eventually_constant, stably_decreasing,
+)
 
 ANCHORS = (Fraction(0), "a", "b")
 
@@ -363,3 +368,85 @@ def product_cls_level(p, n, bound):
         for _ in range(mult):
             out = {tuple(map(add, u, v)) for u in out for v in base}
     return frozenset(out)
+
+
+def explicit_extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
+    """rs_infinite's extraction as it was: list every law value within
+    margin of the window, insert the finite sequence, and read off the
+    stable skeleton.  Kept as the oracle of the implicit-head insertion;
+    stable_margin gives a margin it is exact from."""
+    first = _first(g.axis, g.edge, len(g.window))
+    last = first + len(g.window) - 1
+    a = first - margin
+    b = g.edge if g.axis is Axis.NEG else last + margin
+    # the laws' values, then the window, then (ALL only) the right law's
+    left, right = g.left_law, g.right_law
+    values = [left.shift(-p) for p in range(a, first)]
+    values.extend(g.window)
+    values.extend(right.shift(-p) for p in range(last + 1, b + 1))
+    tableaux = insert_by_class(values)
+    law_anchor = left.anchor
+    t1_rows = next((rows for a, rows in tableaux if same_anchor(a, law_anchor)), None)
+    if t1_rows is None:
+        raise ValueError("window too small: no law-class values present")
+
+    row_vals = t1_rows[0]
+    # row 1 ends at b on NEG and starts at a on ALL, like the window
+    edge = b if g.axis is Axis.NEG else a
+    p0 = _first(g.axis, edge, len(row_vals))
+    first_row = stably_decreasing(
+        g.axis, row_vals, edge=edge, left_law=row_vals[0].shift(p0),
+        right_law=row_vals[-1].shift(p0 + len(row_vals) - 1) if g.axis is Axis.ALL else None,
+    )
+
+    lower_rows = t1_rows[1:]
+    finite = TableauFamily(
+        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law_anchor))
+    ).tableaux
+    rest: list[Tableau] = []
+    if lower_rows:
+        rest.append(Tableau(law_anchor, lower_rows))
+    rest.extend(finite)
+    underline = seq_of(rest) if rest else ()
+    return InfiniteRSResult(g.axis, first_row, lower_rows, finite, underline)
+
+
+def stable_margin(g: StablyDecreasingSeq) -> int:
+    """A NEG or ALL window margin past which growth changes no result.
+
+    Let the explicit window occupy w_lo..w_hi (so w_hi >= w_lo - 1), the
+    left law have offset l and, on ALL, the right law offset r, and let
+    hi and lo be the largest and smallest law-class window offsets.  The
+    margin is max(d_left, d_right, d_gap, 1) with d_left = hi - (l -
+    w_lo) + 1, d_right = (r - w_hi) - lo + 1 and d_gap = r - l + 1 (a
+    term without window entries is left out).  Margin m inserts the
+    positions a = w_lo - m .. b, with b = w_hi + m on ALL, w_hi on NEG.
+
+    Proof that margins m and m + 1 agree once m reaches the margin.  The
+    law value at a, offset l - w_lo + m, exceeds every later law-class
+    value (window: d_left; right tail, at most r - w_lo: d_gap), so it
+    stays in column 0 of row 1 and nothing bumps it; the value that
+    m + 1 prepends at a - 1 is larger still, and the rest of the
+    insertion runs unchanged one column over.  On ALL the law value at
+    b, offset r - w_hi - m, is below every earlier law-class value
+    (window: d_right; left tail, at least l - w_hi: d_gap), so it ends
+    row 1 and bumps nothing, and so does the value appended at b + 1.
+    Other classes occur only in the explicit window.  So growth only
+    adds law values at the grown ends of row 1, the laws read off its
+    end values stay the same, and stably_decreasing strips the added
+    values.  The floor of 1 puts a law value into a window without one.
+    A POS input goes through its mirror, a NEG input.
+    """
+    left = g.left_law
+    w_lo = _first(g.axis, g.edge, len(g.window))
+    same = [e.offset for e in g.window if same_anchor(e.anchor, left.anchor)]
+    d = 1
+    if same:
+        d = max(d, max(same) - (left.offset - w_lo) + 1)
+    if g.axis is Axis.ALL:
+        right = g.right_law.offset
+        w_hi = w_lo + len(g.window) - 1
+        if same:
+            d = max(d, (right - w_hi) - min(same) + 1)
+        d = max(d, right - left.offset + 1)
+    return d

@@ -8,7 +8,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import Comparison, compare_z, normalize, rand_block, rand_family
+from helpers import (
+    Comparison,
+    compare_z,
+    explicit_extract,
+    normalize,
+    rand_block,
+    rand_family,
+    stable_margin,
+)
 
 from rsinf.classifier import (
     ProperIdeal,
@@ -43,8 +51,6 @@ from rsinf.rs_finite import (
 )
 from rsinf.rs_infinite import (
     Axis,
-    _extract,
-    _stable_margin,
     block_ideal,
     eventually_constant,
     ins,
@@ -251,10 +257,11 @@ def test_a07_window_margins_and_weaving_do_not_change_results():
         if axis is Axis.POS:
             g = star_seq(g)
         res = rs_infinite(g)
-        base = _stable_margin(g)
-        # +1..+3 past the proven margin, twice and four times it, and far out
-        for extra in (1, 2, 3, base, 3 * base, 50):
-            assert _extract(g, base + extra) == res, (blk, extra)
+        base = stable_margin(g)
+        # the explicit window at the proven margin, +1..+3 past it, twice
+        # and four times it, and far out
+        for extra in (0, 1, 2, 3, base, 3 * base, 50):
+            assert explicit_extract(g, base + extra) == res, (blk, extra)
         if not res.underline:
             continue
         for _ in range(5):

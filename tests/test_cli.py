@@ -410,9 +410,9 @@ def test_rs_inf_inserts_once(tmp_path, capsys, monkeypatch, doc, ideal):
         finally:
             depth[0] -= 1
 
-    def counted_extract(g, margin):
+    def counted_extract(g):
         calls["_extract"] += 1
-        return orig_extract(g, margin)
+        return orig_extract(g)
 
     monkeypatch.setattr(ri, "rs_infinite", counted_rs)
     monkeypatch.setattr(cli_mod, "rs_infinite", counted_rs)
@@ -474,16 +474,68 @@ def test_missing_arguments_exit_2(argv):
     assert exc.value.code == 2
 
 
-def test_installed_entry_point():
-    # the child finds the package imported here, installed or not
+def _cli(*argv, timeout=None):
+    """Run the CLI in a child that finds the package imported here,
+    installed or not."""
     pkg_dir = os.path.dirname(os.path.abspath(rsinf.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rsinf.cli", "rs", "2,1"],
+    return subprocess.run(
+        [sys.executable, "-m", "rsinf.cli", *argv],
         env={**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)},
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def test_installed_entry_point():
+    proc = _cli("rs", "2,1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "tableaux": [{"class": "0", "rows": [["2", "1"]]}]
     }
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("classify", "regions"), ("rs-inf", "exceptions"), ("seq-of", "tableaux")],
+)
+def test_deeply_nested_documents_answer_an_error(tmp_path, capsys, command, field):
+    path = tmp_path / "deep.json"
+    path.write_text('{"%s":%s%s}' % (field, "[" * 3000, "]" * 3000))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "the document nests too deeply"}
+
+
+@pytest.mark.parametrize("big", [10**6, 10**18])
+def test_far_window_entries_answer_at_once(tmp_path, big):
+    """A short document with a huge offset answers as a small one does,
+    in a child with a deadline, so a regression fails instead of
+    exhausting memory."""
+    docs = {
+        "omega.json": (
+            "classify",
+            {"regions": [{"type": "omega_star", "tail": "0", "exceptions": [str(big), "3"]}]},
+        ),
+        "zeta.json": (
+            "classify",
+            {"regions": [{"type": "zeta", "left_tail": "0", "exceptions": [str(-big)],
+                          "right_tail": "0"}]},
+        ),
+        "block.json": (
+            "rs-inf",
+            {"axis": "all", "left_tail": "0", "exceptions": [str(-big)], "right_tail": "0"},
+        ),
+    }
+    out = {}
+    for name, (command, doc) in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+        proc = _cli(command, str(tmp_path / name), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        out[name] = json.loads(proc.stdout)
+    assert out["omega.json"]["ideal"] == {"r": 2, "g": 0, "X": [], "Y": []}
+    assert out["zeta.json"]["ideal"] == {"r": 1, "g": 1, "X": [], "Y": []}
+    block = out["block.json"]
+    assert block["first_row"] == {"window": [], "left_law": "0", "right_law": "-1"}
+    assert block["underline"] == [str(-big - 1)]
+    assert block["ideal"] == {"r": 1, "g": 1, "X": [], "Y": []}

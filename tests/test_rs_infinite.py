@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from helpers import rand_block
+from helpers import explicit_extract, rand_block, stable_margin
+from rsinf.classifier import classify, ideal_to_json, parse_spec
 from rsinf.core import FieldElem, elem, parse_elem
 from rsinf.rs_infinite import (
     Axis,
-    _extract,
-    _stable_margin,
     EventuallyConstantSeq,
     StablyDecreasingSeq,
     block_ideal,
@@ -263,9 +262,9 @@ def test_block_ideal_duality():
 def test_single_extraction_matches_a_much_larger_window(blk):
     g = plus_rho(blk)
     res = rs_infinite(g)
-    margin = _stable_margin(g)
+    margin = stable_margin(g)
     for m in (margin + 1, 2 * margin, 4 * margin + 50):
-        assert _extract(g, m) == res, m
+        assert explicit_extract(g, m) == res, m
 
 
 def test_rs_infinite_extracts_once(monkeypatch):
@@ -273,15 +272,71 @@ def test_rs_infinite_extracts_once(monkeypatch):
     orig = ri._extract
     calls = []
 
-    def counted(g, margin):
-        calls.append(margin)
-        return orig(g, margin)
+    def counted(g):
+        calls.append(g)
+        return orig(g)
 
     monkeypatch.setattr(ri, "_extract", counted)
     rng = random.Random(8)
-    for axis in (Axis.NEG, Axis.ALL):
+    for axis in (Axis.NEG, Axis.ALL, Axis.POS):
         for _ in range(20):
             g = plus_rho(rand_block(rng, axis))
             calls.clear()
             rs_infinite(g)
-            assert calls == [_stable_margin(g)]
+            assert calls == [star_seq(g) if axis is Axis.POS else g]
+
+
+_CLASSES = ("", "1/2", "1/3", "a", "b")
+
+
+def _rand_entry(rng, cls, bound):
+    k = rng.randint(-bound, bound)
+    if cls in ("1/2", "1/3"):
+        d = int(cls[-1])
+        return f"{k * d + 1}/{d}"
+    return f"{cls}{k:+d}" if cls else k
+
+
+def _rand_law_block(rng):
+    """A NEG or ALL stably decreasing sequence: laws in an integer,
+    fractional or symbol class, and a window of up to 60 entries mostly in
+    the laws' class, with offsets up to +-30."""
+    bound = rng.choice((3, 8, 30))
+    law = rng.choice(_CLASSES)
+    pool = (law, law, law, rng.choice(_CLASSES), rng.choice(_CLASSES))
+    n = rng.randint(0, rng.choice((4, 12, 60)))
+    window = [_rand_entry(rng, rng.choice(pool), bound) for _ in range(n)]
+    laws = {"left_law": _rand_entry(rng, law, bound)}
+    axis = rng.choice((Axis.NEG, Axis.ALL))
+    if axis is Axis.ALL:
+        laws["right_law"] = _rand_entry(rng, law, bound)
+    return stably_decreasing(axis, window, edge=rng.randint(-5, 5), **laws)
+
+
+def test_implicit_head_matches_the_explicit_window_on_a_seeded_corpus():
+    rng = random.Random(14)
+    for _ in range(2000):
+        g = _rand_law_block(rng)
+        res = rs_infinite(g)
+        margin = stable_margin(g)
+        for m in (margin, margin + 1):
+            assert explicit_extract(g, m) == res, (g, m)
+
+
+@pytest.mark.parametrize("big", [10**6, 10**18])
+def test_far_window_entries_give_the_near_answer(big):
+    """Offsets far from the laws give the answers small ones give."""
+
+    def ideal(region):
+        return ideal_to_json(classify(parse_spec({"regions": [region]})))["ideal"]
+
+    for b in (10, big):
+        omega = ideal({"type": "omega_star", "tail": "0", "exceptions": [str(b), "3"]})
+        assert omega == {"r": 2, "g": 0, "X": [], "Y": []}
+        zeta = ideal({"type": "zeta", "left_tail": "0", "exceptions": [str(-b)], "right_tail": "0"})
+        assert zeta == {"r": 1, "g": 1, "X": [], "Y": []}
+        res = rs_infinite(plus_rho(eventually_constant(
+            Axis.ALL, [-b], left_tail=0, right_tail=0
+        )))
+        assert res.first_row == stably_decreasing(Axis.ALL, (), left_law=0, right_law=-1)
+        assert res.underline == (elem(-b - 1),)
