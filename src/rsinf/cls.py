@@ -12,8 +12,10 @@ condition on intervals, and membership is decided in one pass.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from functools import lru_cache
+from operator import sub
 
 WeightVec = tuple[int, ...]
 
@@ -36,6 +38,23 @@ _SPANS = {
 _UNBOUNDED = ("Linf", "Rinf", "Einf")
 
 
+def _capacities(n: int, factors, bound: int) -> tuple:
+    """Interval capacities at positions 1..n-1 (index 0 unused): left[a],
+    the capacity of the prefix factors that reach a, and right[b], that
+    of the suffix factors that start by b.  A factor (kind, i, m) has
+    capacity m, or m * bound for an unbounded kind."""
+    left, right = [0] * n, [0] * n
+    for kind, i, cap in factors:
+        first, last = _SPANS[kind[0]](i, n)
+        if kind in _UNBOUNDED:
+            cap *= bound
+        if first == 1 <= last:
+            left[last] += cap
+        elif first <= last:
+            right[first] += cap
+    return list(itertools.accumulate(reversed(left)))[::-1], list(itertools.accumulate(right))
+
+
 def _level_set(n: int, factors, bound: int) -> frozenset:
     """Normalized dominant n-vectors whose differences are a sum of one
     vector per factor (kind, i, m), supported on its interval and of
@@ -52,17 +71,7 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
     """
     if n < 2:
         return frozenset({(0,) * n})
-    left, right = [0] * n, [0] * n  # at positions 1..n-1
-    for kind, i, cap in factors:
-        first, last = _SPANS[kind[0]](i, n)
-        if kind in _UNBOUNDED:
-            cap *= bound
-        if first == 1 <= last:
-            left[last] += cap
-        elif first <= last:
-            right[first] += cap
-    left = list(itertools.accumulate(reversed(left)))[::-1]
-    right = list(itertools.accumulate(right))
+    left, right = _capacities(n, factors, bound)
     v, out = [0] * n, []  # v[k - 1] is v_k
     stack = [(n - 1, x, right[-1]) for x in range(left[-1] + right[-1] + 1)]
     while stack:
@@ -107,6 +116,9 @@ class ClsParams:
     Y: tuple[int, ...]
 
     def __post_init__(self):
+        # tuples, so that the parameters hash and an iterator is read once
+        object.__setattr__(self, "X", tuple(self.X))
+        object.__setattr__(self, "Y", tuple(self.Y))
         for x in self.X:
             _int(x, "an entry of X")
         for y in self.Y:
@@ -143,9 +155,11 @@ def factorization(p: ClsParams) -> tuple:
     return (*left, *([("E", 0, p.g)] if p.g else ()), *right)
 
 
-def _check_level(p: ClsParams, n: int):
+def _check_level(p: ClsParams, n: int, given: str = ""):
+    """Refuse a level n at or below r' + len(X) or r'' + len(Y); `given`
+    names the level in the message in place of n."""
     if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
-        raise LevelError(f"level {n} is too small for parameters "
+        raise LevelError(f"level {given or n} is too small for parameters "
                          f"({p.r1},{p.r2},{p.g};{p.X};{p.Y})")
 
 
@@ -172,7 +186,7 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     2i - 1, and each full-step factor the middle step.
     """
     length = 2 * _int(n, "the level")
-    _check_level(p, length)
+    _check_level(p, length, f"{n}, which gamma doubles to {length},")
     total = [0] * length
     for kind, idx, mult in factorization(p):
         # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized
@@ -198,53 +212,48 @@ def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
     return u[-1] == 0 and min(d, default=0) >= 0 and not any(d[r1:max(len(d) - r2, 0)])
 
 
+@lru_cache(maxsize=1024)
+def _member_caps(p: ClsParams, n: int) -> tuple:
+    """(left[a], right[a]) at the positions a = r'+1 .. n-r''-1 that no
+    unbounded factor reaches, so that the entry bound does not matter
+    there.  Built once per (p, n): a caller tests many weights of one
+    parameter tuple at one level."""
+    left, right = _capacities(n, factorization(p), 0)
+    return tuple(zip(left, right))[p.r1 + 1:n - p.r2]
+
+
 def member(p: ClsParams, vec, n: int | None = None) -> bool:
     """Whether the weight lies in the parameter's level set.
 
-    The answer of `vec in cls_level(p, n, max(vec))`, in one pass.  In
-    differences d_k = v_k - v_{k+1}, f_{k,n} is one unit at k, so each
-    finite factor (kind, i, m) supplies up to m units, each on its
-    _SPANS interval, and L-inf/R-inf absorb anything at the free
-    positions (_split_linf_rinf).  A factor may take its zero vector, so
-    v is a member exactly when the finite factors cover d_k at every
-    non-free k: a matching in a convex bipartite graph.
-
-    The sweep gives each unit of demand, left to right, to a factor with
-    units left whose interval ends first (Glover 1967), which is exact.
-    Take a covering allocation that agrees with the sweep up to a unit at
-    k that the sweep gives F and it gives G.  If it spends one of F's
-    remaining units on a later unit at k', then k <= k' <= end(F) <=
-    end(G), so the two units can trade factors; otherwise F has a unit
-    to spare.  Either way it still covers and agrees one unit longer.
+    A weight is read up to a constant, so this is whether vec, shifted to
+    end in 0, lies in `cls_level(p, n, v_1 - v_n)`: that bound truncates
+    no unbounded factor.  L-inf and R-inf take any amount at their free
+    positions k <= r' and k >= n - r'', and reach no other, so by the
+    Hall argument of _level_set v is a member exactly when v_a - v_{b+1}
+    <= left[a] + right[b] for all non-free a <= b.  One pass carries the
+    minimum of left[a] - v_a over a <= b.
     """
-    t = tuple(vec)
-    d = []  # d[k - 1] is the difference at k
-    for k, x in enumerate(t):
+    t, ordered, prev = tuple(vec), True, math.inf
+    for x in t:  # every entry is checked before the order
         if type(x) is not int:
             _int(x, "an entry of the weight")
-        if k:
-            d.append(t[k - 1] - x)
-    if min(d, default=0) < 0:
+        if x > prev:
+            ordered = False
+        prev = x
+    if not ordered:
         raise ValueError(f"{tuple(map(int, t))} is not weakly decreasing")
     if n is None:
         n = len(t)
     elif _int(n, "the level") != len(t):
         raise ValueError(f"vector has length {len(t)}, expected level {n}")
     _check_level(p, n)
-    # [first, last, units left] of each finite factor, earliest last first
-    supply = sorted(
-        ([*_SPANS[kind](i, n), m] for kind, i, m in factorization(p) if kind in _SPANS),
-        key=itemgetter(1),
-    )
-    for k in range(p.r1 + 1, n - p.r2):  # the positions that are not free
-        if d[k - 1]:
-            for s in supply:
-                if s[0] <= k <= s[1]:
-                    take = min(s[2], d[k - 1])
-                    s[2] -= take
-                    d[k - 1] -= take
-    residual = tuple(itertools.accumulate(reversed(d), initial=0))[::-1]
-    return _split_linf_rinf(residual, p.r1, p.r2)
+    low = math.inf
+    for b, (left, right) in enumerate(_member_caps(p, n), p.r1 + 1):
+        if left - t[b - 1] < low:  # t[b - 1] is v_b
+            low = left - t[b - 1]
+        if -t[b] - right > low:
+            return False
+    return True
 
 
 def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:

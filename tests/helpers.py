@@ -6,9 +6,11 @@ import re
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
-from rsinf.cls import factorization
+from rsinf.cls import (
+    _SPANS, ClsParams, _check_level, _int, _split_linf_rinf, factorization,
+)
 from rsinf._kernel import insert_sequence
 from rsinf.core import (
     FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor, same_class,
@@ -328,6 +330,56 @@ def search_member(p, vec):
         return False
 
     return dfs(0, v)
+
+
+def sweep_member(p: ClsParams, vec, n: int | None = None) -> bool:
+    """Membership by an earliest-deadline allocation, with the checks
+    and messages of member: the sweep that the interval test on cached
+    capacities replaced, kept as its oracle.
+
+    In differences d_k = v_k - v_{k+1}, f_{k,n} is one unit at k, so each
+    finite factor (kind, i, m) supplies up to m units, each on its
+    _SPANS interval, and L-inf/R-inf absorb anything at the free
+    positions (_split_linf_rinf).  A factor may take its zero vector, so
+    v is a member exactly when the finite factors cover d_k at every
+    non-free k: a matching in a convex bipartite graph.
+
+    The sweep gives each unit of demand, left to right, to a factor with
+    units left whose interval ends first (Glover 1967), which is exact.
+    Take a covering allocation that agrees with the sweep up to a unit at
+    k that the sweep gives F and it gives G.  If it spends one of F's
+    remaining units on a later unit at k', then k <= k' <= end(F) <=
+    end(G), so the two units can trade factors; otherwise F has a unit
+    to spare.  Either way it still covers and agrees one unit longer.
+    """
+    t = tuple(vec)
+    d = []  # d[k - 1] is the difference at k
+    for k, x in enumerate(t):
+        if type(x) is not int:
+            _int(x, "an entry of the weight")
+        if k:
+            d.append(t[k - 1] - x)
+    if min(d, default=0) < 0:
+        raise ValueError(f"{tuple(map(int, t))} is not weakly decreasing")
+    if n is None:
+        n = len(t)
+    elif _int(n, "the level") != len(t):
+        raise ValueError(f"vector has length {len(t)}, expected level {n}")
+    _check_level(p, n)
+    # [first, last, units left] of each finite factor, earliest last first
+    supply = sorted(
+        ([*_SPANS[kind](i, n), m] for kind, i, m in factorization(p) if kind in _SPANS),
+        key=itemgetter(1),
+    )
+    for k in range(p.r1 + 1, n - p.r2):  # the positions that are not free
+        if d[k - 1]:
+            for s in supply:
+                if s[0] <= k <= s[1]:
+                    take = min(s[2], d[k - 1])
+                    s[2] -= take
+                    d[k - 1] -= take
+    residual = tuple(itertools.accumulate(reversed(d), initial=0))[::-1]
+    return _split_linf_rinf(residual, p.r1, p.r2)
 
 
 def bounded_dominant(n, bound):

@@ -450,6 +450,15 @@ def test_cls_gamma_line(capsys):
     assert out == "3,3,0,0\n"
 
 
+def test_cls_gamma_level_error_names_the_given_level(capsys):
+    # gamma works at level 2n, and the error names the n it was given
+    code, out = run(capsys, "cls-gamma", "0,0,1;;", "--level=-2")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "level -2, which gamma doubles to -4, is too small for parameters (0,0,1;();())"
+    }
+
+
 def test_cls_member(capsys):
     code, out = run(capsys, "cls-member", "0,0,0;2,1;", "2,1,0")
     assert code == 0

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from helpers import (
     normalize,
     product_cls_level,
     search_member,
+    sweep_member,
 )
 from rsinf.cls import (
     ClsParams,
@@ -141,6 +143,41 @@ def test_q_union_covers_both_splits():
     assert (2, 0, 0) in lv
     assert (2, 2, 0) in lv
     assert (2, 1, 0) not in lv
+
+
+def test_params_built_from_lists_hash():
+    # a frozen dataclass hashes its fields, so X and Y must be stored as tuples
+    p = ClsParams(0, 0, 1, [2, 1], [])
+    assert (p.X, p.Y) == ((2, 1), ())
+    assert isinstance(hash(p), int)
+    assert member(p, (3, 1, 0)) and not member(p, (4, 0, 0))
+
+
+def test_params_read_an_iterator_once():
+    # the checks run on the stored tuple, so an iterator is read once
+    p = ClsParams(0, 0, 1, iter([2, 1]), iter([1]))
+    assert (p.X, p.Y) == ((2, 1), (1,))
+    with pytest.raises(ValueError, match="X must be weakly decreasing"):
+        ClsParams(0, 0, 0, iter([1, 2]), ())
+    with pytest.raises(TypeError, match="an entry of X must be an integer, not 0.5"):
+        ClsParams(0, 0, 0, iter([1, 0.5]), ())
+
+
+def test_params_from_lists_equal_and_hash_like_cls_params():
+    q, p = ClsParams(1, 0, 2, [2, 1], [3]), cls_params(1, 0, 2, (2, 1), (3,))
+    assert q == p and hash(q) == hash(p)
+    assert len({q, p}) == 1
+
+
+def test_gamma_level_error_names_the_given_level():
+    # gamma works at level 2n, and the message names the n it was given
+    p = cls_params(0, 0, 1)
+    with pytest.raises(LevelError, match=(
+            r"^level -2, which gamma doubles to -4, is too small for parameters \(0,0,1;\(\);\(\)\)$")):
+        gamma(p, -2)
+    with pytest.raises(LevelError, match=r"^level 2, which gamma doubles to 4, is too small"):
+        gamma(cls_params(2, 0, 0, (1, 1, 1)), 2)
+    assert gamma(p, 1) == (1, 0)
 
 
 def test_gamma_fixtures():
@@ -301,9 +338,11 @@ def test_member_matches_enumerated_level_beyond_the_acceptance_grid():
     assert answers.count(False) > 1000
 
 
-def test_member_makes_one_split_and_no_level_enumeration(monkeypatch):
+def test_member_builds_capacities_once_per_tuple_and_level(monkeypatch):
+    # no level enumeration and no split; factorization runs once per
+    # distinct (p, n), though each call gets an equal but distinct p
     cls = importlib.import_module("rsinf.cls")
-    calls = {"split": 0, "basic_level": 0}
+    calls = Counter()
 
     def counting(name, orig):
         def wrapped(*args):
@@ -312,17 +351,92 @@ def test_member_makes_one_split_and_no_level_enumeration(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(cls, "_split_linf_rinf", counting("split", cls._split_linf_rinf))
-    monkeypatch.setattr(cls, "basic_level", counting("basic_level", cls.basic_level))
+    for name in ("_split_linf_rinf", "basic_level", "_level_set", "factorization"):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    cls._member_caps.cache_clear()
     rng = random.Random(9)
-    for _ in range(200):
+    keys = set()
+    while len(keys) < 30:
         p = _rand_params(rng)
-        n = rng.randint(1, 8)
+        n = rng.randint(1, 9)
         if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
             continue
-        calls.update(split=0, basic_level=0)
-        member(p, _rand_weight(rng, n, 6))
-        assert calls == {"split": 1, "basic_level": 0}, p
+        for _ in range(62):
+            q = ClsParams(p.r1, p.r2, p.g, list(p.X), list(p.Y))
+            assert q == p and q is not p
+            member(q, _rand_weight(rng, n, 6))
+        keys.add((p, n))
+    assert calls == {"factorization": len(keys)}
+
+
+def _outcome(f, *args):
+    """What f(*args) returned, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _rand_shifted_weight(rng, n):
+    """A weakly decreasing n-vector with entries in -6..8: it need not end
+    in 0, and its entries may be negative."""
+    return tuple(sorted((rng.randint(-6, 8) for _ in range(n)), reverse=True))
+
+
+_ERROR_KINDS = (
+    ("type", "must be an integer"),
+    ("order", "is not weakly decreasing"),
+    ("length", "expected level"),
+    ("level", "is too small"),
+)
+
+
+def test_member_matches_sweep_and_search_on_a_seeded_corpus():
+    # levels up to 9, g <= 3, weights read up to a constant, and every
+    # error path: entry type, order, length and level
+    rng = random.Random(15)
+    answers, errors = Counter(), Counter()
+    for _ in range(500):
+        p = _rand_params(rng, r=3, g=3, parts=3, size=3)
+        n = rng.randint(0, 9)
+        v = _rand_shifted_weight(rng, n)
+        cases = [(v,), (v, n), (v, n + 1), (list(v) + [0.5],), (v, float(n))]
+        if n:
+            k = rng.randrange(n)
+            cases.append((v[:k] + (rng.choice([2.5, True, "3", None]),) + v[k + 1:],))
+        if n >= 2:
+            cases.append((v[::-1] if v[0] != v[-1] else v[:-1] + (v[-1] + 1,),))
+        for args in cases:
+            got = _outcome(member, p, *args)
+            assert got == _outcome(sweep_member, p, *args), (p, args)
+            if isinstance(got, bool):
+                answers[got] += 1
+                assert got == search_member(p, args[0]), (p, args)
+            else:
+                errors[next(kind for kind, text in _ERROR_KINDS if text in got[1])] += 1
+    assert answers[True] > 200 and answers[False] > 200
+    assert min(errors[kind] for kind, _ in _ERROR_KINDS) > 100, errors
+
+
+def test_member_reads_a_weight_up_to_a_constant():
+    # vec is a member exactly when vec shifted to end in 0 lies in the
+    # level set truncated at v_1 - v_n; the unshifted vec need not
+    p = cls_params(1, 0, 0)
+    assert member(p, (9, 2, 2)) and (7, 0, 0) in cls_level(p, 3, 7)
+    assert (9, 2, 2) not in cls_level(p, 3, 9)
+    assert member(p, (-1, -8, -8)) and not member(p, (-1, -7, -8))
+    rng = random.Random(16)
+    levels = {}
+    for _ in range(400):
+        p = _rand_params(rng, r=2, g=2, parts=2, size=2)
+        n = rng.randint(1, 5)
+        if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
+            continue
+        v = _rand_shifted_weight(rng, n)
+        u = normalize(v)
+        if (p, n, u[0]) not in levels:
+            levels[p, n, u[0]] = cls_level(p, n, u[0])
+        assert member(p, v) == (u in levels[p, n, u[0]]), (p, v)
 
 
 def test_level_sets_hold_normalized_dominant_vectors():
