@@ -14,9 +14,11 @@ import re
 import sys
 
 from . import classifier, cls
-from .core import FieldElem, Tableau, TableauFamily, _field, parse_elem, parse_elems, parse_entry
+from .core import (
+    FieldElem, Tableau, TableauFamily, _field, _parse_int, parse_elem, parse_elems, parse_entry,
+)
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
-from .rs_infinite import Axis, _ideal_of, eventually_constant, plus_rho, rs_infinite
+from .rs_infinite import Axis, block_ideal, eventually_constant, plus_rho, rs_infinite
 
 
 def _parse_seq(text: str):
@@ -108,7 +110,7 @@ def _cmd_rs_inf(args) -> int:
     )
     block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)
     res = rs_infinite(plus_rho(block))
-    r, g, x, y = _ideal_of(block, res)
+    r, g, x, y = block_ideal(block)
     row = res.first_row
     row_json = {"window": [str(v) for v in row.window]}
     if row.left_law is not None:
@@ -137,10 +139,19 @@ def _parse_params(text: str) -> cls.ClsParams:
     nums = parts[0].split(",")
     if len(nums) != 3:
         raise ValueError("the first group must be r',r'',g")
-    r1, r2, g = (int(x) for x in nums)
-    x = tuple(int(v) for v in parts[1].split(",") if v.strip())
-    y = tuple(int(v) for v in parts[2].split(",") if v.strip())
+    r1, r2, g = map(_parse_int, nums, ("r'", "r''", "g"))
+    x = tuple(_parse_int(v, "an entry of X") for v in parts[1].split(",") if v.strip())
+    y = tuple(_parse_int(v, "an entry of Y") for v in parts[2].split(",") if v.strip())
     return cls.cls_params(r1, r2, g, x, y)
+
+
+def _int_option(text: str) -> int:
+    """The argparse type of the integer options: argparse names the
+    option and exits 2."""
+    try:
+        return _parse_int(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _print_vectors(vecs) -> int:
@@ -162,7 +173,9 @@ def _cmd_cls_gamma(args) -> int:
 
 def _cmd_cls_member(args) -> int:
     p = _parse_params(args.params)
-    vec = tuple(int(x) for x in args.vector.split(","))
+    text = args.vector.strip()
+    # an empty vector is the weight of level 0
+    vec = tuple(_parse_int(v, "an entry of the weight") for v in text.split(",")) if text else ()
     return _emit({"member": cls.member(p, vec)})
 
 
@@ -205,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument("--shifted", action="store_true")
     p.add_argument(
-        "--k", type=int, default=None,
+        "--k", type=_int_option, default=None,
         help="also report whether the shifted insertions agree after adding k",
     )
     p.set_defaults(func=_cmd_interchange)
@@ -216,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cls-level", help="level set of annihilator parameters")
     p.add_argument("params", help="\"r',r'',g;X;Y\"")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--level", type=_int_option, required=True)
+    p.add_argument("--bound", type=_int_option, required=True)
     p.set_defaults(func=_cmd_cls_level)
 
     p = sub.add_parser("cls-gamma", help="distinguished weight at doubled level")
     p.add_argument("params")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_option, required=True)
     p.set_defaults(func=_cmd_cls_gamma)
 
     p = sub.add_parser("cls-member", help="test level-set membership")

@@ -161,6 +161,15 @@ _FRAC_RE = re.compile(r"([+-]?[0-9]+)/([+-]?[0-9]+)")
 _SYM_RE = re.compile(rf"({_SYMBOL_RE.pattern})([+-][0-9]+)?")
 
 
+def _parse_int(text: str, what: str) -> int:
+    """Read an ASCII integer literal, ignoring whitespace around it as
+    parse_elem does; the error names the field `what`."""
+    s = text.strip()
+    if not _INT_RE.fullmatch(s):
+        raise ValueError(f"{what} must be an integer, not {text!r}")
+    return int(s)
+
+
 def parse_elem(text: str) -> FieldElem:
     """Parse a literal: INT, INT/INT, SYM, SYM+INT, or SYM-INT.
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from itertools import chain
 
 from .core import FieldElem, Tableau, TableauFamily, as_partition, elem, same_anchor
 from .rs_finite import insert_by_class, seq_of
@@ -278,8 +280,13 @@ class InfiniteRSResult:
         return len(self.underline)
 
 
-def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
-    """Insert a NEG or ALL g, laws included, and read off the result.
+# row 1 of the law class, an iterator over the entries the finite
+# insertion takes, in order, and r, their number
+_RowOne = namedtuple("_RowOne", "first_row entries r")
+
+
+def _row_one(g: StablyDecreasingSeq) -> _RowOne:
+    """Read row 1 of a NEG or ALL g, laws included, and count the rest.
 
     Only row 1 of the law class is infinite.  The left law (offset l)
     inserts ..., h + 1, h with h = l - first + 1, so row 1 is the head
@@ -293,12 +300,19 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
     drop largest first (the head's t..h when t >= h, then the tail of
     ``below``) and the law ends row 1.  The drops reach row 2 in that
     order, and the other classes occur only in the window, so one finite
-    insertion gives every finite row.  Row 1 holds the head's v at
-    position l - v: on NEG it ends at the edge, so its left law is
-    h + edge - len(below); on ALL the rest of ``below`` starts after the
-    smallest head entry kept, max(h, t + 1), and t follows it.
+    insertion of the entries gives every finite row.  Row 1 holds the
+    head's v at position l - v: on NEG it ends at the edge, so its left
+    law is h + edge - len(below); on ALL the rest of ``below`` starts
+    after the smallest head entry kept, max(h, t + 1), and t follows it.
+
+    Insertion keeps every box, so r is a count: the window's drops, the
+    max(t - h + 1, 0) head drops, the tail of ``below`` and the other
+    classes.  The head drops stay a ``range``, so reading row 1 and r
+    costs time linear in the window however far apart the laws lie.
     """
     law = g.left_law
+    if g.axis is Axis.ALL and not same_anchor(law.anchor, g.right_law.anchor):
+        raise ValueError("the two tails lie in different integrality classes")
     first = _first(g.axis, g.edge, len(g.window))
     h = law.offset - first + 1
 
@@ -318,13 +332,14 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
             else:
                 dropped.append(at(-below[i]))
                 below[i] = -e.offset
+    r = len(dropped) + len(others)
     if g.axis is Axis.NEG:
         edge, left_law, right_law = g.edge, at(h + g.edge - len(below)), None
     else:
         t = g.right_law.offset - (first + len(g.window))
-        dropped.extend(map(at, range(t, h - 1, -1)))
         k = bisect_left(below, -t)
-        dropped.extend(at(-key) for key in below[k:])
+        dropped = chain(dropped, map(at, range(t, h - 1, -1)), [at(-key) for key in below[k:]])
+        r += max(t - h + 1, 0) + len(below) - k
         del below[k:]
         edge = law.offset - max(h, t + 1) + 1
         left_law, right_law = law, at(t + edge + len(below))
@@ -332,13 +347,20 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
         g.axis, [at(-key) for key in below], edge=edge,
         left_law=left_law, right_law=right_law,
     )
+    return _RowOne(first_row, chain(dropped, others), r)
 
-    tableaux = insert_by_class(dropped + others)
-    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, law.anchor)), ())
+
+def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
+    """Insert a NEG or ALL g: row 1 from _row_one, and the entries it
+    names inserted one class at a time for the finite rows."""
+    first_row, entries, _ = _row_one(g)
+    tableaux = insert_by_class(entries)
+    law = g.left_law.anchor
+    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, law)), ())
     finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law.anchor))
+        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law))
     ).tableaux
-    law_tab = (Tableau(law.anchor, lower_rows),) if lower_rows else ()
+    law_tab = (Tableau(law, lower_rows),) if lower_rows else ()
     underline = seq_of(law_tab + finite)
     return InfiniteRSResult(g.axis, first_row, lower_rows, finite, underline)
 
@@ -347,7 +369,7 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     """Insert an infinite stably decreasing sequence.
 
     NEG and ALL inputs are inserted directly, the left law kept as the
-    implicit head of row 1 (see _extract), at a cost linear in the window
+    implicit head of row 1 (see _row_one), at a cost linear in the window
     plus r.  A POS input is computed through its mirror and the pieces
     are mirrored back.
     """
@@ -358,8 +380,6 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
         return InfiniteRSResult(
             Axis.POS, row, m.lower_rows, m.finite_tableaux, underline, mirrored=True
         )
-    if g.axis is Axis.ALL and not same_anchor(g.left_law.anchor, g.right_law.anchor):
-        raise ValueError("the two tails lie in different integrality classes")
     return _extract(g)
 
 
@@ -368,7 +388,8 @@ def partition_from_row(
 ) -> tuple[int, ...]:
     """Deviations of a NEG first row from its far-left law, read from
     the domain end inward; the law anchor is h_minus plus the number of
-    displaced elements."""
+    displaced elements.  Only ``result.first_row`` and, when r is not
+    given, ``result.r`` are read."""
     h = elem(h_minus)
     if r is None:
         r = result.r
@@ -397,28 +418,23 @@ def partition_from_row(
 
 
 def block_ideal(block: EventuallyConstantSeq) -> tuple:
-    """The four annihilator statistics (r, g, X, Y) of one block."""
-    return _ideal_of(block, rs_infinite(plus_rho(block)))
+    """The four annihilator statistics (r, g, X, Y) of one block.
 
-
-def _ideal_of(block: EventuallyConstantSeq, res: InfiniteRSResult) -> tuple:
-    """(r, g, X, Y) of block read off res = rs_infinite(plus_rho(block))."""
-    if block.axis is Axis.NEG:
-        y = partition_from_row(res, block.left_tail)
-        return (res.r, 0, (), y)
+    They are read off row 1 of the law class alone (_row_one), and r is
+    the count of the entries the finite insertion takes: nothing is
+    inserted.  A POS block is read through its mirror, as rs_infinite
+    reads it: its r and X are the r and Y of star_seq(block).
+    """
     if block.axis is Axis.POS:
-        # star_seq(plus_rho(block)) == plus_rho(star_seq(block)), so the
-        # mirrored first row is the NEG row of the mirrored block, whose
-        # left tail is the negated right tail
-        mirror = replace(res, axis=Axis.NEG, first_row=star_seq(res.first_row))
-        x = partition_from_row(mirror, block.right_tail.negate())
-        return (res.r, 0, x, ())
-    row = res.first_row
-    if not same_anchor(row.left_law.anchor, row.right_law.anchor):
-        raise ValueError("two-sided block with tails in different classes")
+        r, _, _, x = block_ideal(star_seq(block))
+        return (r, 0, x, ())
+    row_one = _row_one(plus_rho(block))
+    if block.axis is Axis.NEG:
+        return (row_one.r, 0, (), partition_from_row(row_one, block.left_tail))
+    row = row_one.first_row
     gdeg = row.left_law.offset - row.right_law.offset
     if gdeg < 0:
         raise AssertionError(
             f"negative degree {gdeg} extracted from a two-sided block"
         )
-    return (res.r, gdeg, (), ())
+    return (row_one.r, gdeg, (), ())

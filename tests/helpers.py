@@ -5,6 +5,7 @@ import itertools
 import re
 from bisect import bisect_right
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from operator import add, itemgetter
 
@@ -18,7 +19,7 @@ from rsinf.core import (
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, insert_by_class, seq_of
 from rsinf.rs_infinite import (
     Axis, EventuallyConstantSeq, InfiniteRSResult, StablyDecreasingSeq, _first,
-    eventually_constant, stably_decreasing,
+    eventually_constant, partition_from_row, stably_decreasing, star_seq,
 )
 
 ANCHORS = (Fraction(0), "a", "b")
@@ -152,6 +153,38 @@ def rand_block(rng, axis, max_exc=5, lo=-6, hi=6):
         left_tail=rng.randint(lo, hi),
         right_tail=rng.randint(lo, hi),
     )
+
+
+def rand_entry(rng, cls, bound):
+    """An entry of class cls ("" for the integers, "1/2", "1/3" or a
+    symbol) with offset up to +-bound: an int or a literal."""
+    k = rng.randint(-bound, bound)
+    if cls in ("1/2", "1/3"):
+        d = int(cls[-1])
+        return f"{k * d + 1}/{d}"
+    return f"{cls}{k:+d}" if cls else k
+
+
+def rand_block_doc(rng):
+    """An rs-inf block document: a NEG, POS or ALL block with tails in an
+    integer, fractional or symbol class, up to 10^3 apart, and one ALL
+    block in ten with its tails in two classes; the window has up to 30
+    entries, mostly in the tails' class, with offsets up to +-30."""
+    classes = ("", "1/2", "1/3", "a", "-b")
+    law = rng.choice(classes)
+    pool = (law, law, law, rng.choice(classes), rng.choice(classes))
+    n = rng.randint(0, rng.choice((4, 12, 30)))
+    doc = {
+        "axis": rng.choice(("neg", "pos", "all")),
+        "exceptions": [rand_entry(rng, rng.choice(pool), 30) for _ in range(n)],
+    }
+    bound = rng.choice((3, 30, 500))
+    if doc["axis"] != "pos":
+        doc["left_tail"] = rand_entry(rng, law, bound)
+    if doc["axis"] != "neg":
+        other = rng.choice(classes) if rng.random() < 0.1 else law
+        doc["right_tail"] = rand_entry(rng, other, bound)
+    return doc
 
 
 def bfs_connected(f, g, shifted=False):
@@ -502,3 +535,30 @@ def stable_margin(g: StablyDecreasingSeq) -> int:
             d = max(d, (right - w_hi) - min(same) + 1)
         d = max(d, right - left.offset + 1)
     return d
+
+
+def ideal_of(block: EventuallyConstantSeq, res: InfiniteRSResult) -> tuple:
+    """(r, g, X, Y) of block read off res = rs_infinite(plus_rho(block)).
+
+    block_ideal as it was: it read the statistics off the full insertion,
+    and POS through the mirror of the mirrored first row.  Kept as the
+    oracle of block_ideal, which reads them off row 1 alone."""
+    if block.axis is Axis.NEG:
+        y = partition_from_row(res, block.left_tail)
+        return (res.r, 0, (), y)
+    if block.axis is Axis.POS:
+        # star_seq(plus_rho(block)) == plus_rho(star_seq(block)), so the
+        # mirrored first row is the NEG row of the mirrored block, whose
+        # left tail is the negated right tail
+        mirror = replace(res, axis=Axis.NEG, first_row=star_seq(res.first_row))
+        x = partition_from_row(mirror, block.right_tail.negate())
+        return (res.r, 0, x, ())
+    row = res.first_row
+    if not same_anchor(row.left_law.anchor, row.right_law.anchor):
+        raise ValueError("two-sided block with tails in different classes")
+    gdeg = row.left_law.offset - row.right_law.offset
+    if gdeg < 0:
+        raise AssertionError(
+            f"negative degree {gdeg} extracted from a two-sided block"
+        )
+    return (res.r, gdeg, (), ())

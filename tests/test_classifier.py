@@ -1,4 +1,5 @@
 import enum
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -31,7 +32,7 @@ from rsinf.classifier import (
 )
 from rsinf.core import FieldElem, elem
 from rsinf.rs_finite import rs
-from rsinf.rs_infinite import Axis, block_ideal
+from rsinf.rs_infinite import Axis, block_ideal, eventually_constant, plus_rho, rs_infinite
 
 
 def test_region_factories_coerce():
@@ -243,6 +244,38 @@ def test_classify_makes_no_enum_hash_call(monkeypatch):
     assert seen == 0
     assert {type(o) for o in outs} == {ProperIdeal, ZeroIdeal}
     assert {hash(a) for a in Axis} == {object.__hash__(a) for a in Axis}
+
+
+def test_classify_inserts_nothing(monkeypatch):
+    """classify reads each block off row 1 of the law class: it makes no
+    finite insertion, no kernel call and no tableau, however far apart
+    the tails lie."""
+    ri = importlib.import_module("rsinf.rs_infinite")
+    rf = importlib.import_module("rsinf.rs_finite")
+    specs = [_random_spec(random.Random(f"no-insertion-{i}")) for i in range(200)]
+    specs.append(parse_spec(
+        {"regions": [{"type": "zeta", "left_tail": "0", "exceptions": ["3"], "right_tail": "90"}]}
+    ))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((ri, "insert_by_class"), (ri, "seq_of"), (ri, "Tableau"),
+                      (ri, "TableauFamily"), (rf, "insert_sequence")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    outs = [classify(s) for s in specs]
+    seen = list(calls)
+    # the counters see the insertion rs_infinite makes
+    rs_infinite(plus_rho(eventually_constant(Axis.NEG, [3, 1], left_tail=0)))
+    assert {"insert_by_class", "seq_of", "Tableau", "TableauFamily", "insert_sequence"} <= set(calls)
+    monkeypatch.undo()
+    assert seen == []
+    assert outs[-1] == ProperIdeal(90, 0, (), ())
+    assert any(isinstance(o, ProperIdeal) and o.r > 0 for o in outs[:-1])
 
 
 # integer tails, symbol exceptions next to them and inside the windows

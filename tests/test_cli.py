@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsinf
+from helpers import rand_block_doc
 from rsinf.cli import main
+from rsinf.rs_infinite import Axis, block_ideal, eventually_constant
 
 
 def run(capsys, *argv):
@@ -425,6 +428,31 @@ def test_rs_inf_inserts_once(tmp_path, capsys, monkeypatch, doc, ideal):
     assert json.loads(out)["ideal"] == ideal
 
 
+def test_rs_inf_r_counts_the_underline_on_a_seeded_corpus(tmp_path, capsys):
+    """rs-inf prints the r of the insertion, its underline, and the ideal
+    block_ideal reads off row 1 alone; the three agree."""
+    rng = random.Random(16)
+    path = tmp_path / "block.json"
+    answered = 0
+    for _ in range(300):
+        doc = rand_block_doc(rng)
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "rs-inf", str(path))
+        data = json.loads(out)
+        blk = eventually_constant(
+            Axis(doc["axis"]), doc["exceptions"],
+            left_tail=doc.get("left_tail"), right_tail=doc.get("right_tail"),
+        )
+        if code:
+            with pytest.raises(ValueError) as exc:
+                block_ideal(blk)
+            assert data == {"error": str(exc.value)}
+            continue
+        answered += 1
+        assert data["r"] == len(data["underline"]) == data["ideal"]["r"] == block_ideal(blk)[0]
+    assert answered > 250
+
+
 def test_cls_level_lines(capsys):
     code, out = run(capsys, "cls-level", "0,0,0;;1", "--level=3", "--bound=5")
     assert code == 0
@@ -483,6 +511,51 @@ def test_missing_arguments_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cls-member", "0,0,0;;", "2,1.0,0"], "an entry of the weight must be an integer, not '1.0'"),
+        (["cls-member", "0,0,0;;", "2,,0"], "an entry of the weight must be an integer, not ''"),
+        (["cls-member", "0,0,0;;", ""], "level 0 is too small for parameters (0,0,0;();())"),
+        (["cls-member", "x,0,0;;", "1"], "r' must be an integer, not 'x'"),
+        (["cls-level", "0,1_0,0;;", "--level=3", "--bound=5"],
+         "r'' must be an integer, not '1_0'"),
+        (["cls-level", "0,0,\u0661;;", "--level=3", "--bound=5"],
+         "g must be an integer, not '\u0661'"),
+        (["cls-gamma", "0,0,0;2.5;", "--level=3"], "an entry of X must be an integer, not '2.5'"),
+        (["cls-gamma", "0,0,0;;1,\u0661", "--level=3"],
+         "an entry of Y must be an integer, not '\u0661'"),
+    ],
+)
+def test_malformed_numbers_name_their_field(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["cls-level", "0,0,0;;", "--level", "\u0663", "--bound", "1"], "--level"),
+        (["cls-level", "0,0,0;;", "--level", "3", "--bound", "1_0"], "--bound"),
+        (["cls-gamma", "0,0,0;;", "--level", "3.0"], "--level"),
+        (["interchange", "1,2", "2,1", "--k", "\u0663"], "--k"),
+    ],
+)
+def test_malformed_integer_options_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: the value must be an integer, not " in capsys.readouterr().err
+
+
+def test_integers_may_carry_spaces(capsys):
+    code, out = run(capsys, "cls-level", " 0 ,0,0;;1", "--level= 3 ", "--bound=5")
+    assert (code, out) == (0, "1,1,0\n0,0,0\n")
+    code, out = run(capsys, "cls-member", "0,0,0;2,1;", " 2 , 1,0 ")
+    assert (code, out) == (0, '{"member":true}\n')
+
+
 def _cli(*argv, timeout=None):
     """Run the CLI in a child that finds the package imported here,
     installed or not."""
@@ -531,6 +604,12 @@ def test_far_window_entries_answer_at_once(tmp_path, big):
             {"regions": [{"type": "zeta", "left_tail": "0", "exceptions": [str(-big)],
                           "right_tail": "0"}]},
         ),
+        # a right tail far above the left one
+        "far.json": (
+            "classify",
+            {"regions": [{"type": "zeta", "left_tail": "0", "exceptions": [],
+                          "right_tail": str(big)}]},
+        ),
         "block.json": (
             "rs-inf",
             {"axis": "all", "left_tail": "0", "exceptions": [str(-big)], "right_tail": "0"},
@@ -544,6 +623,7 @@ def test_far_window_entries_answer_at_once(tmp_path, big):
         out[name] = json.loads(proc.stdout)
     assert out["omega.json"]["ideal"] == {"r": 2, "g": 0, "X": [], "Y": []}
     assert out["zeta.json"]["ideal"] == {"r": 1, "g": 1, "X": [], "Y": []}
+    assert out["far.json"]["ideal"] == {"r": big, "g": 0, "X": [], "Y": []}
     block = out["block.json"]
     assert block["first_row"] == {"window": [], "left_law": "0", "right_law": "-1"}
     assert block["underline"] == [str(-big - 1)]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import explicit_extract, rand_block, stable_margin
+from helpers import explicit_extract, ideal_of, rand_block, rand_block_doc, rand_entry, stable_margin
 from rsinf.classifier import classify, ideal_to_json, parse_spec
 from rsinf.core import FieldElem, elem, parse_elem
 from rsinf.rs_infinite import (
@@ -289,14 +289,6 @@ def test_rs_infinite_extracts_once(monkeypatch):
 _CLASSES = ("", "1/2", "1/3", "a", "b")
 
 
-def _rand_entry(rng, cls, bound):
-    k = rng.randint(-bound, bound)
-    if cls in ("1/2", "1/3"):
-        d = int(cls[-1])
-        return f"{k * d + 1}/{d}"
-    return f"{cls}{k:+d}" if cls else k
-
-
 def _rand_law_block(rng):
     """A NEG or ALL stably decreasing sequence: laws in an integer,
     fractional or symbol class, and a window of up to 60 entries mostly in
@@ -305,11 +297,11 @@ def _rand_law_block(rng):
     law = rng.choice(_CLASSES)
     pool = (law, law, law, rng.choice(_CLASSES), rng.choice(_CLASSES))
     n = rng.randint(0, rng.choice((4, 12, 60)))
-    window = [_rand_entry(rng, rng.choice(pool), bound) for _ in range(n)]
-    laws = {"left_law": _rand_entry(rng, law, bound)}
+    window = [rand_entry(rng, rng.choice(pool), bound) for _ in range(n)]
+    laws = {"left_law": rand_entry(rng, law, bound)}
     axis = rng.choice((Axis.NEG, Axis.ALL))
     if axis is Axis.ALL:
-        laws["right_law"] = _rand_entry(rng, law, bound)
+        laws["right_law"] = rand_entry(rng, law, bound)
     return stably_decreasing(axis, window, edge=rng.randint(-5, 5), **laws)
 
 
@@ -340,3 +332,33 @@ def test_far_window_entries_give_the_near_answer(big):
         )))
         assert res.first_row == stably_decreasing(Axis.ALL, (), left_law=0, right_law=-1)
         assert res.underline == (elem(-b - 1),)
+        # a right tail far above the left one: row 1 drops b head entries
+        zeta = ideal({"type": "zeta", "left_tail": "0", "exceptions": [], "right_tail": str(b)})
+        assert zeta == {"r": b, "g": 0, "X": [], "Y": []}
+        blk = eventually_constant(Axis.ALL, [], left_tail=0, right_tail=b)
+        assert block_ideal(blk) == (b, 0, (), ())
+
+
+def _answer(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_block_ideal_matches_the_full_insertion_on_a_seeded_corpus():
+    """block_ideal reads row 1 alone; the oracle reads the statistics off
+    the full insertion, POS through the mirror of the mirrored row."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(1500):
+        doc = rand_block_doc(rng)
+        blk = eventually_constant(
+            Axis(doc["axis"]), doc["exceptions"], edge=rng.randint(-5, 5),
+            left_tail=doc.get("left_tail"), right_tail=doc.get("right_tail"),
+        )
+        want = _answer(lambda: ideal_of(blk, rs_infinite(plus_rho(blk))))
+        assert _answer(block_ideal, blk) == want, blk
+        seen.add((blk.axis, want[0] is ValueError))
+    assert seen == {(Axis.NEG, False), (Axis.POS, False), (Axis.ALL, False), (Axis.ALL, True)}
