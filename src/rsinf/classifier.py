@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Union, get_origin, get_type_hints
 
-from .core import FieldElem, _field, elem, parse_elems, parse_entry
+from .core import FieldElem, _field, elem, elems, parse_elems, parse_entry
 from .rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -71,21 +71,19 @@ _STRETCHES = {
 
 
 def finite(*values) -> Finite:
-    return Finite(tuple(elem(v) for v in values))
+    return Finite(elems(values))
 
 
 def omega(exceptions, tail) -> Omega:
-    return Omega(tuple(elem(v) for v in exceptions), elem(tail))
+    return Omega(elems(exceptions), elem(tail))
 
 
 def omega_star(tail, exceptions) -> OmegaStar:
-    return OmegaStar(elem(tail), tuple(elem(v) for v in exceptions))
+    return OmegaStar(elem(tail), elems(exceptions))
 
 
 def zeta(left_tail, exceptions, right_tail) -> Zeta:
-    return Zeta(
-        elem(left_tail), tuple(elem(v) for v in exceptions), elem(right_tail)
-    )
+    return Zeta(elem(left_tail), elems(exceptions), elem(right_tail))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import sys
 
 from . import classifier, cls
 from .core import (
-    FieldElem, Tableau, TableauFamily, _field, _parse_int, parse_elem, parse_elems, parse_entry,
+    FieldElem, Tableau, TableauFamily, _digits, _field, _parse_int, parse_elem, parse_elems,
+    parse_entry,
 )
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
 from .rs_infinite import Axis, block_ideal, eventually_constant, plus_rho, rs_infinite
@@ -43,10 +44,14 @@ def _emit(obj) -> int:
     return 0
 
 
+def _json_int(text: str) -> int:
+    return _digits(text, "an integer in the document")
+
+
 def _load(path: str):
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError("the document nests too deeply") from None
 
@@ -92,16 +97,14 @@ def _cmd_interchange(args) -> int:
     return _emit(out)
 
 
-_AXES = {"neg": Axis.NEG, "pos": Axis.POS, "all": Axis.ALL}
-
-
 def _cmd_rs_inf(args) -> int:
     data = _load(args.block)
     shape = "a block document is an object with an 'axis' field"
     name = _field(data, "axis", shape)
-    axis = _AXES.get(name) if isinstance(name, str) else None
-    if axis is None:
-        raise ValueError(f"unknown axis {name!r}; use neg, pos or all")
+    try:
+        axis = Axis(name)
+    except ValueError:
+        raise ValueError(f"unknown axis {name!r}; use neg, pos or all") from None
     window = parse_elems(_field(data, "exceptions", shape, default=()), "'exceptions'")
     # an absent tail is None; a present one, null included, is an entry
     lt, rt = (

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
+from .core import _int
+
 WeightVec = tuple[int, ...]
 
 
@@ -97,14 +99,18 @@ def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
     """
     if kind not in _SPANS and kind not in _UNBOUNDED:
         raise ValueError(f"unknown family kind {kind!r}")
+    _int(i, "the family index i")
+    _level_args(n, bound)
     return _level_set(n, [(kind, i, 1)], bound)
 
 
-def _int(value, name: str) -> int:
-    """value itself if it is an int; a float or bool is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    return value
+def _level_args(n, bound, r=0) -> None:
+    """Refuse a level n, an entry bound or a split total r that is not a
+    nonnegative int: a level is a tuple length, and a negative bound
+    would drop the zero weight every level set holds."""
+    for value, name in ((r, "r"), (n, "the level"), (bound, "the entry bound")):
+        if _int(value, name) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,7 @@ def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     The Minkowski sum of the factors' level sets, enumerated member by
     member with the interval test of _level_set: no sum is formed.
     """
-    n = _int(n, "the level")
-    bound = _int(bound, "the entry bound")
-    if bound < 0:
-        raise ValueError(f"the entry bound must be nonnegative, got {bound}")
+    _level_args(n, bound)
     _check_level(p, n)
     return _level_set(n, factorization(p), bound)
 
@@ -260,7 +263,7 @@ def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
     """Union of the level sets over all splits r = r' + r''; splits whose
     level is too small are skipped, and if none is defined the level is
     too small outright."""
-    r, n, bound = _int(r, "r"), _int(n, "the level"), _int(bound, "the entry bound")
+    _level_args(n, bound, r)
     out, found = set(), False
     for r1 in range(r + 1):
         try:

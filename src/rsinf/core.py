@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,6 +154,19 @@ def elem(x) -> FieldElem:
     raise TypeError(f"cannot coerce {x!r} to a field element")
 
 
+def elems(values) -> tuple[FieldElem, ...]:
+    """Coerce each of the values with elem."""
+    return tuple(map(elem, values))
+
+
+def _int(value, name: str, kind: str = "an integer") -> int:
+    """value itself if it is an int; a float, a string or a bool is
+    refused, not truncated.  The error says `name` must be `kind`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be {kind}, not {value!r}")
+    return value
+
+
 # Symbol names and literals are ASCII: \d and \w would also match the
 # digits and letters of other scripts.
 _SYMBOL_RE = re.compile(r"-?[A-Za-z_][A-Za-z_0-9]*")
@@ -161,13 +175,24 @@ _FRAC_RE = re.compile(r"([+-]?[0-9]+)/([+-]?[0-9]+)")
 _SYM_RE = re.compile(rf"({_SYMBOL_RE.pattern})([+-][0-9]+)?")
 
 
+def _digits(text: str, what: str) -> int:
+    """int(text) for a string of ASCII digits, optionally signed; past
+    Python's limit on the digits of a decimal integer, the ValueError
+    names `what` and the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} has more than {limit} digits") from None
+
+
 def _parse_int(text: str, what: str) -> int:
     """Read an ASCII integer literal, ignoring whitespace around it as
     parse_elem does; the error names the field `what`."""
     s = text.strip()
     if not _INT_RE.fullmatch(s):
         raise ValueError(f"{what} must be an integer, not {text!r}")
-    return int(s)
+    return _digits(s, what)
 
 
 def parse_elem(text: str) -> FieldElem:
@@ -177,18 +202,19 @@ def parse_elem(text: str) -> FieldElem:
     prints.  Whitespace around the literal is ignored.
     """
     s = text.strip()
+    what = "an integer in an element literal"
     if _INT_RE.fullmatch(s):
-        return FieldElem(_ZERO, int(s))
+        return FieldElem(_ZERO, _digits(s, what))
     m = _FRAC_RE.fullmatch(s)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _digits(m.group(1), what), _digits(m.group(2), what)
         if den == 0:
             raise ValueError(f"zero denominator in literal {text!r}")
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         return _from_ratio(num // g, den // g)
     m = _SYM_RE.fullmatch(s)
     if m:
-        return FieldElem(m.group(1), int(m.group(2) or 0))
+        return FieldElem(m.group(1), _digits(m.group(2) or "0", what))
     raise ValueError(f"malformed element literal {text!r}")
 
 
@@ -256,8 +282,7 @@ def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """
     p = tuple(parts)
     for x in p:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"a partition part must be an int, not {x!r}")
+        _int(x, "a partition part", "an int")
     for i in range(len(p) - 1):
         if p[i] < p[i + 1]:
             raise ValueError(f"not weakly decreasing: {p}")

@@ -7,16 +7,14 @@ from dataclasses import dataclass
 
 from ._insertion_py import insert_one
 from ._kernel import insert_sequence
-from .core import FieldElem, Tableau, TableauFamily, elem, ge_z, gt_z, same_anchor, same_class
-
-
-def _seq(values) -> tuple[FieldElem, ...]:
-    return tuple(map(elem, values))
+from .core import (
+    FieldElem, Tableau, TableauFamily, _int, elems, ge_z, gt_z, same_anchor, same_class,
+)
 
 
 def rho_shift(values) -> tuple[FieldElem, ...]:
     """Subtract each entry's position: (f(1) - 1, f(2) - 2, ...)."""
-    return tuple(e.shift(-(i + 1)) for i, e in enumerate(_seq(values)))
+    return tuple(e.shift(-(i + 1)) for i, e in enumerate(elems(values)))
 
 
 def insert_by_class(vals) -> list:
@@ -49,7 +47,7 @@ def insert_by_class(vals) -> list:
 def rs(values) -> TableauFamily:
     """Insert the sequence, one tableau per integrality class."""
     return TableauFamily(
-        tuple(Tableau(anchor, rows) for anchor, rows in insert_by_class(_seq(values)))
+        tuple(Tableau(anchor, rows) for anchor, rows in insert_by_class(elems(values)))
     )
 
 
@@ -68,7 +66,7 @@ class InsertionStep:
 def rs_trace(values) -> tuple[InsertionStep, ...]:
     """All intermediate states of rs, one per input entry.  A step
     rebuilds only the class of the entry it inserts."""
-    vals = _seq(values)
+    vals = elems(values)
     rows: dict = {}
     built: dict = {}
     steps = []
@@ -137,8 +135,8 @@ def _admissible_plain(f: tuple[FieldElem, ...], i: int) -> bool:
 
 def admissible(values, i: int, shifted: bool = False) -> bool:
     """Whether positions i, i+1 (1-based) admit an interchange."""
-    f = _seq(values)
-    if not 1 <= i <= len(f) - 1:
+    f = elems(values)
+    if not 1 <= _int(i, "the interchange position i") <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
     return _admissible_here(f, i, shifted)
 
@@ -146,7 +144,7 @@ def admissible(values, i: int, shifted: bool = False) -> bool:
 def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem, ...]:
     """Swap positions i, i+1; the shifted variant conjugates the swap
     through the position shift, so the two entries move by one as well."""
-    f = _seq(values)
+    f = elems(values)
     if not admissible(f, i, shifted=shifted):
         raise ValueError(f"positions {i}, {i + 1} do not admit an interchange")
     out = list(f)
@@ -168,7 +166,7 @@ class InterchangePath:
         return tuple(i for i, _ in self.steps)
 
     def replay(self, values) -> tuple[FieldElem, ...]:
-        cur = _seq(values)
+        cur = elems(values)
         for i, sh in self.steps:
             cur = apply_interchange(cur, i, shifted=sh)
         return cur
@@ -184,7 +182,7 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
     shifted words.  The breadth-first search tries positions in
     increasing order, which fixes the path among the shortest ones.
     """
-    start, goal = _seq(f), _seq(g)
+    start, goal = elems(f), elems(g)
     if len(start) != len(goal):
         return None
     if start == goal:
@@ -231,8 +229,9 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
     the largest shifted entry of f in the class of f's first entry minus
     the largest shifted entry of fprime in that class.
     """
-    a, b = _seq(f), _seq(fprime)
+    a, b = elems(f), elems(fprime)
     if k is not None:
+        _int(k, "the shift k")
         return j(a) == j(tuple(e.shift(k) for e in b))
     if len(a) != len(b):
         return False

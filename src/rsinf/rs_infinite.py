@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import FieldElem, Tableau, TableauFamily, as_partition, elem, same_anchor
+from .core import FieldElem, Tableau, TableauFamily, _int, as_partition, elem, elems, same_anchor
 from .rs_finite import insert_by_class, seq_of
 
 
@@ -33,10 +33,6 @@ class Axis(enum.Enum):
     # members compare by identity, so the identity hash agrees with ==
     # and spares the axis tables the Python-level Enum.__hash__
     __hash__ = object.__hash__
-
-
-def _coerce_window(values) -> tuple[FieldElem, ...]:
-    return tuple(map(elem, values))
 
 
 def _first(axis: Axis, edge: int, n: int) -> int:
@@ -68,26 +64,31 @@ class _TailedSeq:
     edge: int
 
     def __post_init__(self):
-        self._check_tails(self.axis, *self._tails)
+        self._check(self.axis, self.edge, *self._tails)
 
     @classmethod
-    def _check_tails(cls, axis: Axis, left, right) -> None:
+    def _check(cls, axis: Axis, edge: int, left, right) -> None:
+        """Refuse an axis that is not an Axis, an edge that is not an int,
+        and tails that do not match the axis."""
+        if not isinstance(axis, Axis):
+            raise TypeError(f"axis must be an Axis, not {axis!r}")
+        _int(edge, "edge")
         if (left is not None, right is not None) != _HAS_TAILS[axis]:
             raise ValueError(_NEEDS[axis].format(cls._TAIL))
 
     @classmethod
     def _canonical(cls, axis: Axis, window, edge: int | None, left, right):
-        """Build a canonical sequence: the tails are checked first, then
-        window entries equal to what the tail facing them gives there are
-        stripped from the tail-facing ends.  An ALL sequence keeps its
-        edge at its first window entry, or at 0 if nothing but one law or
-        constant is left."""
-        w = _coerce_window(window)
+        """Build a canonical sequence: the axis, edge and tails are
+        checked first, then window entries equal to what the tail facing
+        them gives there are stripped from the tail-facing ends.  An ALL
+        sequence keeps its edge at its first window entry, or at 0 if
+        nothing but one law or constant is left."""
+        w = elems(window)
         left = elem(left) if left is not None else None
         right = elem(right) if right is not None else None
-        cls._check_tails(axis, left, right)
         if edge is None:
             edge = -1 if axis is Axis.NEG else 1
+        cls._check(axis, edge, left, right)
         first = _first(axis, edge, len(w))
         lo, hi = 0, len(w)
         if axis is not Axis.POS:
@@ -208,8 +209,8 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     POS and ALL the far-left part stays put and everything above shifts
     up.  The laws shift accordingly.
     """
-    pos = [int(i) for i in positions]
-    vals = list(_coerce_window(values))
+    pos = [_int(i, "an entry of positions") for i in positions]
+    vals = elems(values)
     if len(pos) != len(vals):
         raise ValueError("positions and values must have equal length")
     if any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1)):
@@ -391,8 +392,7 @@ def partition_from_row(
     displaced elements.  Only ``result.first_row`` and, when r is not
     given, ``result.r`` are read."""
     h = elem(h_minus)
-    if r is None:
-        r = result.r
+    r = result.r if r is None else _int(r, "r")
     row = result.first_row
     if row.axis is not Axis.NEG:
         raise ValueError("expected the first row of a NEG-axis result")
@@ -423,14 +423,15 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     They are read off row 1 of the law class alone (_row_one), and r is
     the count of the entries the finite insertion takes: nothing is
     inserted.  A POS block is read through its mirror, as rs_infinite
-    reads it: its r and X are the r and Y of star_seq(block).
+    reads it: its X is the partition that row 1 of the mirror, a NEG
+    sequence, gives against the mirror's left law.
     """
-    if block.axis is Axis.POS:
-        r, _, _, x = block_ideal(star_seq(block))
-        return (r, 0, x, ())
-    row_one = _row_one(plus_rho(block))
-    if block.axis is Axis.NEG:
-        return (row_one.r, 0, (), partition_from_row(row_one, block.left_tail))
+    mirrored = block.axis is Axis.POS
+    g = star_seq(plus_rho(block)) if mirrored else plus_rho(block)
+    row_one = _row_one(g)
+    if g.axis is Axis.NEG:
+        part = partition_from_row(row_one, g.left_law)
+        return (row_one.r, 0, part, ()) if mirrored else (row_one.r, 0, (), part)
     row = row_one.first_row
     gdeg = row.left_law.offset - row.right_law.offset
     if gdeg < 0:

@@ -248,6 +248,9 @@ def test_string_for_list_is_rejected(tmp_path, capsys, command, doc):
         ("classify", {"regions": [{"type": "zeta", "left_tail": 0, "exceptions": []}]},
          "a region of type 'zeta' needs a 'right_tail' field"),
         ("seq-of", {"tables": []}, "a tableau document is an object with a 'tableaux' list"),
+        # an axis is read by its value
+        ("rs-inf", {"axis": "NEG"}, "unknown axis 'NEG'; use neg, pos or all"),
+        ("rs-inf", {"axis": 5}, "unknown axis 5; use neg, pos or all"),
     ],
 )
 def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, message):
@@ -547,6 +550,41 @@ def test_malformed_integer_options_exit_2(capsys, argv, option):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: the value must be an integer, not " in capsys.readouterr().err
+
+
+# one digit past the interpreter's limit (4300 unless configured)
+_LIMIT = sys.get_int_max_str_digits()
+_HUGE = "9" * (_LIMIT + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["rs", f"3,{_HUGE}"], None,
+         f"an integer in an element literal has more than {_LIMIT} digits"),
+        (["rs", f"1/{_HUGE}"], None,
+         f"an integer in an element literal has more than {_LIMIT} digits"),
+        (["cls-member", "0,0,0;;", f"{_HUGE},0"], None,
+         f"an entry of the weight has more than {_LIMIT} digits"),
+        (["classify"], '{"regions":[{"type":"omega","exceptions":[%s],"tail":"0"}]}' % _HUGE,
+         f"an integer in the document has more than {_LIMIT} digits"),
+    ],
+    ids=["rs", "rs-fraction", "cls-member", "classify"],
+)
+def test_integers_past_the_digit_limit_name_their_field(tmp_path, capsys, argv, doc, message):
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(doc)
+        argv = [*argv, str(tmp_path / "doc.json")]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+
+
+def test_integer_option_past_the_digit_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cls-level", "0,0,0;;", "--level", _HUGE, "--bound", "1"])
+    assert exc.value.code == 2
+    assert f"argument --level: the value has more than {_LIMIT} digits" in capsys.readouterr().err
 
 
 def test_integers_may_carry_spaces(capsys):

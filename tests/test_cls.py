@@ -108,6 +108,19 @@ def test_level_too_small():
         q_union_level(5, 0, (), (), 2, 3)
 
 
+def test_level_sets_refuse_negative_arguments():
+    # each used to answer: a set without the zero weight, the level -3
+    # set {()}, and a level error that did not name r
+    with pytest.raises(ValueError, match="^the entry bound must be nonnegative, got -1$"):
+        basic_level("Linf", 1, 3, -1)
+    with pytest.raises(ValueError, match="^the level must be nonnegative, got -3$"):
+        basic_level("E", 0, -3, 1)
+    with pytest.raises(ValueError, match="^r must be nonnegative, got -1$"):
+        q_union_level(-1, 0, (), (), 3, 1)
+    with pytest.raises(ValueError, match="^the level must be nonnegative, got -1$"):
+        cls_level(cls_params(0, 0, 0), -1, 1)
+
+
 def test_member_fixtures():
     assert member(cls_params(0, 0, 0, X=(2, 1)), (2, 1, 0))
     assert not member(cls_params(0, 0, 0, X=(1,)), (3, 0, 0))

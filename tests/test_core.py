@@ -30,7 +30,19 @@ from rsinf.core import (
     same_anchor,
     same_class,
 )
-from rsinf.rs_finite import rs
+from rsinf.cls import basic_level, cls_level, cls_params, gamma, member, q_union_level
+from rsinf.rs_finite import admissible, apply_interchange, joseph_equal, rs
+from rsinf.rs_infinite import (
+    Axis,
+    EventuallyConstantSeq,
+    StablyDecreasingSeq,
+    eventually_constant,
+    ins,
+    partition_from_row,
+    plus_rho,
+    rs_infinite,
+    stably_decreasing,
+)
 
 
 def test_rational_anchors_are_reduced():
@@ -187,6 +199,54 @@ def test_as_partition_refuses_non_integer_parts():
         as_partition([2, True])
     with pytest.raises(TypeError, match="part must be an int, not '1'"):
         as_partition(["1"])
+
+
+_LAWS = stably_decreasing(Axis.ALL, [], edge=0, left_law=0, right_law=0)
+_NEG_ROW = rs_infinite(plus_rho(eventually_constant(Axis.NEG, [3], left_tail=0)))
+_P = cls_params(0, 0, 0)
+
+# every public integer argument, named as its error names it, and a call
+# that passes v in its place and answers for v = 1
+INTEGER_ARGUMENTS = [
+    ("an entry of positions", lambda v: ins([v], [5], _LAWS)),
+    ("edge", lambda v: eventually_constant(Axis.POS, [1, 2], edge=v, right_tail=0)),
+    ("edge", lambda v: stably_decreasing(Axis.NEG, [1], edge=v, left_law=0)),
+    ("edge", lambda v: EventuallyConstantSeq(Axis.NEG, (), v, elem(0))),
+    ("edge", lambda v: StablyDecreasingSeq(Axis.ALL, (), v, elem(0), elem(0))),
+    ("r", lambda v: partition_from_row(_NEG_ROW, 0, v)),
+    ("the interchange position i", lambda v: admissible([2, "a", 3], v)),
+    ("the interchange position i", lambda v: apply_interchange([2, "a", 3], v)),
+    ("the shift k", lambda v: joseph_equal([1, 2], [0, 1], k=v)),
+    ("a partition part", lambda v: as_partition([2, v])),
+    ("r'", lambda v: cls_params(v, 0, 0)),
+    ("r''", lambda v: cls_params(0, v, 0)),
+    ("g", lambda v: cls_params(0, 0, v)),
+    ("an entry of X", lambda v: cls_params(0, 0, 0, X=(2, v))),
+    ("an entry of Y", lambda v: cls_params(0, 0, 0, Y=(v,))),
+    ("the family index i", lambda v: basic_level("L", v, 3, 2)),
+    ("the level", lambda v: basic_level("L", 1, v, 2)),
+    ("the entry bound", lambda v: basic_level("Linf", 1, 3, v)),
+    ("the level", lambda v: cls_level(_P, v, 2)),
+    ("the entry bound", lambda v: cls_level(_P, 3, v)),
+    ("the level", lambda v: gamma(_P, v)),
+    ("the level", lambda v: member(_P, (0,), v)),
+    ("an entry of the weight", lambda v: member(_P, (2, v, 0))),
+    ("r", lambda v: q_union_level(v, 0, (), (), 3, 2)),
+    ("the level", lambda v: q_union_level(0, 0, (), (), v, 2)),
+    ("the entry bound", lambda v: q_union_level(0, 0, (), (), 3, v)),
+]
+
+
+@pytest.mark.parametrize("name, call", INTEGER_ARGUMENTS, ids=[n for n, _ in INTEGER_ARGUMENTS])
+def test_integer_arguments_refuse_what_is_not_an_int(name, call):
+    # 1.5 would truncate and True would answer as 1: neither is an int,
+    # and neither is the string "1"
+    call(1)
+    for v in (1.5, True, "1"):
+        with pytest.raises(TypeError) as exc:
+            call(v)
+        assert str(exc.value).startswith(f"{name} must be "), str(exc.value)
+        assert str(exc.value).endswith(f", not {v!r}"), str(exc.value)
 
 
 def test_bool_offsets_are_refused():

@@ -38,6 +38,15 @@ def test_axis_tail_requirements():
             build(Axis.POS, [1])
         with pytest.raises(ValueError, match=f"^an ALL sequence has both {tail}s$"):
             build(Axis.ALL, [1], **{f"left_{tail}": 0})
+        # an axis is an Axis, not its value, and an edge is an int: True
+        # was stored, and 0.5 failed later as an offset of 3.5
+        with pytest.raises(TypeError, match="^axis must be an Axis, not 'neg'$"):
+            build("neg", [1], **{f"left_{tail}": 0})
+        for edge in (True, 0.5):
+            with pytest.raises(TypeError, match=f"^edge must be an integer, not {edge}$"):
+                build(Axis.POS, [1, 2], edge=edge, **{f"right_{tail}": 0})
+    with pytest.raises(TypeError, match="^axis must be an Axis, not 'neg'$"):
+        EventuallyConstantSeq("neg", (), -1, elem(0))
 
 
 def test_window_canonicalization():
@@ -144,6 +153,10 @@ def test_ins_validation():
     with pytest.raises(ValueError):
         ins([5], ["u"], f2)  # beyond the loose box
     assert ins([], [], f2) == f2
+    # a position is an int: -1.5 was truncated to -1, and '-1' was read
+    for pos in (-1.5, "-1"):
+        with pytest.raises(TypeError, match=f"^an entry of positions must be an integer, not {pos!r}$"):
+            ins([pos], [5], stably_decreasing(Axis.NEG, [], left_law=0))
 
 
 def test_ins_boundary_position_needs_values_past_the_domain():
@@ -265,6 +278,26 @@ def test_single_extraction_matches_a_much_larger_window(blk):
     margin = stable_margin(g)
     for m in (margin + 1, 2 * margin, 4 * margin + 50):
         assert explicit_extract(g, m) == res, m
+
+
+def test_block_ideal_reads_a_block_in_one_call(monkeypatch):
+    # a POS block used to be read by a second, inner block_ideal call
+    ri = importlib.import_module("rsinf.rs_infinite")
+    orig = ri.block_ideal
+    calls = []
+
+    def counted(block):
+        calls.append(block)
+        return orig(block)
+
+    monkeypatch.setattr(ri, "block_ideal", counted)
+    rng = random.Random(9)
+    for axis in (Axis.NEG, Axis.ALL, Axis.POS):
+        for _ in range(20):
+            blk = rand_block(rng, axis)
+            calls.clear()
+            ri.block_ideal(blk)
+            assert calls == [blk]
 
 
 def test_rs_infinite_extracts_once(monkeypatch):
