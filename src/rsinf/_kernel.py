@@ -14,9 +14,10 @@ Three things choose the backend:
 * per call, an offset outside 64 bits: the extension raises
   ``OverflowError`` and this call runs the pure kernel instead.
 
-``BACKEND`` names the result of the first two.  ``rs_trace`` keeps the
-pure ``_insertion_py.insert_one`` on every backend, because it inserts
-one entry per step.
+``BACKEND`` names the result of the first two.  ``rs_trace`` inserts
+one entry per step with ``_insertion_py.insert_one`` on every backend:
+the one pure bump, which the pure ``insert_sequence`` calls per entry,
+over the packed keys that ``_insertion_py`` describes.
 """
 
 import os

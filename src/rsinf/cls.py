@@ -260,17 +260,15 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
 
 
 def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
-    """Union of the level sets over all splits r = r' + r''; splits whose
-    level is too small are skipped, and if none is defined the level is
-    too small outright."""
+    """Union of the level sets over the splits r = r' + r'' whose level
+    is defined, n > r' + len(X) and n > r'' + len(Y), so r' runs from
+    max(0, r - n + 1 + len(Y)) to min(r, n - 1 - len(X)); if that range
+    is empty, the level is too small outright."""
     _level_args(n, bound, r)
-    out, found = set(), False
-    for r1 in range(r + 1):
-        try:
-            out |= cls_level(cls_params(r1, r - r1, g, X, Y), n, bound)
-            found = True
-        except LevelError:
-            pass
-    if not found:
+    p = cls_params(0, r, g, X, Y)  # g, X and Y are checked once
+    lo, hi = max(0, r - n + 1 + len(p.Y)), min(r, n - 1 - len(p.X))
+    if lo > hi:
         raise LevelError(f"level {n} is too small for every split of r={r}")
-    return frozenset(out)
+    return frozenset().union(*(
+        cls_level(cls_params(r1, r - r1, g, p.X, p.Y), n, bound) for r1 in range(lo, hi + 1)
+    ))

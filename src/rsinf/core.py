@@ -98,16 +98,21 @@ class FieldElem:
         return FieldElem(_rational_anchor(den - num, den), -self.offset - 1)
 
     def __str__(self) -> str:
-        if isinstance(self.anchor, Fraction):
-            # num/den is reduced, and adding an integer keeps it so
-            num, den = self.anchor.numerator, self.anchor.denominator
-            num += self.offset * den
-            return str(num) if den == 1 else f"{num}/{den}"
-        if self.offset > 0:
-            return f"{self.anchor}+{self.offset}"
-        if self.offset < 0:
-            return f"{self.anchor}{self.offset}"
-        return str(self.anchor)
+        try:
+            if isinstance(self.anchor, Fraction):
+                # num/den is reduced, and adding an integer keeps it so
+                num, den = self.anchor.numerator, self.anchor.denominator
+                num += self.offset * den
+                return str(num) if den == 1 else f"{num}/{den}"
+            if self.offset > 0:
+                return f"{self.anchor}+{self.offset}"
+            if self.offset < 0:
+                return f"{self.anchor}{self.offset}"
+            return str(self.anchor)
+        except ValueError:
+            # past Python's limit on the digits of a decimal integer
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"an entry of the answer has more than {limit} digits") from None
 
     __repr__ = __str__
 

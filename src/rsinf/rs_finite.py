@@ -67,15 +67,21 @@ def rs_trace(values) -> tuple[InsertionStep, ...]:
     """All intermediate states of rs, one per input entry.  A step
     rebuilds only the class of the entry it inserts."""
     vals = elems(values)
+    n = len(vals)
     rows: dict = {}
     built: dict = {}
+    entry, position = {}, {}  # by packed key: the entry, its 1-based position
     steps = []
     for pos, e in enumerate(vals, start=1):
-        key_rows, idx_rows = rows.setdefault(e.anchor, ([], []))
-        insert_one(key_rows, idx_rows, e.offset, pos)
+        # the kernel's packed key, distinct across classes
+        key = n - pos - e.offset * n
+        entry[key] = e
+        position[key] = pos
+        key_rows = rows.setdefault(e.anchor, [])
+        insert_one(key_rows, key)
         built[e.anchor] = (
-            Tableau(e.anchor, tuple(tuple(vals[i - 1] for i in row) for row in idx_rows)),
-            tuple(tuple(row) for row in idx_rows),
+            Tableau(e.anchor, tuple(tuple(map(entry.__getitem__, row)) for row in key_rows)),
+            tuple(tuple(map(position.__getitem__, row)) for row in key_rows),
         )
         family = TableauFamily(tuple(tab for tab, _ in built.values()))
         # positions follow the family's canonical class order

@@ -102,6 +102,7 @@ class _TailedSeq:
         return cls(axis, w[lo:hi], edge, left, right)
 
     def value(self, p: int) -> FieldElem:
+        _int(p, "the position p")
         if self.axis is Axis.NEG and p > self.edge:
             raise ValueError(f"position {p} is beyond the domain end {self.edge}")
         if self.axis is Axis.POS and p < self.edge:

@@ -580,6 +580,14 @@ def test_integers_past_the_digit_limit_name_their_field(tmp_path, capsys, argv, 
     assert json.loads(out) == {"error": message}
 
 
+def test_answer_past_the_digit_limit_names_the_limit(capsys):
+    # the entry is within the limit, and shifting it by its position
+    # gives -10**_LIMIT, one digit past it
+    code, out = run(capsys, "rs", "--shifted", "-" + "9" * _LIMIT)
+    assert code == 1
+    assert json.loads(out) == {"error": f"an entry of the answer has more than {_LIMIT} digits"}
+
+
 def test_integer_option_past_the_digit_limit_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cls-level", "0,0,0;;", "--level", _HUGE, "--bound", "1"])

@@ -511,6 +511,56 @@ def test_q_union_level_matches_set_products():
             assert q_union_level(r, g, x, y, n, bound) == expected, (r, g, x, y, n, bound)
 
 
+def _q_union_by_trial(r, g, X, Y, n, bound):
+    """q_union_level by trying every split r = r' + r'' and skipping the
+    ones whose level is too small: the guess-and-confirm form, kept as
+    the oracle of the computed split range."""
+    out, found = set(), False
+    for r1 in range(r + 1):
+        try:
+            out |= cls_level(cls_params(r1, r - r1, g, X, Y), n, bound)
+            found = True
+        except LevelError:
+            pass
+    if not found:
+        raise LevelError(f"level {n} is too small for every split of r={r}")
+    return out
+
+
+def _answer(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# (r, g, X, Y, n, bound) -> the answer: the splits that fit, or the error
+Q_UNION_CASES = [
+    ((2, 0, (1,), (1,), 3, 1), cls_level(cls_params(1, 1, 0, (1,), (1,)), 3, 1)),
+    ((5, 0, (), (), 2, 3), (LevelError, "level 2 is too small for every split of r=5")),
+    ((1, 0, (2,), (), 1, 0), (LevelError, "level 1 is too small for every split of r=1")),
+    # a malformed X gets its own error, also where no split fits
+    ((0, 0, (1, 2), (), 1, 1), (ValueError, "X must be weakly decreasing")),
+    ((3, 0, (0,), (), 9, 1), (ValueError, "X must have positive parts")),
+    ((1, 0, (), (1.0,), 0, 1), (TypeError, "an entry of Y must be an integer, not 1.0")),
+    ((1, 1.5, (), (), 0, 1), (TypeError, "g must be an integer, not 1.5")),
+]
+
+
+def test_q_union_level_takes_the_splits_that_fit():
+    for args, want in Q_UNION_CASES:
+        assert _answer(q_union_level, *args) == want, args
+    # X and Y are read once: an iterator gave the splits after the first
+    # an empty X
+    assert q_union_level(1, 0, iter((1,)), (), 3, 1) == q_union_level(1, 0, (1,), (), 3, 1)
+    parts = [(), (1,), (2, 1), (3, 1, 1), (1, 2), (1.0,)]
+    for r, g, x, y, n, bound in itertools.product(
+        range(4), range(2), parts, parts, range(6), range(2)
+    ):
+        args = (r, g, x, y, n, bound)
+        assert _answer(q_union_level, *args) == _answer(_q_union_by_trial, *args), args
+
+
 def test_deep_levels_are_searched_without_recursion():
     assert cls_level(cls_params(0, 0, 0), 5000, 3) == {(0,) * 5000}
     assert cls_level(cls_params(0, 0, 0, (1,)), 3000, 3) == {

@@ -234,6 +234,9 @@ INTEGER_ARGUMENTS = [
     ("r", lambda v: q_union_level(v, 0, (), (), 3, 2)),
     ("the level", lambda v: q_union_level(0, 0, (), (), v, 2)),
     ("the entry bound", lambda v: q_union_level(0, 0, (), (), 3, v)),
+    # -1.5 answered a tail value, and -2.5 failed as an offset of 2.5
+    ("the position p", lambda v: eventually_constant(Axis.POS, [3], right_tail=0).value(v)),
+    ("the position p", lambda v: _LAWS.value(v)),
 ]
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_insert
-from rsinf import _insertion_py, _kernel, rs_finite
+from rsinf import _kernel, rs_finite
 from rsinf._insertion_py import insert_one
 from rsinf._insertion_py import insert_sequence as pure_insert
 
@@ -190,14 +190,6 @@ def test_empty_input():
     assert pure_insert([]) == []
 
 
-def _insert_one_loop(offsets):
-    """The kernel as a loop of single insertions, the form rs_trace uses."""
-    key_rows, idx_rows = [], []
-    for t, offset in enumerate(offsets):
-        insert_one(key_rows, idx_rows, offset, t)
-    return idx_rows
-
-
 def _oracle_corpus(rng):
     """Empty and one-entry words, one value repeated 500 times,
     duplicate-heavy words of up to 2,000 entries, and offsets of +-2**70
@@ -213,13 +205,32 @@ def _oracle_corpus(rng):
     return corpus
 
 
+def _check_rs_trace(offsets):
+    """rs_trace inserts one entry per step: a step's positions are the
+    pair-keyed rows of that prefix, 1-based, and the last family is rs's.
+    Each step rebuilds its class, so a trace is quadratic in the length,
+    and an independent prefix insertion per step would make it cubic:
+    the first 40 steps, the middle one and the last are checked."""
+    n = len(offsets)
+    steps = rs_finite.rs_trace(offsets)
+    assert len(steps) == n
+    for k in sorted({*range(1, min(n, 40) + 1), (n + 1) // 2, n} - {0}):
+        want = pair_insert(offsets[:k], range(1, k + 1))
+        assert steps[k - 1].positions == (
+            tuple(tuple(i + 1 for i in row) for row in want),
+        ), (offsets, k)
+    if n:
+        assert steps[-1].family == rs_finite.rs(offsets), offsets
+
+
 def test_packed_kernel_matches_single_insertions_and_pair_keys():
     corpus = _oracle_corpus(random.Random(20261018))
     assert max(map(len, corpus)) > 1000
     for offsets in corpus:
         got = pure_insert(offsets)
-        assert got == _insert_one_loop(offsets), offsets
         assert got == pair_insert(offsets, range(1, len(offsets) + 1)), offsets
+        if len(offsets) <= 500:
+            _check_rs_trace(offsets)
         assert _kernel.insert_sequence(offsets) == got, offsets
     # one repeated value bumps its older copy down every row
     assert pure_insert([5] * 500) == [[t] for t in range(499, -1, -1)]
@@ -239,15 +250,15 @@ def test_built_kernel_matches_the_oracle_corpus(built, monkeypatch):
 
 
 def test_only_rs_trace_inserts_one_entry_at_a_time(monkeypatch):
-    # kernel.insert_one_calls in the benchmark counts the rs_trace path;
-    # the batch kernel bumps inline and never calls insert_one
+    # kernel.insert_one_calls in the benchmark counts the rs_trace path:
+    # the tracer wraps only rs_finite's binding, and the batch kernel's
+    # own calls to insert_one inside _insertion_py are the kernel's work
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return insert_one(*args)
 
-    monkeypatch.setattr(_insertion_py, "insert_one", counted)
     monkeypatch.setattr(rs_finite, "insert_one", counted)
     offsets = [3, 1, 3, 0, 2, 2, 5]
     assert pure_insert(offsets) == _kernel.insert_sequence(offsets)
