@@ -114,7 +114,27 @@ class FieldElem:
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"an entry of the answer has more than {limit} digits") from None
 
-    __repr__ = __str__
+    def __repr__(self) -> str:
+        """str(self); past the digit limit, the anchor and the sign and
+        bit length of each integer too long to print, so that a
+        traceback or an assertion message showing the element never
+        fails."""
+        try:
+            return str(self)
+        except ValueError:
+            anchor = self.anchor
+            if not isinstance(anchor, str):
+                num, den = anchor.numerator, anchor.denominator
+                anchor = "0" if den == 1 else f"{_int_repr(num)}/{_int_repr(den)}"
+            return f"FieldElem({anchor}, offset={_int_repr(self.offset)})"
+
+
+def _int_repr(n: int) -> str:
+    """str(n), or its sign and bit length past the digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
 
 
 @lru_cache(maxsize=1024)

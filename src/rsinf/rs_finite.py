@@ -197,26 +197,37 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
         start, goal = rho_shift(start), rho_shift(goal)
     if rs(start) != rs(goal):
         return None
+    # visited words are keyed by tuples of int codes, one per distinct
+    # entry, so no state hashes a FieldElem or its Fraction anchor; equal
+    # entries share a code, which keeps the search and its path the same
+    codes: dict = {}
+
+    def code(e: FieldElem) -> int:
+        a = e.anchor
+        key = (e.offset, a if isinstance(a, str) else (a.numerator, a.denominator))
+        return codes.setdefault(key, len(codes))
+
     n = len(start)
-    prev: dict = {start: None}
-    queue = deque([start])
+    first, target = tuple(map(code, start)), tuple(map(code, goal))
+    prev: dict = {first: None}
+    queue = deque([(start, first)])
     while queue:
-        cur = queue.popleft()
+        cur, key = queue.popleft()
         for i in range(1, n):
             if not _admissible_here(cur, i, False):
                 continue
-            nxt = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
+            nxt = key[: i - 1] + (key[i], key[i - 1]) + key[i + 1 :]
             if nxt in prev:
                 continue
-            prev[nxt] = (cur, i)
-            if nxt == goal:
+            prev[nxt] = (key, i)
+            if nxt == target:
                 steps = []
                 node = nxt
                 while prev[node] is not None:
                     node, pos = prev[node]
                     steps.append((pos, shifted))
                 return InterchangePath(tuple(reversed(steps)))
-            queue.append(nxt)
+            queue.append((cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :], nxt))
     raise AssertionError(f"equal insertions but no interchange path: {f} -> {g}")
 
 

@@ -282,13 +282,22 @@ class InfiniteRSResult:
         return len(self.underline)
 
 
-# row 1 of the law class, an iterator over the entries the finite
-# insertion takes, in order, and r, their number
-_RowOne = namedtuple("_RowOne", "first_row entries r")
+# row 1 of the law class on ints: the kernel's keys -offset of its
+# finite part below the head [h, oo) and, on ALL, t, where the right law
+# starts (None on NEG); the law-class offsets that drop to row 2, in
+# order; the window entries of other classes; and r, the number of
+# entries the finite insertion takes
+_RowOne = namedtuple("_RowOne", "below h t drops others r")
 
 
-def _row_one(g: StablyDecreasingSeq) -> _RowOne:
-    """Read row 1 of a NEG or ALL g, laws included, and count the rest.
+def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne:
+    """Read row 1 of a NEG or ALL sequence, laws included, on ints.
+
+    The sequence is given by the anchor and offset l of its left law,
+    the position ``first`` of its first window entry, the window, the
+    position-shifted offsets of its entries, and on ALL the right law
+    ``right``, a FieldElem.  Only an entry's anchor is read from
+    ``window``; an entry of another class is passed through untouched.
 
     Only row 1 of the law class is infinite.  The left law (offset l)
     inserts ..., h + 1, h with h = l - first + 1, so row 1 is the head
@@ -312,57 +321,63 @@ def _row_one(g: StablyDecreasingSeq) -> _RowOne:
     classes.  The head drops stay a ``range``, so reading row 1 and r
     costs time linear in the window however far apart the laws lie.
     """
-    law = g.left_law
-    if g.axis is Axis.ALL and not same_anchor(law.anchor, g.right_law.anchor):
+    if right is not None and not same_anchor(anchor, right.anchor):
         raise ValueError("the two tails lie in different integrality classes")
-    first = _first(g.axis, g.edge, len(g.window))
-    h = law.offset - first + 1
-
-    def at(v: int) -> FieldElem:
-        return law.shift(v - law.offset)
-
-    below, dropped, others = [], [], []
-    for e in g.window:
-        if not same_anchor(e.anchor, law.anchor):
+    h = l - first + 1
+    below, drops, others = [], [], []
+    for e, v in zip(window, offsets):
+        if not same_anchor(e.anchor, anchor):
             others.append(e)
-        elif e.offset >= h:
-            dropped.append(e)
+        elif v >= h:
+            drops.append(v)
         else:
-            i = bisect_left(below, -e.offset)
+            i = bisect_left(below, -v)
             if i == len(below):
-                below.append(-e.offset)
+                below.append(-v)
             else:
-                dropped.append(at(-below[i]))
-                below[i] = -e.offset
-    r = len(dropped) + len(others)
-    if g.axis is Axis.NEG:
-        edge, left_law, right_law = g.edge, at(h + g.edge - len(below)), None
-    else:
-        t = g.right_law.offset - (first + len(g.window))
+                drops.append(-below[i])
+                below[i] = -v
+    r = len(drops) + len(others)
+    t = None
+    if right is not None:
+        t = right.offset - (first + len(window))
         k = bisect_left(below, -t)
-        dropped = chain(dropped, map(at, range(t, h - 1, -1)), [at(-key) for key in below[k:]])
+        drops = chain(drops, range(t, h - 1, -1), [-key for key in below[k:]])
         r += max(t - h + 1, 0) + len(below) - k
         del below[k:]
-        edge = law.offset - max(h, t + 1) + 1
-        left_law, right_law = law, at(t + edge + len(below))
-    first_row = stably_decreasing(
-        g.axis, [at(-key) for key in below], edge=edge,
-        left_law=left_law, right_law=right_law,
-    )
-    return _RowOne(first_row, chain(dropped, others), r)
+    return _RowOne(below, h, t, drops, others, r)
 
 
 def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
     """Insert a NEG or ALL g: row 1 from _row_one, and the entries it
-    names inserted one class at a time for the finite rows."""
-    first_row, entries, _ = _row_one(g)
-    tableaux = insert_by_class(entries)
-    law = g.left_law.anchor
-    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, law)), ())
+    names, as elements of g's classes, inserted one class at a time for
+    the finite rows."""
+    law = g.left_law
+    first = _first(g.axis, g.edge, len(g.window))
+    row = _row_one(
+        law.anchor, law.offset, first, g.window, [e.offset for e in g.window],
+        g.right_law if g.axis is Axis.ALL else None,
+    )
+
+    def at(v: int) -> FieldElem:
+        return law.shift(v - law.offset)
+
+    if row.t is None:
+        edge, left_law, right_law = g.edge, at(row.h + g.edge - len(row.below)), None
+    else:
+        edge = law.offset - max(row.h, row.t + 1) + 1
+        left_law, right_law = law, at(row.t + edge + len(row.below))
+    first_row = stably_decreasing(
+        g.axis, [at(-key) for key in row.below], edge=edge,
+        left_law=left_law, right_law=right_law,
+    )
+    tableaux = insert_by_class(chain(map(at, row.drops), row.others))
+    anchor = law.anchor
+    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, anchor)), ())
     finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law))
+        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, anchor))
     ).tableaux
-    law_tab = (Tableau(law, lower_rows),) if lower_rows else ()
+    law_tab = (Tableau(anchor, lower_rows),) if lower_rows else ()
     underline = seq_of(law_tab + finite)
     return InfiniteRSResult(g.axis, first_row, lower_rows, finite, underline)
 
@@ -421,22 +436,59 @@ def partition_from_row(
 def block_ideal(block: EventuallyConstantSeq) -> tuple:
     """The four annihilator statistics (r, g, X, Y) of one block.
 
-    They are read off row 1 of the law class alone (_row_one), and r is
-    the count of the entries the finite insertion takes: nothing is
-    inserted.  A POS block is read through its mirror, as rs_infinite
-    reads it: its X is the partition that row 1 of the mirror, a NEG
-    sequence, gives against the mirror's left law.
+    They are read off row 1 of the law class of plus_rho(block) alone
+    (_row_one), in one pass over the window on ints: the entry at
+    position p gives the offset e.offset - p, and nothing is inserted.
+    With l the left tail's offset, r the count _row_one returns, and
+    row 1 kept as its keys ``below`` (m of them) under the head [h, oo):
+
+    - NEG: Y_i = l + r - (edge - i) + below[m - 1 - i], read as a
+      partition (as_partition drops the zeros the law gives).
+    - ALL: g = max(h, t + 1) - 1 - t - k, the difference of row 1's
+      left and right laws, with t the right law's first value and
+      k = bisect_left(below, -t) the entries of ``below`` above t,
+      which stay in row 1.
+    - POS: the mirror p -> -f(-p) as rs_infinite reads it, a NEG
+      block: the window reversed, each offset negated, and X its Y.
+      Negating adds a constant to every offset of a class (1 for a
+      non-zero rational anchor), and each statistic depends only on
+      differences of offsets inside the law class, so it is left out.
+
+    g >= 0: the k entries kept are distinct integers strictly between t
+    and h, so k <= max(h, t + 1) - 1 - t; the AssertionError is a guard
+    that cannot fire.  Row 1 of NEG ends at the edge with left law
+    h + edge - m, which is l + r, the same tail-law invariant that
+    partition_from_row tests.
     """
-    mirrored = block.axis is Axis.POS
-    g = star_seq(plus_rho(block)) if mirrored else plus_rho(block)
-    row_one = _row_one(g)
-    if g.axis is Axis.NEG:
-        part = partition_from_row(row_one, g.left_law)
-        return (row_one.r, 0, part, ()) if mirrored else (row_one.r, 0, (), part)
-    row = row_one.first_row
-    gdeg = row.left_law.offset - row.right_law.offset
-    if gdeg < 0:
-        raise AssertionError(
-            f"negative degree {gdeg} extracted from a two-sided block"
+    axis, window = block.axis, block.window
+    n = len(window)
+    first = _first(axis, block.edge, n)
+    right = None
+    if axis is Axis.POS:
+        tail = elem(block.right_tail)
+        # the mirror's window runs from -last to -first
+        window, first, l = window[::-1], 1 - first - n, -tail.offset
+        offsets = [-e.offset - p for p, e in enumerate(window, first)]
+    else:
+        tail = elem(block.left_tail)
+        l = tail.offset
+        offsets = [e.offset - p for p, e in enumerate(window, first)]
+        if axis is Axis.ALL:
+            right = elem(block.right_tail)
+    row = _row_one(tail.anchor, l, first, window, offsets, right)
+    below, r = row.below, row.r
+    if row.t is not None:
+        gdeg = max(row.h, row.t + 1) - 1 - row.t - len(below)
+        if gdeg < 0:
+            raise AssertionError(
+                f"negative degree {gdeg} extracted from a two-sided block"
+            )
+        return (r, gdeg, (), ())
+    edge = first + n - 1  # where the NEG window, or the mirror's, ends
+    if row.h + edge - len(below) != l + r:
+        raise ValueError(
+            f"row tail law offset {row.h + edge - len(below)} is not {l} shifted by {r}"
         )
-    return (row_one.r, gdeg, (), ())
+    base = l + r - edge
+    part = as_partition([base + i + key for i, key in enumerate(reversed(below))])
+    return (r, 0, part, ()) if axis is Axis.POS else (r, 0, (), part)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import rsinf
 from helpers import rand_block_doc
+from rsinf.classifier import classify, ideal_to_json, parse_spec
 from rsinf.cli import main
 from rsinf.rs_infinite import Axis, block_ideal, eventually_constant
 
@@ -674,3 +675,32 @@ def test_far_window_entries_answer_at_once(tmp_path, big):
     assert block["first_row"] == {"window": [], "left_law": "0", "right_law": "-1"}
     assert block["underline"] == [str(-big - 1)]
     assert block["ideal"] == {"r": 1, "g": 1, "X": [], "Y": []}
+
+
+def test_far_tails_classify_on_every_axis(tmp_path):
+    """Tails, or a window entry and its tail, 10^18 apart on a POS, a NEG
+    and an ALL block answer through classify in a child with a deadline."""
+    big = 10**18
+    specs = {
+        "pos.json": [{"type": "omega", "exceptions": [str(big)], "tail": "0"}],
+        "neg.json": [{"type": "omega_star", "tail": "0", "exceptions": [str(-big)]}],
+        "down.json": [{"type": "zeta", "left_tail": str(big), "exceptions": [], "right_tail": "0"}],
+        "up.json": [{"type": "zeta", "left_tail": "a", "exceptions": ["a+5"],
+                     "right_tail": f"a+{big}"}],
+        "half.json": [{"type": "omega", "exceptions": [f"{2 * big + 1}/2"], "tail": "1/2"},
+                      {"type": "omega_star", "tail": "1/2", "exceptions": [f"{1 - 2 * big}/2"]}],
+    }
+    want = {
+        "pos.json": {"r": 0, "g": 0, "X": [big], "Y": []},
+        "neg.json": {"r": 0, "g": 0, "X": [], "Y": [big]},
+        "down.json": {"r": 0, "g": big, "X": [], "Y": []},
+        "up.json": {"r": big, "g": 0, "X": [], "Y": []},
+        "half.json": {"r": 0, "g": 0, "X": [big], "Y": [big]},
+    }
+    for name, regions in specs.items():
+        spec = {"regions": regions}
+        assert ideal_to_json(classify(parse_spec(spec)))["ideal"] == want[name], name
+        (tmp_path / name).write_text(json.dumps(spec))
+        proc = _cli("classify", str(tmp_path / name), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ideal"] == want[name], name

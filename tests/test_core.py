@@ -116,6 +116,26 @@ def test_str_forms():
     assert str(FieldElem(Fraction(0), -4)) == "-4"
 
 
+def test_repr_of_huge_elements_never_raises():
+    # repr is str wherever str prints, so shown answers stay the same
+    for e in (FieldElem("a", -3), elem("1/2"), elem(-4), FieldElem("-b", 10**4000)):
+        assert repr(e) == str(e)
+    huge = elem(-10**4299).shift(-10**4300)
+    with pytest.raises(ValueError, match="more than"):
+        str(huge)
+    bits = (10**4300 + 10**4299).bit_length()
+    assert repr(huge) == f"FieldElem(0, offset=-<{bits}-bit int>)"
+    assert repr(FieldElem("-a", 10**5000)) == (
+        f"FieldElem(-a, offset=<{(10**5000).bit_length()}-bit int>)"
+    )
+    den = 3**9500
+    assert repr(FieldElem(Fraction(1, den), 2)) == (
+        f"FieldElem(1/<{den.bit_length()}-bit int>, offset=2)"
+    )
+    # a container's repr, as an assertion message shows it
+    assert repr((huge, elem(1))) == f"(FieldElem(0, offset=-<{bits}-bit int>), 1)"
+
+
 def test_rational_str_matches_fraction_sum():
     # __str__ prints numerator + offset * denominator over the denominator
     # with int arithmetic; it must read exactly as the Fraction sum prints

@@ -312,6 +312,37 @@ def test_connected_skips_the_search_when_insertions_differ(monkeypatch):
     assert calls[0] > 0
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_connected_search_hashes_no_fraction(monkeypatch, shifted):
+    """The search keys visited words by int codes: with the insertion
+    check answered in advance, it hashes no Fraction, equal anchors held
+    by distinct objects share a code, and its paths are the oracle's."""
+    rng = random.Random(47 + shifted)
+    cases = []
+    for case in range(200):
+        f = rand_word(rng, rng.randint(2, 7))
+        g = walk(rng, f, shifted)
+        if case % 2:
+            # the same values, each rational anchor a new Fraction object
+            g = tuple(
+                FieldElem(Fraction(e.anchor.numerator, e.anchor.denominator), e.offset)
+                if e.is_rational else e
+                for e in g
+            )
+        cases.append((f, g, bfs_connected(f, g, shifted)))
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ called")
+
+    monkeypatch.setattr(rs_finite_mod, "rs", lambda values: None)
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    searched = 0
+    for f, g, want in cases:
+        assert connected(f, g, shifted=shifted) == want, (f, g)
+        searched += len(want.steps) > 1
+    assert searched > 50
+
+
 def _same_grouping(vals):
     got, want = insert_by_class(vals), setdefault_insert_by_class(vals)
     assert dict(got) == want

@@ -1,5 +1,6 @@
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -395,3 +396,80 @@ def test_block_ideal_matches_the_full_insertion_on_a_seeded_corpus():
         assert _answer(block_ideal, blk) == want, blk
         seen.add((blk.axis, want[0] is ValueError))
     assert seen == {(Axis.NEG, False), (Axis.POS, False), (Axis.ALL, False), (Axis.ALL, True)}
+
+
+def _raw_block(rng, doc):
+    """The block of doc built through the raw constructor, with copies of
+    each tail left in the window at its tail-facing end, so it is not
+    canonical.  Returns it with the canonical block."""
+    axis = Axis(doc["axis"])
+    left = elem(doc["left_tail"]) if "left_tail" in doc else None
+    right = elem(doc["right_tail"]) if "right_tail" in doc else None
+    window = [elem(v) for v in doc["exceptions"]]
+    edge = rng.randint(-5, 5)
+    canonical = eventually_constant(axis, window, edge=edge, left_tail=left, right_tail=right)
+    a = rng.randint(1, 3) if left is not None else 0
+    b = rng.randint(1, 3) if right is not None else 0
+    # the NEG window ends at its edge, the others start there
+    start = edge + a if axis is Axis.NEG else edge - a
+    raw = EventuallyConstantSeq(
+        axis, tuple([left] * a + window + [right] * b), start, left, right
+    )
+    return raw, canonical
+
+
+def test_block_ideal_matches_the_full_insertion_on_non_canonical_blocks():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(1500):
+        raw, canonical = _raw_block(rng, rand_block_doc(rng))
+        assert raw != canonical and len(raw.window) > len(canonical.window)
+        want = _answer(lambda: ideal_of(raw, rs_infinite(plus_rho(raw))))
+        assert _answer(block_ideal, raw) == want == _answer(block_ideal, canonical), raw
+        seen.add((raw.axis, want[0] is ValueError))
+    assert seen == {(Axis.NEG, False), (Axis.POS, False), (Axis.ALL, False), (Axis.ALL, True)}
+
+
+def _far_blocks(big):
+    """Blocks whose tails, or window entries and tail, lie big apart, in
+    the integer class, the class of 1/2 and a symbol class."""
+    half = FieldElem(Fraction(1, 2), 0)
+    return [
+        eventually_constant(Axis.NEG, [-big, 3], left_tail=0),
+        eventually_constant(Axis.POS, [big, "a"], right_tail=0),
+        eventually_constant(Axis.POS, [FieldElem(half.anchor, big)], right_tail=half),
+        eventually_constant(Axis.ALL, [], left_tail=big, right_tail=0),
+        eventually_constant(Axis.ALL, [5], left_tail=0, right_tail=big),
+        eventually_constant(Axis.ALL, ["a-3"], left_tail=f"a+{big}", right_tail="a"),
+    ]
+
+
+def test_block_ideal_reads_only_ints(monkeypatch):
+    """block_ideal answers without building a shifted, mirrored or
+    canonical sequence, a first row, or a shifted or negated element."""
+    rng = random.Random(21)
+    big = 10**18
+    far = _far_blocks(big)
+    blocks = [raw for raw, _ in (_raw_block(rng, rand_block_doc(rng)) for _ in range(300))]
+    blocks += [rand_block(rng, axis) for axis in Axis for _ in range(50)]
+    want = [_answer(block_ideal, blk) for blk in blocks + far]
+    assert {blk.axis for blk, w in zip(blocks, want) if type(w) is tuple} == set(Axis)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("block_ideal built a sequence or an element")
+
+    ri = importlib.import_module("rsinf.rs_infinite")
+    for name in ("plus_rho", "star_seq", "stably_decreasing", "partition_from_row"):
+        monkeypatch.setattr(ri, name, refuse)
+    monkeypatch.setattr(FieldElem, "shift", refuse)
+    monkeypatch.setattr(FieldElem, "negate", refuse)
+    assert [_answer(block_ideal, blk) for blk in blocks + far] == want
+    # far tails answer in time linear in the window
+    assert want[len(blocks):] == [
+        (1, 0, (), (big,)),
+        (1, 0, (big + 1,), ()),
+        (0, 0, (big,), ()),
+        (0, big, (), ()),
+        (big, 0, (), ()),
+        (1, big + 1, (), ()),
+    ]
