@@ -78,24 +78,22 @@ class FieldElem:
     def shift(self, k: int) -> "FieldElem":
         if type(k) is int:
             # the anchor was checked when self was built, and int + int is an int
-            out = object.__new__(FieldElem)
-            object.__setattr__(out, "anchor", self.anchor)
-            object.__setattr__(out, "offset", self.offset + k)
-            return out
+            return _unchecked(self.anchor, self.offset + k)
         return FieldElem(self.anchor, self.offset + k)
 
     def negate(self) -> "FieldElem":
         """-(anchor + offset), without Fraction arithmetic: a rational
         anchor a = num/den in (0, 1) gives -(a + o) = (1 - a) + (-o - 1),
         and 1 - a = (den - num)/den is again reduced and in (0, 1)."""
+        # a flipped symbol is again a symbol name, and the offsets are ints
         anchor = self.anchor
         if isinstance(anchor, str):
             flipped = anchor[1:] if anchor.startswith("-") else "-" + anchor
-            return FieldElem(flipped, -self.offset)
+            return _unchecked(flipped, -self.offset)
         num, den = anchor.numerator, anchor.denominator
         if num == 0:
-            return FieldElem(_ZERO, -self.offset)
-        return FieldElem(_rational_anchor(den - num, den), -self.offset - 1)
+            return _unchecked(_ZERO, -self.offset)
+        return _unchecked(_rational_anchor(den - num, den), -self.offset - 1)
 
     def __str__(self) -> str:
         try:
@@ -127,6 +125,16 @@ class FieldElem:
                 num, den = anchor.numerator, anchor.denominator
                 anchor = "0" if den == 1 else f"{_int_repr(num)}/{_int_repr(den)}"
             return f"FieldElem({anchor}, offset={_int_repr(self.offset)})"
+
+
+def _unchecked(anchor: Anchor, offset: int) -> FieldElem:
+    """FieldElem(anchor, offset) without __post_init__'s checks, for a
+    caller that holds a checked anchor, or one valid by construction, and
+    an int offset."""
+    out = object.__new__(FieldElem)
+    object.__setattr__(out, "anchor", anchor)
+    object.__setattr__(out, "offset", offset)
+    return out
 
 
 def _int_repr(n: int) -> str:

@@ -44,6 +44,32 @@ def insert_by_class(vals) -> list:
     ]
 
 
+def _inserted(vals, rho: bool = False, k: int = 0) -> dict:
+    """The insertion of vals as plain data, for equality tests: a dict
+    from each class to the offset rows of its tableau.  A class is keyed
+    by its symbol, or by a rational anchor's (numerator, denominator), so
+    no Fraction is hashed; entries are grouped by anchor identity, as in
+    insert_by_class.  The offsets inserted are offset + k, minus the
+    1-based position when rho: the offsets of j(vals shifted by k).
+    """
+    by_class: dict = {}
+    by_id: dict = {}
+    last = bucket = None
+    step = 1 if rho else 0
+    for pos, e in enumerate(vals, start=1):
+        if e.anchor is not last:
+            last = e.anchor
+            bucket = by_id.get(id(last))
+            if bucket is None:
+                key = last if isinstance(last, str) else (last.numerator, last.denominator)
+                bucket = by_id[id(last)] = by_class.setdefault(key, [])
+        bucket.append(e.offset + k - step * pos)
+    return {
+        key: [list(map(offsets.__getitem__, row)) for row in insert_sequence(offsets)]
+        for key, offsets in by_class.items()
+    }
+
+
 def rs(values) -> TableauFamily:
     """Insert the sequence, one tableau per integrality class."""
     return TableauFamily(
@@ -183,20 +209,22 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
 
     Two words are joined by interchanges exactly when their insertions
     agree (Knuth 1970), so unequal insertions answer None without a
-    search.  A shifted move on f is a plain move at the same position on
-    rho_shift(f), so the shifted variant compares j and searches the
-    shifted words.  The breadth-first search tries positions in
-    increasing order, which fixes the path among the shortest ones.
+    search; the insertions are compared as per-class offset rows, and no
+    tableau is built.  A shifted move on f is a plain move at the same
+    position on rho_shift(f), so the shifted variant compares j and
+    searches the shifted words.  The breadth-first search tries
+    positions in increasing order, which fixes the path among the
+    shortest ones.
     """
     start, goal = elems(f), elems(g)
     if len(start) != len(goal):
         return None
     if start == goal:
         return InterchangePath(())
+    if _inserted(start, shifted) != _inserted(goal, shifted):
+        return None
     if shifted:
         start, goal = rho_shift(start), rho_shift(goal)
-    if rs(start) != rs(goal):
-        return None
     # visited words are keyed by tuples of int codes, one per distinct
     # entry, so no state hashes a FieldElem or its Fraction anchor; equal
     # entries share a code, which keeps the search and its path the same
@@ -244,20 +272,21 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
     j only rearranges the entries of rho_shift, so equal results have
     equal entries class by class.  That fixes the one k that can work:
     the largest shifted entry of f in the class of f's first entry minus
-    the largest shifted entry of fprime in that class.
+    the largest shifted entry of fprime in that class.  Both j are
+    compared as per-class offset rows, and no tableau is built.
     """
     a, b = elems(f), elems(fprime)
-    if k is not None:
+    if k is None:
+        if len(a) != len(b):
+            return False
+        if not a:
+            return True
+        anchor = a[0].anchor
+        ka = [e.offset - i for i, e in enumerate(a, 1) if same_anchor(e.anchor, anchor)]
+        kb = [e.offset - i for i, e in enumerate(b, 1) if same_anchor(e.anchor, anchor)]
+        if not kb:
+            return False
+        k = max(ka) - max(kb)
+    else:
         _int(k, "the shift k")
-        return j(a) == j(tuple(e.shift(k) for e in b))
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    anchor = a[0].anchor
-    ka = [e.offset for e in rho_shift(a) if same_anchor(e.anchor, anchor)]
-    kb = [e.offset for e in rho_shift(b) if same_anchor(e.anchor, anchor)]
-    if not kb:
-        return False
-    c = max(ka) - max(kb)
-    return j(a) == j(tuple(e.shift(c) for e in b))
+    return _inserted(a, True) == _inserted(b, True, k)

@@ -482,6 +482,44 @@ def test_integer_negate_gives_the_shared_anchor():
             assert FieldElem(anchor, offset).negate().anchor is core._ZERO
 
 
+def test_negate_matches_the_checked_constructor(monkeypatch):
+    """negate builds its answer unchecked; the answer equals the element
+    the checking constructor builds, and negating again gives back an
+    equal element: on rationals whose anchors are distinct objects, on
+    symbols and on negated symbols."""
+    rng = random.Random(61)
+    corpus = []
+    for _ in range(200):
+        den = rng.randint(1, 30)
+        corpus.append(FieldElem(Fraction(rng.randrange(den), den), rng.randint(-50, 50)))
+    corpus += [FieldElem(name, rng.randint(-50, 50))
+               for name in ("a", "-a", "x_1", "-Zz", _Name("b")) for _ in range(10)]
+    wants = []
+    for e in corpus:
+        if isinstance(e.anchor, str):
+            name = e.anchor[1:] if e.anchor.startswith("-") else "-" + e.anchor
+            wants.append(FieldElem(name, -e.offset))
+        else:
+            q = -(e.anchor + e.offset)
+            floor = q.numerator // q.denominator
+            wants.append(FieldElem(Fraction(q - floor), floor))
+    checks = [0]
+    check = FieldElem.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        check(self)
+
+    monkeypatch.setattr(FieldElem, "__post_init__", counted)
+    for e, want in zip(corpus, wants):
+        got = e.negate()
+        assert type(got) is FieldElem and type(got.offset) is int, e
+        assert got == want and hash(got) == hash(want), e
+        assert got.negate() == e, e
+    assert checks[0] == 0
+    assert sum(e.anchor.startswith("-") for e in corpus if not e.is_rational) == 20
+
+
 def test_shift_by_an_int_matches_the_constructor():
     rng = random.Random(11)
     for e in _negate_corpus(rng)[::7]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rsinf.rs_finite as rs_finite_mod
 from helpers import bfs_connected, rand_family, setdefault_insert_by_class
-from rsinf.core import FieldElem, Tableau, TableauFamily, elem, parse_elem
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem, parse_elem, same_anchor
 from rsinf.rs_finite import (
     InterchangePath,
     admissible,
@@ -314,9 +314,10 @@ def test_connected_skips_the_search_when_insertions_differ(monkeypatch):
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_connected_search_hashes_no_fraction(monkeypatch, shifted):
-    """The search keys visited words by int codes: with the insertion
-    check answered in advance, it hashes no Fraction, equal anchors held
-    by distinct objects share a code, and its paths are the oracle's."""
+    """The insertion check keys classes by (numerator, denominator) and
+    the search keys visited words by int codes: the whole call hashes no
+    Fraction, equal anchors held by distinct objects share a code, and
+    its paths are the oracle's."""
     rng = random.Random(47 + shifted)
     cases = []
     for case in range(200):
@@ -334,13 +335,105 @@ def test_connected_search_hashes_no_fraction(monkeypatch, shifted):
     def refuse(self):
         raise AssertionError("Fraction.__hash__ called")
 
-    monkeypatch.setattr(rs_finite_mod, "rs", lambda values: None)
     monkeypatch.setattr(Fraction, "__hash__", refuse)
     searched = 0
     for f, g, want in cases:
         assert connected(f, g, shifted=shifted) == want, (f, g)
         searched += len(want.steps) > 1
     assert searched > 50
+
+
+# the classes 0, 1/2, 1/3, a and -a
+MIXED = (Fraction(0), Fraction(1, 2), Fraction(1, 3), "a", "-a")
+
+
+def fresh(word):
+    """The same values, each rational anchor a new Fraction object."""
+    return tuple(
+        FieldElem(Fraction(e.anchor.numerator, e.anchor.denominator), e.offset)
+        if e.is_rational else e
+        for e in word
+    )
+
+
+def mixed_pairs(rng, count):
+    """Pairs of equal-length words over MIXED, no two rational entries
+    sharing an anchor object; g is a walk of plain or shifted moves from
+    f, a rearrangement of f, or a new word."""
+    pairs = []
+    for case in range(count):
+        n = rng.randint(1, 6)
+        f = fresh(FieldElem(rng.choice(MIXED), rng.randint(-2, 3)) for _ in range(n))
+        if case % 3 == 0:
+            g = walk(rng, f, case % 2 == 0)
+        elif case % 3 == 1:
+            g = tuple(rng.sample(f, n))
+        else:
+            g = tuple(FieldElem(rng.choice(MIXED), rng.randint(-2, 3)) for _ in range(n))
+        pairs.append((f, fresh(g)))
+    return pairs
+
+
+def test_int_level_checks_match_the_tableaux():
+    """connected answers None exactly when rs (j when shifted) of the two
+    words differ, and joseph_equal(f, g, k) is j(f) == j(g + k)."""
+    rng = random.Random(53)
+    seen = {False: [0, 0], True: [0, 0]}
+    joseph = [0, 0]
+    for f, g in mixed_pairs(rng, 300):
+        for shifted, insertion in ((False, rs), (True, j)):
+            same = insertion(f) == insertion(g)
+            assert (connected(f, g, shifted=shifted) is None) is not same, (f, g, shifted)
+            seen[shifted][same] += 1
+        for k in range(-3, 4):
+            want = j(f) == j(tuple(e.shift(k) for e in g))
+            assert joseph_equal(f, g, k=k) is want, (f, g, k)
+            joseph[want] += 1
+        assert joseph_equal(f, g) is any(
+            joseph_equal(f, g, k=c) for c in range(-len(f) - 8, len(f) + 9)
+        ), (f, g)
+    # both answers occur for every check
+    assert min(seen[False] + seen[True] + joseph) > 20
+
+
+def test_connected_and_joseph_equal_build_no_tableau(monkeypatch):
+    """With Tableau and TableauFamily construction refused, both checks
+    still answer, and the kernel runs once per class of each word per
+    comparison, as when each comparison inserted through rs or j."""
+    rng = random.Random(59)
+    cases = []
+    for f, g in mixed_pairs(rng, 120):
+        if f == g:
+            continue
+        k = rng.randint(-2, 2)
+        answers = (connected(f, g), connected(f, g, shifted=True),
+                   joseph_equal(f, g), joseph_equal(f, g, k=k))
+        classes = len(rs(f)) + len(rs(g))
+        # joseph_equal(k=None) inserts only when g meets the class of f[0]
+        found = any(same_anchor(e.anchor, f[0].anchor) for e in g)
+        cases.append((f, g, k, answers, classes * (3 + found)))
+
+    def refuse(self):
+        raise AssertionError("a tableau was built")
+
+    calls = [0]
+    kernel = rs_finite_mod.insert_sequence
+
+    def counted(offsets):
+        calls[0] += 1
+        return kernel(offsets)
+
+    monkeypatch.setattr(Tableau, "__post_init__", refuse)
+    monkeypatch.setattr(TableauFamily, "__post_init__", refuse)
+    monkeypatch.setattr(rs_finite_mod, "insert_sequence", counted)
+    for f, g, k, answers, kernel_calls in cases:
+        calls[0] = 0
+        got = (connected(f, g), connected(f, g, shifted=True),
+               joseph_equal(f, g), joseph_equal(f, g, k=k))
+        assert got == answers, (f, g, k)
+        assert calls[0] == kernel_calls, (f, g, k)
+    assert len(cases) > 80
+    assert sum(a[0] is not None for *_, a, _ in cases) > 10
 
 
 def _same_grouping(vals):
