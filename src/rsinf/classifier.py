@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import Union, get_origin, get_type_hints
 
 from .core import FieldElem, _field, elem, elems, parse_elems, parse_entry
-from .rs_infinite import (
-    Axis,
-    EventuallyConstantSeq,
-    block_ideal,
-    eventually_constant,
-)
+from .rs_infinite import _HAS_TAILS, block_ideal, eventually_constant
 
 
 @dataclass(frozen=True)
@@ -68,6 +63,8 @@ _STRETCHES = {
     cls: tuple((name, get_origin(t) is tuple) for name, t in get_type_hints(cls).items())
     for cls in _NAMES
 }
+# (has a left tail, has a right tail) -> the axis of a block with them
+_AXIS_OF_TAILS = {has: axis for axis, has in _HAS_TAILS.items()}
 
 
 def finite(*values) -> Finite:
@@ -144,31 +141,16 @@ def segment(spec: WeightSpec):
     onward is a NEG sequence.
     """
     tokens = _tokens(spec)
-    consts = [i for i, (kind, _) in enumerate(tokens) if kind == "c"]
-    head = eventually_constant(
-        Axis.POS,
-        [tokens[i][1] for i in range(consts[0])],
-        edge=1,
-        right_tail=tokens[consts[0]][1],
-    )
-    middles = []
-    for lo, hi in zip(consts, consts[1:]):
-        middles.append(
-            eventually_constant(
-                Axis.ALL,
-                [tokens[i][1] for i in range(lo + 1, hi)],
-                edge=1,
-                left_tail=tokens[lo][1],
-                right_tail=tokens[hi][1],
-            )
-        )
-    tail = eventually_constant(
-        Axis.NEG,
-        [tokens[i][1] for i in range(consts[-1] + 1, len(tokens))],
-        edge=-1,
-        left_tail=tokens[consts[-1]][1],
-    )
-    return head, tuple(middles), tail
+    cuts = [-1, *(i for i, (kind, _) in enumerate(tokens) if kind == "c"), len(tokens)]
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        # a block's tails are the stretches at its cuts, which fix its axis
+        left = tokens[lo][1] if lo >= 0 else None
+        right = tokens[hi][1] if hi < len(tokens) else None
+        axis = _AXIS_OF_TAILS[left is not None, right is not None]
+        window = [v for _, v in tokens[lo + 1:hi]]
+        blocks.append(eventually_constant(axis, window, left_tail=left, right_tail=right))
+    return blocks[0], tuple(blocks[1:-1]), blocks[-1]
 
 
 @dataclass(frozen=True)
@@ -194,15 +176,8 @@ def classify(spec: WeightSpec):
     if isinstance(v, ZeroAnnihilator):
         return ZeroIdeal(v.reason)
     head, middles, tail = segment(spec)
-    r_head, _, x, _ = block_ideal(head)
-    r_tail, _, _, y = block_ideal(tail)
-    r = r_head + r_tail
-    g = 0
-    for mid in middles:
-        r_mid, g_mid, _, _ = block_ideal(mid)
-        r += r_mid
-        g += g_mid
-    return ProperIdeal(r, g, x, y)
+    rs, gs, xs, ys = zip(*[block_ideal(b) for b in (head, *middles, tail)])
+    return ProperIdeal(sum(rs), sum(gs), xs[0], ys[-1])
 
 
 def star_spec(spec: WeightSpec) -> WeightSpec:

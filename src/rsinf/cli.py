@@ -15,8 +15,8 @@ import sys
 
 from . import classifier, cls
 from .core import (
-    FieldElem, Tableau, TableauFamily, _digits, _field, _parse_int, parse_elem, parse_elems,
-    parse_entry,
+    FieldElem, Tableau, TableauFamily, _digits, _field, _int_repr, _parse_int, parse_elem,
+    parse_elems, parse_entry,
 )
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
 from .rs_infinite import Axis, block_ideal, eventually_constant, plus_rho, rs_infinite
@@ -97,6 +97,11 @@ def _cmd_interchange(args) -> int:
     return _emit(out)
 
 
+# rs-inf prints each of a block's r displaced entries, so it answers an
+# error past this r instead of inserting; classify counts r at any size
+_RS_INF_MAX_R = 100_000
+
+
 def _cmd_rs_inf(args) -> int:
     data = _load(args.block)
     shape = "a block document is an object with an 'axis' field"
@@ -112,8 +117,13 @@ def _cmd_rs_inf(args) -> int:
         for side in ("left_tail", "right_tail")
     )
     block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)
-    res = rs_infinite(plus_rho(block))
     r, g, x, y = block_ideal(block)
+    if r > _RS_INF_MAX_R:
+        raise ValueError(
+            f"the block displaces r = {_int_repr(r)} entries, more than the "
+            f"{_RS_INF_MAX_R} rs-inf prints"
+        )
+    res = rs_infinite(plus_rho(block))
     row = res.first_row
     row_json = {"window": [str(v) for v in row.window]}
     if row.left_law is not None:
@@ -254,7 +264,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         return 1
 

@@ -396,9 +396,9 @@ class TableauFamily:
         tabs = tuple(self.tableaux)
         keys = [str(FieldElem(t.anchor, 0)) for t in tabs]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
-            anchors = [t.anchor for t in tabs]
-            raise ValueError(f"duplicate anchors in family: {anchors}")
+        dup = next((keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
+        if dup is not None:
+            raise ValueError(f"the family has two tableaux of class {dup}")
         object.__setattr__(self, "tableaux", tuple(tabs[i] for i in order))
 
     def __iter__(self):

@@ -96,18 +96,16 @@ def rs_trace(values) -> tuple[InsertionStep, ...]:
     n = len(vals)
     rows: dict = {}
     built: dict = {}
-    entry, position = {}, {}  # by packed key: the entry, its 1-based position
     steps = []
     for pos, e in enumerate(vals, start=1):
-        # the kernel's packed key, distinct across classes
+        # the kernel's packed key, distinct across classes; key % n is
+        # n - pos, so the key decodes to its entry and position
         key = n - pos - e.offset * n
-        entry[key] = e
-        position[key] = pos
         key_rows = rows.setdefault(e.anchor, [])
         insert_one(key_rows, key)
         built[e.anchor] = (
-            Tableau(e.anchor, tuple(tuple(map(entry.__getitem__, row)) for row in key_rows)),
-            tuple(tuple(map(position.__getitem__, row)) for row in key_rows),
+            Tableau(e.anchor, tuple(tuple(vals[n - 1 - c % n] for c in row) for row in key_rows)),
+            tuple(tuple(n - c % n for c in row) for row in key_rows),
         )
         family = TableauFamily(tuple(tab for tab, _ in built.values()))
         # positions follow the family's canonical class order

@@ -283,11 +283,11 @@ class InfiniteRSResult:
 
 
 # row 1 of the law class on ints: the kernel's keys -offset of its
-# finite part below the head [h, oo) and, on ALL, t, where the right law
-# starts (None on NEG); the law-class offsets that drop to row 2, in
-# order; the window entries of other classes; and r, the number of
-# entries the finite insertion takes
-_RowOne = namedtuple("_RowOne", "below h t drops others r")
+# finite part below the head, row 1's edge and the offsets of its left
+# and right laws (right is None on NEG); the law-class offsets that drop
+# to row 2, in order; the window entries of other classes; and r, the
+# number of entries the finite insertion takes
+_RowOne = namedtuple("_RowOne", "below edge left right drops others r")
 
 
 def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne:
@@ -311,10 +311,14 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
     drop largest first (the head's t..h when t >= h, then the tail of
     ``below``) and the law ends row 1.  The drops reach row 2 in that
     order, and the other classes occur only in the window, so one finite
-    insertion of the entries gives every finite row.  Row 1 holds the
-    head's v at position l - v: on NEG it ends at the edge, so its left
-    law is h + edge - len(below); on ALL the rest of ``below`` starts
-    after the smallest head entry kept, max(h, t + 1), and t follows it.
+    insertion of the entries gives every finite row.
+
+    Row 1 holds the head's v at position l - v, and ``below`` follows it.
+    On NEG it ends at the window's edge = first + len(window) - 1, so its
+    left law is left = h + edge - len(below).  On ALL ``below`` starts
+    after the smallest head entry kept, max(h, t + 1), at edge =
+    l - max(h, t + 1) + 1, the left law is left = l, and t follows
+    ``below``: right = t + edge + len(below).
 
     Insertion keeps every box, so r is a count: the window's drops, the
     max(t - h + 1, 0) head drops, the tail of ``below`` and the other
@@ -338,14 +342,16 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
                 drops.append(-below[i])
                 below[i] = -v
     r = len(drops) + len(others)
-    t = None
-    if right is not None:
-        t = right.offset - (first + len(window))
-        k = bisect_left(below, -t)
-        drops = chain(drops, range(t, h - 1, -1), [-key for key in below[k:]])
-        r += max(t - h + 1, 0) + len(below) - k
-        del below[k:]
-    return _RowOne(below, h, t, drops, others, r)
+    if right is None:
+        edge = first + len(window) - 1
+        return _RowOne(below, edge, h + edge - len(below), None, drops, others, r)
+    t = right.offset - (first + len(window))
+    k = bisect_left(below, -t)
+    drops = chain(drops, range(t, h - 1, -1), [-key for key in below[k:]])
+    r += max(t - h + 1, 0) + len(below) - k
+    del below[k:]
+    edge = l - max(h, t + 1) + 1
+    return _RowOne(below, edge, l, t + edge + len(below), drops, others, r)
 
 
 def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
@@ -353,23 +359,17 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
     names, as elements of g's classes, inserted one class at a time for
     the finite rows."""
     law = g.left_law
-    first = _first(g.axis, g.edge, len(g.window))
     row = _row_one(
-        law.anchor, law.offset, first, g.window, [e.offset for e in g.window],
-        g.right_law if g.axis is Axis.ALL else None,
+        law.anchor, law.offset, _first(g.axis, g.edge, len(g.window)), g.window,
+        [e.offset for e in g.window], g.right_law if g.axis is Axis.ALL else None,
     )
 
     def at(v: int) -> FieldElem:
         return law.shift(v - law.offset)
 
-    if row.t is None:
-        edge, left_law, right_law = g.edge, at(row.h + g.edge - len(row.below)), None
-    else:
-        edge = law.offset - max(row.h, row.t + 1) + 1
-        left_law, right_law = law, at(row.t + edge + len(row.below))
     first_row = stably_decreasing(
-        g.axis, [at(-key) for key in row.below], edge=edge,
-        left_law=left_law, right_law=right_law,
+        g.axis, [at(-key) for key in row.below], edge=row.edge, left_law=at(row.left),
+        right_law=None if row.right is None else at(row.right),
     )
     tableaux = insert_by_class(chain(map(at, row.drops), row.others))
     anchor = law.anchor
@@ -439,26 +439,24 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     They are read off row 1 of the law class of plus_rho(block) alone
     (_row_one), in one pass over the window on ints: the entry at
     position p gives the offset e.offset - p, and nothing is inserted.
-    With l the left tail's offset, r the count _row_one returns, and
-    row 1 kept as its keys ``below`` (m of them) under the head [h, oo):
+    With l the left tail's offset, and r, row 1's keys ``below`` (m of
+    them), its edge and its laws' offsets left and right as _row_one
+    returns them:
 
     - NEG: Y_i = l + r - (edge - i) + below[m - 1 - i], read as a
       partition (as_partition drops the zeros the law gives).
-    - ALL: g = max(h, t + 1) - 1 - t - k, the difference of row 1's
-      left and right laws, with t the right law's first value and
-      k = bisect_left(below, -t) the entries of ``below`` above t,
-      which stay in row 1.
+    - ALL: g = left - right, the difference of row 1's laws.
     - POS: the mirror p -> -f(-p) as rs_infinite reads it, a NEG
       block: the window reversed, each offset negated, and X its Y.
       Negating adds a constant to every offset of a class (1 for a
       non-zero rational anchor), and each statistic depends only on
       differences of offsets inside the law class, so it is left out.
 
-    g >= 0: the k entries kept are distinct integers strictly between t
-    and h, so k <= max(h, t + 1) - 1 - t; the AssertionError is a guard
-    that cannot fire.  Row 1 of NEG ends at the edge with left law
-    h + edge - m, which is l + r, the same tail-law invariant that
-    partition_from_row tests.
+    g >= 0: with h and t as in _row_one, g = max(h, t + 1) - 1 - t - m
+    and the m entries kept are distinct integers strictly between t and
+    h; the AssertionError is a guard that cannot fire.  Row 1 of NEG has
+    left law l + r, the same tail-law invariant that partition_from_row
+    tests.
     """
     axis, window = block.axis, block.window
     n = len(window)
@@ -476,19 +474,16 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
         if axis is Axis.ALL:
             right = elem(block.right_tail)
     row = _row_one(tail.anchor, l, first, window, offsets, right)
-    below, r = row.below, row.r
-    if row.t is not None:
-        gdeg = max(row.h, row.t + 1) - 1 - row.t - len(below)
+    r = row.r
+    if row.right is not None:
+        gdeg = row.left - row.right
         if gdeg < 0:
             raise AssertionError(
                 f"negative degree {gdeg} extracted from a two-sided block"
             )
         return (r, gdeg, (), ())
-    edge = first + n - 1  # where the NEG window, or the mirror's, ends
-    if row.h + edge - len(below) != l + r:
-        raise ValueError(
-            f"row tail law offset {row.h + edge - len(below)} is not {l} shifted by {r}"
-        )
-    base = l + r - edge
-    part = as_partition([base + i + key for i, key in enumerate(reversed(below))])
+    if row.left != l + r:
+        raise ValueError(f"row tail law offset {row.left} is not {l} shifted by {r}")
+    base = l + r - row.edge
+    part = as_partition([base + i + key for i, key in enumerate(reversed(row.below))])
     return (r, 0, part, ()) if axis is Axis.POS else (r, 0, (), part)

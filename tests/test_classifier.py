@@ -79,6 +79,24 @@ def test_segment_geometry():
     assert tail.axis is Axis.NEG
     assert tail.window == (elem(7),)
     assert tail.left_tail == elem(-3)
+    # a spec that starts and ends on a stretch has an empty head and tail
+    head, middles, tail = segment(weight_spec(zeta(0, [], 0)))
+    assert (head.axis, head.window, head.right_tail, head.edge) == (Axis.POS, (), elem(0), 1)
+    assert [(m.axis, m.window, m.left_tail, m.right_tail, m.edge) for m in middles] == [
+        (Axis.ALL, (), elem(0), elem(0), 0)
+    ]
+    assert (tail.axis, tail.window, tail.left_tail, tail.edge) == (Axis.NEG, (), elem(0), -1)
+    # finite regions at both ends join the head and the tail
+    head, middles, tail = segment(
+        weight_spec(finite(1, "a"), zeta(0, [2], -1), finite(5))
+    )
+    assert (head.axis, head.window, head.right_tail, head.edge) == (
+        Axis.POS, (elem(1), FieldElem("a", 0)), elem(0), 1
+    )
+    assert [(m.axis, m.window, m.left_tail, m.right_tail, m.edge) for m in middles] == [
+        (Axis.ALL, (elem(2),), elem(0), elem(-1), 1)
+    ]
+    assert (tail.axis, tail.window, tail.left_tail, tail.edge) == (Axis.NEG, (elem(5),), elem(-1), -1)
 
 
 def test_classify_zero_on_mixed_tails():

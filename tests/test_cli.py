@@ -270,6 +270,9 @@ def test_malformed_documents_answer_an_error(tmp_path, capsys, command, doc, mes
         ("classify", '{"regions":[{"type":"omega","exceptions":[2],"tail":0}]}',
          "a spec document is an object with a 'regions' list"),
         ("classify", "neg", "a spec document is an object with a 'regions' list"),
+        # two tableaux whose classes print alike name that class
+        ("seq-of", {"tableaux": [{"rows": [["3"]]}, {"rows": [["4"]]}]},
+         "the family has two tableaux of class 0"),
     ],
 )
 def test_null_tails_and_string_documents_answer_an_error(
@@ -675,6 +678,30 @@ def test_far_window_entries_answer_at_once(tmp_path, big):
     assert block["first_row"] == {"window": [], "left_law": "0", "right_law": "-1"}
     assert block["underline"] == [str(-big - 1)]
     assert block["ideal"] == {"r": 1, "g": 1, "X": [], "Y": []}
+    # rs-inf would print all r = big entries, so it refuses before inserting
+    doc = {"axis": "all", "left_tail": "0", "exceptions": [], "right_tail": str(big)}
+    (tmp_path / "far_block.json").write_text(json.dumps(doc))
+    proc = _cli("rs-inf", str(tmp_path / "far_block.json"), timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": f"the block displaces r = {big} entries, more than the 100000 rs-inf prints"
+    }
+
+
+def test_rs_inf_prints_up_to_its_limit_on_r(tmp_path, capsys, monkeypatch):
+    """rs-inf answers a block whose r is at its limit and refuses one past it."""
+    monkeypatch.setattr(importlib.import_module("rsinf.cli"), "_RS_INF_MAX_R", 3)
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps({"axis": "all", "left_tail": "0", "right_tail": "3"}))
+    code, out = run(capsys, "rs-inf", str(path))
+    assert code == 0
+    assert json.loads(out)["underline"] == ["2", "1", "0"]
+    path.write_text(json.dumps({"axis": "all", "left_tail": "0", "right_tail": "4"}))
+    code, out = run(capsys, "rs-inf", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "the block displaces r = 4 entries, more than the 3 rs-inf prints"
+    }
 
 
 def test_far_tails_classify_on_every_axis(tmp_path):
