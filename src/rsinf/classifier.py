@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Union, get_origin, get_type_hints
 
-from .core import FieldElem, _field, elem, elems, parse_elems, parse_entry
+from .core import FieldElem, _class_key, _field, elem, elems, parse_elems, parse_entry
 from .rs_infinite import _HAS_TAILS, block_ideal, eventually_constant
 
 
@@ -109,9 +109,9 @@ class ZeroAnnihilator:
 def validate(spec: WeightSpec):
     """A spec annihilates nontrivially iff all its infinite stretches sit
     in one integrality class."""
-    classes = {v.anchor for kind, v in _tokens(spec) if kind == "c"}
+    classes = {_class_key(v.anchor): v.anchor for kind, v in _tokens(spec) if kind == "c"}
     if len(classes) > 1:
-        names = ", ".join(sorted(str(FieldElem(a, 0)) for a in classes))
+        names = ", ".join(sorted(str(FieldElem(a, 0)) for a in classes.values()))
         return ZeroAnnihilator(
             f"infinite tails fall in different integrality classes: {names}"
         )

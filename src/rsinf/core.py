@@ -296,6 +296,13 @@ def same_anchor(a: Anchor, b: Anchor) -> bool:
     return a is b or (isinstance(a, str) is isinstance(b, str) and a == b)
 
 
+def _class_key(anchor: Anchor):
+    """The key of the anchor's integrality class: the symbol itself, or a
+    rational anchor's (numerator, denominator).  Equal anchors give equal
+    keys, a symbol never equals a tuple, and no Fraction is hashed."""
+    return anchor if isinstance(anchor, str) else (anchor.numerator, anchor.denominator)
+
+
 def same_class(a: FieldElem, b: FieldElem) -> bool:
     return same_anchor(a.anchor, b.anchor)
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from ._insertion_py import insert_one
 from ._kernel import insert_sequence
 from .core import (
-    FieldElem, Tableau, TableauFamily, _int, elems, ge_z, gt_z, same_anchor, same_class,
+    FieldElem, Tableau, TableauFamily, _class_key, _int, elems, ge_z, gt_z, same_anchor,
+    same_class,
 )
 
 
@@ -17,64 +18,52 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
     return tuple(e.shift(-(i + 1)) for i, e in enumerate(elems(values)))
 
 
-def insert_by_class(vals) -> list:
-    """Insert the entries one integrality class at a time, in sequence
-    order.  Returns (anchor, rows of the input's own entries) pairs,
-    classes in order of first appearance.  A run of entries with one
-    anchor object is looked up once, and by the object's id in front of
-    its value, so each distinct anchor object is hashed at most once; the
-    entries keep their anchors alive, so no id is reused during the call.
+def _classes(vals) -> dict:
+    """Group the entries by integrality class: a dict from each class key
+    (core._class_key) to the 0-based positions of its entries, classes in
+    order of first appearance.  A run of entries with one anchor object is
+    looked up once, and by the object's id in front of its key, so each
+    distinct anchor object is keyed at most once; the entries keep their
+    anchors alive, so no id is reused during the call.
     """
     by_class: dict = {}
     by_id: dict = {}
     last = bucket = None
-    for e in vals:
+    for i, e in enumerate(vals):
         if e.anchor is not last:
             last = e.anchor
             bucket = by_id.get(id(last))
             if bucket is None:
-                bucket = by_id[id(last)] = by_class.setdefault(last, [])
-        bucket.append(e)
-    return [
-        (anchor, tuple(
-            tuple(map(es.__getitem__, row))
-            for row in insert_sequence([e.offset for e in es])
-        ))
-        for anchor, es in by_class.items()
-    ]
+                bucket = by_id[id(last)] = by_class.setdefault(_class_key(last), [])
+        bucket.append(i)
+    return by_class
 
 
 def _inserted(vals, rho: bool = False, k: int = 0) -> dict:
     """The insertion of vals as plain data, for equality tests: a dict
-    from each class to the offset rows of its tableau.  A class is keyed
-    by its symbol, or by a rational anchor's (numerator, denominator), so
-    no Fraction is hashed; entries are grouped by anchor identity, as in
-    insert_by_class.  The offsets inserted are offset + k, minus the
-    1-based position when rho: the offsets of j(vals shifted by k).
+    from each class key to the offset rows of its tableau.  The offsets
+    inserted are offset + k, minus the 1-based position when rho: the
+    offsets of j(vals shifted by k).
     """
-    by_class: dict = {}
-    by_id: dict = {}
-    last = bucket = None
     step = 1 if rho else 0
-    for pos, e in enumerate(vals, start=1):
-        if e.anchor is not last:
-            last = e.anchor
-            bucket = by_id.get(id(last))
-            if bucket is None:
-                key = last if isinstance(last, str) else (last.numerator, last.denominator)
-                bucket = by_id[id(last)] = by_class.setdefault(key, [])
-        bucket.append(e.offset + k - step * pos)
-    return {
-        key: [list(map(offsets.__getitem__, row)) for row in insert_sequence(offsets)]
-        for key, offsets in by_class.items()
-    }
+    out = {}
+    for key, positions in _classes(vals).items():
+        offsets = [vals[i].offset + k - step * (i + 1) for i in positions]
+        out[key] = [list(map(offsets.__getitem__, row)) for row in insert_sequence(offsets)]
+    return out
 
 
 def rs(values) -> TableauFamily:
-    """Insert the sequence, one tableau per integrality class."""
-    return TableauFamily(
-        tuple(Tableau(anchor, rows) for anchor, rows in insert_by_class(elems(values)))
-    )
+    """Insert the sequence, one tableau per integrality class.  The rows
+    hold the input's own entries, and a tableau's anchor is the first one
+    seen in its class."""
+    vals = elems(values)
+    tabs = []
+    for positions in _classes(vals).values():
+        es = list(map(vals.__getitem__, positions))
+        rows = insert_sequence([e.offset for e in es])
+        tabs.append(Tableau(es[0].anchor, tuple(tuple(map(es.__getitem__, row)) for row in rows)))
+    return TableauFamily(tuple(tabs))
 
 
 @dataclass(frozen=True)
@@ -101,15 +90,16 @@ def rs_trace(values) -> tuple[InsertionStep, ...]:
         # the kernel's packed key, distinct across classes; key % n is
         # n - pos, so the key decodes to its entry and position
         key = n - pos - e.offset * n
-        key_rows = rows.setdefault(e.anchor, [])
+        ckey = _class_key(e.anchor)
+        key_rows = rows.setdefault(ckey, [])
         insert_one(key_rows, key)
-        built[e.anchor] = (
+        built[ckey] = (
             Tableau(e.anchor, tuple(tuple(vals[n - 1 - c % n] for c in row) for row in key_rows)),
             tuple(tuple(n - c % n for c in row) for row in key_rows),
         )
         family = TableauFamily(tuple(tab for tab, _ in built.values()))
         # positions follow the family's canonical class order
-        steps.append(InsertionStep(family, tuple(built[t.anchor][1] for t in family)))
+        steps.append(InsertionStep(family, tuple(built[_class_key(t.anchor)][1] for t in family)))
     return tuple(steps)
 
 
@@ -229,9 +219,7 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
     codes: dict = {}
 
     def code(e: FieldElem) -> int:
-        a = e.anchor
-        key = (e.offset, a if isinstance(a, str) else (a.numerator, a.denominator))
-        return codes.setdefault(key, len(codes))
+        return codes.setdefault((e.offset, _class_key(e.anchor)), len(codes))
 
     n = len(start)
     first, target = tuple(map(code, start)), tuple(map(code, goal))

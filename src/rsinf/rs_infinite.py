@@ -21,8 +21,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import FieldElem, Tableau, TableauFamily, _int, as_partition, elem, elems, same_anchor
-from .rs_finite import insert_by_class, seq_of
+from .core import FieldElem, Tableau, _int, as_partition, elem, elems, same_anchor
+from .rs_finite import rs, seq_of
 
 
 class Axis(enum.Enum):
@@ -355,14 +355,13 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
 
 
 def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
-    """Insert a NEG or ALL g: row 1 from _row_one, and the entries it
-    names, as elements of g's classes, inserted one class at a time for
-    the finite rows."""
-    law = g.left_law
-    row = _row_one(
-        law.anchor, law.offset, _first(g.axis, g.edge, len(g.window)), g.window,
-        [e.offset for e in g.window], g.right_law if g.axis is Axis.ALL else None,
-    )
+    """Insert a NEG or ALL g: row 1 from _row_one, and the finite rows
+    from rs of the entries it names, as elements of g's classes; the law
+    class is split off the other classes."""
+    law, first = g.left_law, _first(g.axis, g.edge, len(g.window))
+    offsets = [e.offset for e in g.window]
+    # a NEG g has no right law, so right_law is None there
+    row = _row_one(law.anchor, law.offset, first, g.window, offsets, g.right_law)
 
     def at(v: int) -> FieldElem:
         return law.shift(v - law.offset)
@@ -371,15 +370,11 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
         g.axis, [at(-key) for key in row.below], edge=row.edge, left_law=at(row.left),
         right_law=None if row.right is None else at(row.right),
     )
-    tableaux = insert_by_class(chain(map(at, row.drops), row.others))
-    anchor = law.anchor
-    lower_rows = next((rows for a, rows in tableaux if same_anchor(a, anchor)), ())
-    finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, anchor))
-    ).tableaux
-    law_tab = (Tableau(anchor, lower_rows),) if lower_rows else ()
-    underline = seq_of(law_tab + finite)
-    return InfiniteRSResult(g.axis, first_row, lower_rows, finite, underline)
+    family = rs(chain(map(at, row.drops), row.others))
+    law_tab = tuple(t for t in family if same_anchor(t.anchor, law.anchor))
+    finite = tuple(t for t in family if not same_anchor(t.anchor, law.anchor))
+    lower_rows = law_tab[0].rows if law_tab else ()
+    return InfiniteRSResult(g.axis, first_row, lower_rows, finite, seq_of(law_tab + finite))
 
 
 def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:

@@ -16,7 +16,7 @@ from rsinf._kernel import insert_sequence
 from rsinf.core import (
     FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor, same_class,
 )
-from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, insert_by_class, seq_of
+from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, rs, seq_of
 from rsinf.rs_infinite import (
     Axis, EventuallyConstantSeq, InfiniteRSResult, StablyDecreasingSeq, _first,
     eventually_constant, partition_from_row, stably_decreasing, star_seq,
@@ -55,7 +55,9 @@ def fraction_negate(e: FieldElem) -> FieldElem:
 
 
 def setdefault_insert_by_class(vals) -> dict:
-    """insert_by_class as it was: one dict lookup per entry."""
+    """rs's grouping as it was: one dict lookup per entry, keyed by the
+    hashed anchor; a dict from the first anchor seen in each class to the
+    rows of the input's own entries."""
     by_class: dict = {}
     for e in vals:
         by_class.setdefault(e.anchor, []).append(e)
@@ -469,9 +471,9 @@ def explicit_extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     values = [left.shift(-p) for p in range(a, first)]
     values.extend(g.window)
     values.extend(right.shift(-p) for p in range(last + 1, b + 1))
-    tableaux = insert_by_class(values)
+    family = rs(values)
     law_anchor = left.anchor
-    t1_rows = next((rows for a, rows in tableaux if same_anchor(a, law_anchor)), None)
+    t1_rows = next((t.rows for t in family if same_anchor(t.anchor, law_anchor)), None)
     if t1_rows is None:
         raise ValueError("window too small: no law-class values present")
 
@@ -485,9 +487,7 @@ def explicit_extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     )
 
     lower_rows = t1_rows[1:]
-    finite = TableauFamily(
-        tuple(Tableau(a, rows) for a, rows in tableaux if not same_anchor(a, law_anchor))
-    ).tableaux
+    finite = tuple(t for t in family if not same_anchor(t.anchor, law_anchor))
     rest: list[Tableau] = []
     if lower_rows:
         rest.append(Tableau(law_anchor, lower_rows))

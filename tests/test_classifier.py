@@ -30,7 +30,7 @@ from rsinf.classifier import (
     weight_spec,
     zeta,
 )
-from rsinf.core import FieldElem, elem
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem
 from rsinf.rs_finite import rs
 from rsinf.rs_infinite import Axis, block_ideal, eventually_constant, plus_rho, rs_infinite
 
@@ -282,14 +282,17 @@ def test_classify_inserts_nothing(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in ((ri, "insert_by_class"), (ri, "seq_of"), (ri, "Tableau"),
-                      (ri, "TableauFamily"), (rf, "insert_sequence")):
-        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    # every tableau and family built anywhere runs its class's __post_init__
+    for owner, name, label in ((ri, "rs", "rs"), (ri, "seq_of", "seq_of"),
+                               (Tableau, "__post_init__", "Tableau"),
+                               (TableauFamily, "__post_init__", "TableauFamily"),
+                               (rf, "insert_sequence", "insert_sequence")):
+        monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
     outs = [classify(s) for s in specs]
     seen = list(calls)
     # the counters see the insertion rs_infinite makes
     rs_infinite(plus_rho(eventually_constant(Axis.NEG, [3, 1], left_tail=0)))
-    assert {"insert_by_class", "seq_of", "Tableau", "TableauFamily", "insert_sequence"} <= set(calls)
+    assert {"rs", "seq_of", "Tableau", "TableauFamily", "insert_sequence"} <= set(calls)
     monkeypatch.undo()
     assert seen == []
     assert outs[-1] == ProperIdeal(90, 0, (), ())

@@ -606,17 +606,18 @@ def test_integers_may_carry_spaces(capsys):
     assert (code, out) == (0, '{"member":true}\n')
 
 
-def _cli(*argv, timeout=None):
-    """Run the CLI in a child that finds the package imported here,
-    installed or not."""
+def _child(*argv):
+    """The command and environment of a CLI child that finds the package
+    imported here, installed or not."""
     pkg_dir = os.path.dirname(os.path.abspath(rsinf.__file__))
-    return subprocess.run(
-        [sys.executable, "-m", "rsinf.cli", *argv],
-        env={**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)},
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)}
+    return [sys.executable, "-m", "rsinf.cli", *argv], env
+
+
+def _cli(*argv, timeout=None):
+    """Run the CLI in a child and capture its output."""
+    cmd, env = _child(*argv)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_installed_entry_point():
@@ -625,6 +626,24 @@ def test_installed_entry_point():
     assert json.loads(proc.stdout) == {
         "tableaux": [{"class": "0", "rows": [["2", "1"]]}]
     }
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe after 50 bytes, as `| head -c 50`
+    does, ends the CLI with exit 1 and no traceback: it writes nothing
+    more to the closed pipe.  The answer, one row of 20,000 entries, is
+    more than twice the size of a pipe's default buffer."""
+    cmd, env = _child("rs", ",".join(map(str, range(20_000, 0, -1))))
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        try:
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            proc.kill()
+    assert head.startswith(b'{"tableaux":')
+    assert proc.returncode == 1
+    assert err == "", err
 
 
 @pytest.mark.parametrize(

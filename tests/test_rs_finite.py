@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import rsinf.rs_finite as rs_finite_mod
 from helpers import bfs_connected, rand_family, setdefault_insert_by_class
-from rsinf.core import FieldElem, Tableau, TableauFamily, elem, parse_elem, same_anchor
+from rsinf.classifier import Finite, Omega, ProperIdeal, WeightSpec, ZeroIdeal, Zeta, classify
+from rsinf.core import FieldElem, Tableau, TableauFamily, elem, elems, parse_elem, same_anchor
 from rsinf.rs_finite import (
     InterchangePath,
     admissible,
     apply_interchange,
     connected,
-    insert_by_class,
     j,
     joseph_equal,
     rho_shift,
@@ -21,6 +21,7 @@ from rsinf.rs_finite import (
     rs_trace,
     seq_of,
 )
+from rsinf.rs_infinite import Axis, eventually_constant, plus_rho, rs_infinite
 
 
 def seq(text):
@@ -437,22 +438,31 @@ def test_connected_and_joseph_equal_build_no_tableau(monkeypatch):
 
 
 def _same_grouping(vals):
-    got, want = insert_by_class(vals), setdefault_insert_by_class(vals)
-    assert dict(got) == want
-    assert [id(a) for a, _ in got] == [id(a) for a in want]
+    """rs inserts class by class as the one-lookup-per-entry oracle does,
+    each tableau's anchor is the first one seen in its class, and the
+    last step of rs_trace is rs."""
+    family, want = rs(vals), setdefault_insert_by_class(vals)
+    assert {t.anchor: t.rows for t in family} == want
+    # the oracle keeps the first anchor object seen as each class's key
+    first = {a: a for a in want}
+    assert all(t.anchor is first[t.anchor] for t in family)
+    if vals:
+        assert rs_trace(vals)[-1].family == family
 
 
-def test_insert_by_class_groups_alternating_classes():
+def test_rs_groups_alternating_classes():
     user = FieldElem(Fraction(0), 3)
     vals = tuple(elem(v) for v in [user, "a", 1, "a", FieldElem(Fraction(0), 5), "1/2"])
     _same_grouping(vals)
-    pairs = insert_by_class(vals)
-    got = dict(pairs)
-    # classes in order of first appearance, keyed by the first anchor seen
-    assert [a for a, _ in pairs] == [Fraction(0), "a", Fraction(1, 2)]
-    assert pairs[0][0] is user.anchor
-    assert got[Fraction(0)] == ((vals[4], vals[2]), (vals[0],))
-    assert got["a"] == ((vals[1],), (vals[3],))
+    # classes in order of first appearance, keyed by symbol or by
+    # (numerator, denominator), each with its 0-based positions
+    assert list(rs_finite_mod._classes(vals).items()) == [
+        ((0, 1), [0, 2, 4]), ("a", [1, 3]), ((1, 2), [5]),
+    ]
+    got = {t.anchor: t for t in rs(vals)}
+    assert got[Fraction(0)].anchor is user.anchor
+    assert got[Fraction(0)].rows == ((vals[4], vals[2]), (vals[0],))
+    assert got["a"].rows == ((vals[1],), (vals[3],))
     rng = random.Random(5)
     pool = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2), "a", "b"]
     for _ in range(300):
@@ -461,3 +471,63 @@ def test_insert_by_class_groups_alternating_classes():
             for _ in range(rng.randint(0, 12))
         )
         _same_grouping(vals)
+
+
+# 1/2, 3/2, -1/3 and 2/3 as (numerator, denominator), symbols, and ints
+KEYED = ((1, 2), (3, 2), (-1, 3), (2, 3), "a", "-b", 0)
+
+
+def keyed_entry(rng):
+    """An entry of KEYED shifted by up to 3: a rational one holds a new
+    Fraction object, and an int one is a plain int or an element with a
+    new Fraction(0) anchor."""
+    v, k = rng.choice(KEYED), rng.randint(-3, 3)
+    if isinstance(v, str):
+        return FieldElem(v, k)
+    if v == 0:
+        return k if rng.random() < 0.5 else FieldElem(Fraction(0), k)
+    floor, num = divmod(v[0], v[1])
+    return FieldElem(Fraction(num, v[1]), floor + k)
+
+
+def test_class_keys_hash_no_fraction(monkeypatch):
+    """Grouping by class keys a class by its symbol or by (numerator,
+    denominator): with Fraction.__hash__ refused, finite and infinite
+    insertion, classify and the interchange checks answer as they do
+    with hashing on, on words whose equal anchors are distinct objects."""
+    rng = random.Random(67)
+    cases = []
+    for _ in range(300):
+        f = tuple(keyed_entry(rng) for _ in range(rng.randint(0, 9)))
+        g = fresh(walk(rng, elems(f), rng.random() < 0.5))
+        law, other, far = (elem(keyed_entry(rng)) for _ in range(3))
+        # the ALL block's right law is law's class held by a new object
+        right = fresh([law.shift(rng.randint(-3, 3))])[0]
+        tails = {Axis.NEG: {"left_tail": law}, Axis.POS: {"right_tail": law},
+                 Axis.ALL: {"left_tail": law, "right_tail": right}}
+        axis = rng.choice(list(Axis))
+        block = eventually_constant(axis, f, **tails[axis])
+        # one spec in five ends in a tail of another class, most likely
+        end = far if rng.random() < 0.2 else law
+        spec = WeightSpec((Omega(elems(f), law), Zeta(right, elems(g), end), Finite((other,))))
+        cases.append((f, g, block, spec))
+
+    def answers(f, g, block, spec):
+        return (rs(f), j(f), rs_trace(f), seq_of(rs(f)), rs_infinite(plus_rho(block)),
+                classify(spec), connected(f, g), connected(f, g, shifted=True),
+                joseph_equal(f, g), joseph_equal(f, g, k=1))
+
+    want = [answers(*case) for case in cases]
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ called")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    for case, answer in zip(cases, want):
+        assert answers(*case) == answer, case
+    monkeypatch.undo()
+    # the words meet several classes, and the checks give both answers
+    assert sum(len(a[0]) > 2 for a in want) > 100
+    assert {a[6] is None for a in want} == {True, False}
+    assert {a[8] for a in want} == {True, False}
+    assert {type(a[5]) for a in want} == {ProperIdeal, ZeroIdeal}
