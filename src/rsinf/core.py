@@ -188,7 +188,10 @@ def elem(x) -> FieldElem:
 
 
 def elems(values) -> tuple[FieldElem, ...]:
-    """Coerce each of the values with elem."""
+    """Coerce each of the values with elem.  A string is one literal, not
+    a sequence of them, so a str, bytes or bytearray raises TypeError."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError(f"a sequence of field elements must not be a {type(values).__name__}")
     return tuple(map(elem, values))
 
 
@@ -228,12 +231,37 @@ def _parse_int(text: str, what: str) -> int:
     return _digits(s, what)
 
 
+# Literals of at most _MEMO_MAX_LEN characters are read once per process:
+# the entries of a weight repeat, within one sequence and across calls.
+# The length bound limits what the memo holds to _MEMO_SIZE short strings
+# and their elements, and keeps every memoized integer far below the
+# 640-digit floor of sys.set_int_max_str_digits, so no digit-limit check is
+# ever skipped.  Elements are immutable, so callers may share them.  A kept
+# element keeps its anchor object: once _rational_anchor has evicted that
+# anchor, a kept element and one built afresh are equal, only not the same
+# object.
+_MEMO_MAX_LEN = 32
+_MEMO_SIZE = 4096
+
+
 def parse_elem(text: str) -> FieldElem:
     """Parse a literal: INT, INT/INT, SYM, SYM+INT, or SYM-INT.
 
     Symbols may carry a leading minus ("-a+3"), matching what negate()
-    prints.  Whitespace around the literal is ignored.
+    prints.  Whitespace around the literal is ignored.  A literal that
+    is not a str raises TypeError.
     """
+    # exactly str: a subclass may redefine the hash, equality or strip
+    # that the memo and the reader rely on
+    if type(text) is str and len(text) <= _MEMO_MAX_LEN:
+        return _read_memo(text)
+    return _read_elem(text)
+
+
+def _read_elem(text: str) -> FieldElem:
+    """parse_elem without the memo."""
+    if not isinstance(text, str):
+        raise TypeError(f"an element literal must be a str, not {type(text).__name__}")
     s = text.strip()
     what = "an integer in an element literal"
     if _INT_RE.fullmatch(s):
@@ -249,6 +277,10 @@ def parse_elem(text: str) -> FieldElem:
     if m:
         return FieldElem(m.group(1), _digits(m.group(2) or "0", what))
     raise ValueError(f"malformed element literal {text!r}")
+
+
+# lru_cache stores no call that raises
+_read_memo = lru_cache(maxsize=_MEMO_SIZE)(_read_elem)
 
 
 def parse_entry(value, what: str) -> FieldElem:

@@ -628,6 +628,32 @@ def test_installed_entry_point():
     }
 
 
+def test_successive_in_process_calls_are_independent(capsys):
+    """Literals are memoized process-wide, so calls of main in one
+    process share state: a usage error, a valid call, a malformed literal
+    and the valid call again each answer what they answer alone, in a
+    child of their own."""
+    calls = [
+        ["rs"],
+        ["rs", "3,a-1,1/2,-a+2,3"],
+        ["rs", "3,a-1,1/0"],
+        ["rs", "3,a-1,1/2,-a+2,3"],
+    ]
+    got = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    assert [code for code, _, _ in got] == [2, 0, 1, 0]
+    assert got[1] == got[3]
+    for argv, (code, out, err) in zip(calls, got):
+        proc = _cli(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that closes the pipe after 50 bytes, as `| head -c 50`
     does, ends the CLI with exit 1 and no traceback: it writes nothing

@@ -30,8 +30,9 @@ from rsinf.core import (
     same_anchor,
     same_class,
 )
+from rsinf.classifier import omega
 from rsinf.cls import basic_level, cls_level, cls_params, gamma, member, q_union_level
-from rsinf.rs_finite import admissible, apply_interchange, joseph_equal, rs
+from rsinf.rs_finite import admissible, apply_interchange, connected, joseph_equal, rs
 from rsinf.rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -550,6 +551,9 @@ def test_same_anchor():
 
 
 def test_rational_classes_share_one_anchor():
+    # a literal kept in the memo keeps the anchor it was built with, which
+    # an eviction from _rational_anchor may since have replaced
+    core._read_memo.cache_clear()
     half = from_rational(Fraction(7, 2)).anchor
     built = [
         parse_elem("7/2"), parse_elem("-1/2"), parse_elem("3/-2"), parse_elem("10/4"),
@@ -586,6 +590,7 @@ def test_shared_anchors_match_fraction_arithmetic():
 
 def test_rs_hashes_each_anchor_object_at_most_once(monkeypatch):
     word = ["1/2", 3, "2/3", "-1/2", "1/2", 0, "5/3", 4, "7/2", "2/3", -1, "1/2"] * 5
+    core._read_memo.cache_clear()  # as in test_rational_classes_share_one_anchor
     vals = [elem(v) for v in word]
     anchors = {id(e.anchor) for e in vals}
     assert len(anchors) == 3
@@ -616,3 +621,87 @@ def test_rational_anchor_cache_is_bounded():
         assert core._rational_anchor.cache_info().currsize <= bound
     # an anchor rebuilt after eviction is equal, only not the same object
     assert parse_elem("1/2") == FieldElem(Fraction(1, 2), 0)
+
+
+def test_sequence_arguments_refuse_a_string():
+    """A string is one literal, not a sequence of them: "345" is not the
+    word (3, 4, 5), and bytes are not a word of character codes."""
+    for call in (lambda: rs("345"), lambda: connected("12", "21"), lambda: omega("12", 0)):
+        with pytest.raises(TypeError, match="must not be a str"):
+            call()
+    with pytest.raises(TypeError, match="must not be a bytes"):
+        rs(b"345")
+    assert rs(["3", "4", "5"]) == rs([3, 4, 5])
+
+
+@pytest.mark.parametrize("value", [3, b"3", None, ["3"], 1.5], ids=repr)
+def test_parse_elem_refuses_non_strings(value):
+    before = core._read_memo.cache_info()
+    with pytest.raises(TypeError) as exc:
+        parse_elem(value)
+    assert str(exc.value) == f"an element literal must be a str, not {type(value).__name__}"
+    assert core._read_memo.cache_info() == before
+
+
+def _literal_corpus(seed: int, n: int) -> list[str]:
+    """Seeded literals of every form: signed and space-padded integers,
+    reducible fractions with either sign on either part, and symbols,
+    negated or not, with offsets."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = f"{rng.choice(['', '+', '-'])}{rng.randint(0, 10**rng.randint(1, 12))}"
+        elif kind == 1:
+            k, den = rng.randint(1, 6), rng.randint(1, 12)
+            num = rng.randint(-40, 40) * k
+            den *= k * rng.choice([1, -1])
+            text = f"{num}/{den}"
+        else:
+            name = rng.choice(["-", ""]) + rng.choice(["a", "b", "x_1", "Zeta"])
+            k = rng.randint(-50, 50)
+            text = name if k == 0 else f"{name}{k:+d}"
+        out.append(" " * rng.randint(0, 2) + text + " " * rng.randint(0, 2))
+    return out
+
+
+def test_literal_memo_matches_the_reader():
+    corpus = _literal_corpus(47, 600)
+    for _ in range(2):
+        for text in corpus:
+            got, want = parse_elem(text), core._read_elem(text)
+            assert type(got) is FieldElem and type(got.offset) is int, text
+            assert got == want and str(got) == str(want), text
+            assert type(got.anchor) is type(want.anchor), text
+    for text in ["", "1/0", "x y", "1/2/3", "٣"]:
+        with pytest.raises(ValueError) as ref:
+            core._read_elem(text)
+        for _ in range(3):
+            before = core._read_memo.cache_info().currsize
+            with pytest.raises(ValueError) as exc:
+                parse_elem(text)
+            assert str(exc.value) == str(ref.value), text
+            assert core._read_memo.cache_info().currsize == before, text
+
+
+def test_literal_memo_is_bounded():
+    info = core._read_memo.cache_info()
+    assert info.maxsize == core._MEMO_SIZE and core._MEMO_MAX_LEN == 32
+    for i in range(info.maxsize + 500):
+        assert parse_elem(f"q{i}-7") == FieldElem(f"q{i}", -7)
+    assert core._read_memo.cache_info().currsize <= info.maxsize
+    # literals past the length bound are read without the memo: a huge
+    # symbol name and an integer of 600 digits are never kept
+    name, digits = "s" * 10_000, "9" * 600
+    for _ in range(2):
+        before = core._read_memo.cache_info()
+        assert parse_elem(name + "+3") == FieldElem(name, 3)
+        assert parse_elem("-" + digits) == FieldElem(Fraction(0), -int(digits))
+        assert core._read_memo.cache_info() == before
+    # the bound is inclusive, and a str subclass is never a key
+    before = core._read_memo.cache_info()
+    for text in ("7" * core._MEMO_MAX_LEN, "7" * (core._MEMO_MAX_LEN + 1), _Name("a+1")):
+        assert parse_elem(text) == core._read_elem(text)
+    after = core._read_memo.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
