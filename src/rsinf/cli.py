@@ -154,9 +154,15 @@ def _parse_params(text: str) -> cls.ClsParams:
     if len(nums) != 3:
         raise ValueError("the first group must be r',r'',g")
     r1, r2, g = map(_parse_int, nums, ("r'", "r''", "g"))
-    x = tuple(_parse_int(v, "an entry of X") for v in parts[1].split(",") if v.strip())
-    y = tuple(_parse_int(v, "an entry of Y") for v in parts[2].split(",") if v.strip())
-    return cls.cls_params(r1, r2, g, x, y)
+    return cls.cls_params(r1, r2, g, _parse_part(parts[1], "X"), _parse_part(parts[2], "Y"))
+
+
+def _parse_part(text: str, name: str) -> tuple:
+    """A partition group: a blank group is the empty partition, and every
+    entry of another one, an empty one too, must be an integer."""
+    if not text.strip():
+        return ()
+    return tuple(_parse_int(v, f"an entry of {name}") for v in text.split(","))
 
 
 def _int_option(text: str) -> int:

@@ -70,20 +70,28 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
     (right[b] + v_{b+1}), that minimum carried down.  No branch dies:
     v_k = v_{k+1} passes, since the passed test on [k+1, b] and left[k]
     >= left[k+1] give v_{k+1} - v_{b+1} <= left[k] + right[b], b > k.
+    The search keeps the fixed entries in one buffer and a stack of nodes
+    down to v_3; a node for v_3 emits every (v_1, v_2) below it in one
+    comprehension, since those two coordinates hold most of the nodes.
     """
     if n < 2:
         return frozenset({(0,) * n})
     left, right = _capacities(n, factors, bound)
+    if n == 2:
+        return frozenset([(x, 0) for x in range(left[1] + right[1] + 1)])
+    left1, left2, right1 = left[1], left[2], right[1]
     v, out = [0] * n, []  # v[k - 1] is v_k
-    stack = [(n - 1, x, right[-1]) for x in range(left[-1] + right[-1] + 1)]
+    stack = [(n, 0, math.inf)]  # v_n = 0, and no b >= n
     while stack:
         k, x, low = stack.pop()  # v_k = x; low is the minimum over b >= k
         v[k - 1] = x
-        if k == 1:
-            out.append(tuple(v))
-        else:
-            low = min(low, right[k - 1] + x)
+        low = min(low, right[k - 1] + x)  # now over b >= k - 1
+        if k > 3:
             stack.extend([(k - 1, y, low) for y in range(x, left[k - 1] + low + 1)])
+        else:  # every (v_1, v_2) below v_3 at once
+            rest = tuple(v[2:])
+            out += [(z, y) + rest for y in range(x, left2 + low + 1)
+                    for z in range(y, left1 + min(low, right1 + y) + 1)]
     return frozenset(out)
 
 
@@ -161,11 +169,13 @@ def factorization(p: ClsParams) -> tuple:
     return (*left, *([("E", 0, p.g)] if p.g else ()), *right)
 
 
-def _check_level(p: ClsParams, n: int, given: str = ""):
-    """Refuse a level n at or below r' + len(X) or r'' + len(Y); `given`
-    names the level in the message in place of n."""
+def _check_level(p: ClsParams, n: int, half: int | None = None):
+    """Refuse a level n at or below r' + len(X) or r'' + len(Y).  Given
+    half, the level gamma was given (n = 2 * half), the message names
+    half and what gamma doubles it to."""
     if n <= p.r1 + len(p.X) or n <= p.r2 + len(p.Y):
-        raise LevelError(f"level {given or n} is too small for parameters "
+        given = n if half is None else f"{half}, which gamma doubles to {n},"
+        raise LevelError(f"level {given} is too small for parameters "
                          f"({p.r1},{p.r2},{p.g};{p.X};{p.Y})")
 
 
@@ -189,7 +199,7 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     2i - 1, and each full-step factor the middle step.
     """
     length = 2 * _int(n, "the level")
-    _check_level(p, length, f"{n}, which gamma doubles to {length},")
+    _check_level(p, length, n)
     total = [0] * length
     for kind, idx, mult in factorization(p):
         # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized
@@ -216,13 +226,17 @@ def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _member_caps(p: ClsParams, n: int) -> tuple:
+def _member_caps(r1: int, r2: int, g: int, X: tuple, Y: tuple, n: int) -> tuple:
     """(left[a], right[a]) at the positions a = r'+1 .. n-r''-1 that no
     unbounded factor reaches, so that the entry bound does not matter
-    there.  Built once per (p, n): a caller tests many weights of one
-    parameter tuple at one level."""
+    there, after refusing a level too small for the parameters (a call
+    that raises is not kept).  Built once per parameter values and level:
+    a caller tests many weights of one parameter tuple at one level, and
+    plain values hash in C where an equal but new ClsParams would not."""
+    p = ClsParams(r1, r2, g, X, Y)
+    _check_level(p, n)
     left, right = _capacities(n, factorization(p), 0)
-    return tuple(zip(left, right))[p.r1 + 1:n - p.r2]
+    return tuple(zip(left, right))[r1 + 1:n - r2]
 
 
 def member(p: ClsParams, vec, n: int | None = None) -> bool:
@@ -249,9 +263,8 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
         n = len(t)
     elif _int(n, "the level") != len(t):
         raise ValueError(f"vector has length {len(t)}, expected level {n}")
-    _check_level(p, n)
     low = math.inf
-    for b, (left, right) in enumerate(_member_caps(p, n), p.r1 + 1):
+    for b, (left, right) in enumerate(_member_caps(p.r1, p.r2, p.g, p.X, p.Y, n), p.r1 + 1):
         if left - t[b - 1] < low:  # t[b - 1] is v_b
             low = left - t[b - 1]
         if -t[b] - right > low:

@@ -532,6 +532,13 @@ def test_missing_arguments_exit_2(argv):
         (["cls-gamma", "0,0,0;2.5;", "--level=3"], "an entry of X must be an integer, not '2.5'"),
         (["cls-gamma", "0,0,0;;1,\u0661", "--level=3"],
          "an entry of Y must be an integer, not '\u0661'"),
+        # an empty entry inside X or Y is malformed, not skipped
+        (["cls-level", "0,0,0;2,,1;", "--level=4", "--bound=1"],
+         "an entry of X must be an integer, not ''"),
+        (["cls-level", "0,0,0;2,1,;", "--level=4", "--bound=1"],
+         "an entry of X must be an integer, not ''"),
+        (["cls-gamma", "0,0,0;;,1", "--level=3"], "an entry of Y must be an integer, not ''"),
+        (["cls-member", "0,0,0;1; ,", "1,0,0"], "an entry of Y must be an integer, not ' '"),
     ],
 )
 def test_malformed_numbers_name_their_field(capsys, argv, message):
@@ -604,6 +611,9 @@ def test_integers_may_carry_spaces(capsys):
     assert (code, out) == (0, "1,1,0\n0,0,0\n")
     code, out = run(capsys, "cls-member", "0,0,0;2,1;", " 2 , 1,0 ")
     assert (code, out) == (0, '{"member":true}\n')
+    # a blank group is the empty partition
+    code, out = run(capsys, "cls-level", "0,0,1; ; ", "--level=2", "--bound=1")
+    assert (code, out) == (0, "1,0\n0,0\n")
 
 
 def _child(*argv):

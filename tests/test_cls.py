@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -381,6 +382,21 @@ def test_member_builds_capacities_once_per_tuple_and_level(monkeypatch):
         keys.add((p, n))
     assert calls == {"factorization": len(keys)}
 
+    # a level too small raises the same text on every call, and is not kept
+    cls._member_caps.cache_clear()
+    small = cls_params(2, 0, 0, (1,))
+    for _ in range(3):
+        with pytest.raises(LevelError) as exc:
+            member(small, (1, 0, 0))
+        assert str(exc.value) == "level 3 is too small for parameters (2,0,0;(1,);())"
+        assert cls._member_caps.cache_info().currsize == 0
+    # equal parameters built from lists and from tuples share one entry
+    member(ClsParams(1, 0, 2, [2, 1], [3]), (4, 3, 1, 0))
+    member(cls_params(1, 0, 2, (2, 1), (3,)), (3, 3, 1, 0))
+    info = cls._member_caps.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert calls == {"factorization": len(keys) + 1}
+
 
 def _outcome(f, *args):
     """What f(*args) returned, or the type and message of what it raised."""
@@ -561,6 +577,19 @@ def test_q_union_level_takes_the_splits_that_fit():
         assert _answer(q_union_level, *args) == _answer(_q_union_by_trial, *args), args
 
 
+def test_level_set_peak_memory_stays_near_its_result():
+    # the search holds one buffer and its stack beside the members
+    # it emits, not a copy of every suffix per coordinate
+    tracemalloc.start()
+    try:
+        lv = cls_level(cls_params(4, 4, 1), 10, 5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lv) == 52_920
+    assert peak <= 1.3 * kept, (peak, kept)
+
+
 def test_deep_levels_are_searched_without_recursion():
     assert cls_level(cls_params(0, 0, 0), 5000, 3) == {(0,) * 5000}
     assert cls_level(cls_params(0, 0, 0, (1,)), 3000, 3) == {
@@ -569,3 +598,15 @@ def test_deep_levels_are_searched_without_recursion():
     }
     assert len(cls_level(cls_params(1, 1, 0), 2000, 2)) == 9  # 0..2 at each end
     assert member(cls_params(0, 0, 0, (1,)), (1,) + (0,) * 2999)
+    # many members, each with a long suffix below its first two entries
+    p = cls_params(1, 1, 0)
+    deep = cls_level(p, 5000, 5)
+    assert deep == {(a + b,) + (b,) * 4998 + (0,) for a in range(6) for b in range(6)}
+    assert member(p, (9,) + (3,) * 4998 + (0,))
+    assert not member(p, (1, 1) + (0,) * 4998)
+    p = cls_params(2, 2, 1)
+    wide = cls_level(p, 300, 3)
+    assert len(wide) == 29_700
+    assert all(member(p, v) for v in sorted(wide)[::2_000])
+    assert member(p, (9, 8) + (1,) * 296 + (1, 0))
+    assert not member(p, (2,) * 100 + (1,) * 100 + (0,) * 100)
