@@ -11,20 +11,34 @@ annihilator is zero.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union, get_origin, get_type_hints
 
 from .core import FieldElem, _class_key, _field, elem, elems, parse_elems, parse_entry
-from .rs_infinite import _HAS_TAILS, block_ideal, eventually_constant
+from .rs_infinite import Axis, block_ideal, eventually_constant
+
+
+class _Region:
+    """Coerces a region's runs with elems and its stretches with elem
+    when it is built, as ClsParams stores X and Y: a bad value raises
+    their TypeError or ValueError there, not in a later reader."""
+
+    def __post_init__(self):
+        for name, run in _STRETCHES[type(self)]:
+            value = getattr(self, name)
+            coerced = elems(value) if run else elem(value)
+            if coerced is not value:
+                object.__setattr__(self, name, coerced)
 
 
 @dataclass(frozen=True)
-class Finite:
+class Finite(_Region):
     values: tuple[FieldElem, ...]
 
 
 @dataclass(frozen=True)
-class Omega:
+class Omega(_Region):
     """Order type of the naturals: exceptions first, then a constant."""
 
     exceptions: tuple[FieldElem, ...]
@@ -32,7 +46,7 @@ class Omega:
 
 
 @dataclass(frozen=True)
-class OmegaStar:
+class OmegaStar(_Region):
     """Reversed naturals: a constant stretch, then exceptions at the end."""
 
     tail: FieldElem
@@ -40,7 +54,7 @@ class OmegaStar:
 
 
 @dataclass(frozen=True)
-class Zeta:
+class Zeta(_Region):
     """Order type of the integers: constant, exceptions, constant."""
 
     left_tail: FieldElem
@@ -63,24 +77,22 @@ _STRETCHES = {
     cls: tuple((name, get_origin(t) is tuple) for name, t in get_type_hints(cls).items())
     for cls in _NAMES
 }
-# (has a left tail, has a right tail) -> the axis of a block with them
-_AXIS_OF_TAILS = {has: axis for axis, has in _HAS_TAILS.items()}
 
 
 def finite(*values) -> Finite:
-    return Finite(elems(values))
+    return Finite(values)
 
 
 def omega(exceptions, tail) -> Omega:
-    return Omega(elems(exceptions), elem(tail))
+    return Omega(exceptions, tail)
 
 
 def omega_star(tail, exceptions) -> OmegaStar:
-    return OmegaStar(elem(tail), elems(exceptions))
+    return OmegaStar(tail, exceptions)
 
 
 def zeta(left_tail, exceptions, right_tail) -> Zeta:
-    return Zeta(elem(left_tail), elems(exceptions), elem(right_tail))
+    return Zeta(left_tail, exceptions, right_tail)
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,12 @@ class ZeroAnnihilator:
 def validate(spec: WeightSpec):
     """A spec annihilates nontrivially iff all its infinite stretches sit
     in one integrality class."""
-    classes = {_class_key(v.anchor): v.anchor for kind, v in _tokens(spec) if kind == "c"}
+    return _validate(_tokens(spec))
+
+
+def _validate(tokens):
+    """validate on the spec's token list."""
+    classes = {_class_key(v.anchor): v.anchor for kind, v in tokens if kind == "c"}
     if len(classes) > 1:
         names = ", ".join(sorted(str(FieldElem(a, 0)) for a in classes.values()))
         return ZeroAnnihilator(
@@ -132,6 +149,30 @@ def _tokens(spec: WeightSpec):
     return out
 
 
+# A block as the spec gives it: the fields block_ideal reads, with the
+# window unstripped and the edge where eventually_constant puts it
+# before stripping (-1 on NEG, 1 otherwise).
+_Cut = namedtuple("_Cut", "axis window edge left_tail right_tail")
+
+
+def _cuts(tokens):
+    """Yield the raw cut of each block of a token list, left to right.
+
+    The stretches cut the tokens: the exceptions before the first one
+    are a POS block, those between two consecutive ones an ALL block
+    with both as its tails, and those after the last one a NEG block.
+    """
+    left, window = None, []
+    for kind, v in tokens:
+        if kind == "c":
+            axis = Axis.POS if left is None else Axis.ALL
+            yield _Cut(axis, tuple(window), 1, left, v)
+            left, window = v, []
+        else:
+            window.append(v)
+    yield _Cut(Axis.NEG, tuple(window), -1, left, None)
+
+
 def segment(spec: WeightSpec):
     """Cut the spec at its infinite constant stretches.
 
@@ -140,16 +181,11 @@ def segment(spec: WeightSpec):
     the exceptions between them is an ALL sequence, and the last stretch
     onward is a NEG sequence.
     """
-    tokens = _tokens(spec)
-    cuts = [-1, *(i for i, (kind, _) in enumerate(tokens) if kind == "c"), len(tokens)]
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        # a block's tails are the stretches at its cuts, which fix its axis
-        left = tokens[lo][1] if lo >= 0 else None
-        right = tokens[hi][1] if hi < len(tokens) else None
-        axis = _AXIS_OF_TAILS[left is not None, right is not None]
-        window = [v for _, v in tokens[lo + 1:hi]]
-        blocks.append(eventually_constant(axis, window, left_tail=left, right_tail=right))
+    blocks = [
+        eventually_constant(c.axis, c.window, edge=c.edge, left_tail=c.left_tail,
+                            right_tail=c.right_tail)
+        for c in _cuts(_tokens(spec))
+    ]
     return blocks[0], tuple(blocks[1:-1]), blocks[-1]
 
 
@@ -172,11 +208,13 @@ def classify(spec: WeightSpec):
     The head contributes X and part of r, the tail contributes Y and the
     rest of r, and each middle contributes to r and all of g.
     """
-    v = validate(spec)
+    tokens = _tokens(spec)
+    v = _validate(tokens)
     if isinstance(v, ZeroAnnihilator):
         return ZeroIdeal(v.reason)
-    head, middles, tail = segment(spec)
-    rs, gs, xs, ys = zip(*[block_ideal(b) for b in (head, *middles, tail)])
+    # block_ideal reads a raw cut as it reads the canonical block that
+    # segment builds from it (see block_ideal)
+    rs, gs, xs, ys = zip(*[block_ideal(cut) for cut in _cuts(tokens)])
     return ProperIdeal(sum(rs), sum(gs), xs[0], ys[-1])
 
 

@@ -87,6 +87,8 @@ class FieldElem:
         and 1 - a = (den - num)/den is again reduced and in (0, 1)."""
         # a flipped symbol is again a symbol name, and the offsets are ints
         anchor = self.anchor
+        if anchor is _ZERO:
+            return _unchecked(_ZERO, -self.offset)
         if isinstance(anchor, str):
             flipped = anchor[1:] if anchor.startswith("-") else "-" + anchor
             return _unchecked(flipped, -self.offset)
@@ -132,8 +134,11 @@ def _unchecked(anchor: Anchor, offset: int) -> FieldElem:
     caller that holds a checked anchor, or one valid by construction, and
     an int offset."""
     out = object.__new__(FieldElem)
-    object.__setattr__(out, "anchor", anchor)
-    object.__setattr__(out, "offset", offset)
+    # the frozen __setattr__ refuses to write; the instance dict takes the
+    # fields as the generated __init__ would set them
+    fields = out.__dict__
+    fields["anchor"] = anchor
+    fields["offset"] = offset
     return out
 
 
@@ -192,6 +197,9 @@ def elems(values) -> tuple[FieldElem, ...]:
     a sequence of them, so a str, bytes or bytearray raises TypeError."""
     if isinstance(values, (str, bytes, bytearray)):
         raise TypeError(f"a sequence of field elements must not be a {type(values).__name__}")
+    # a tuple of exact FieldElems is already coerced, and immutable
+    if type(values) is tuple and set(map(type, values)) == {FieldElem}:
+        return values
     return tuple(map(elem, values))
 
 
@@ -323,9 +331,16 @@ def _field(doc, name: str, shape: str, kind: type = object, default=_REQUIRED):
 
 
 def same_anchor(a: Anchor, b: Anchor) -> bool:
-    """Anchor equality: identity first, and a symbol never meets a
-    rational, so Fraction.__eq__ runs only between two distinct rationals."""
-    return a is b or (isinstance(a, str) is isinstance(b, str) and a == b)
+    """Anchor equality: identity first, a symbol never meets a rational,
+    and two distinct rationals compare by (numerator, denominator), which
+    are reduced with a positive denominator, so Fraction.__eq__ never runs."""
+    if a is b:
+        return True
+    if isinstance(a, str):
+        return isinstance(b, str) and a == b
+    return not isinstance(b, str) and (
+        a.numerator == b.numerator and a.denominator == b.denominator
+    )
 
 
 def _class_key(anchor: Anchor):

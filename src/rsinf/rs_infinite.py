@@ -330,7 +330,7 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
     h = l - first + 1
     below, drops, others = [], [], []
     for e, v in zip(window, offsets):
-        if not same_anchor(e.anchor, anchor):
+        if e.anchor is not anchor and not same_anchor(e.anchor, anchor):
             others.append(e)
         elif v >= h:
             drops.append(v)
@@ -452,6 +452,23 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     h; the AssertionError is a guard that cannot fire.  Row 1 of NEG has
     left law l + r, the same tail-law invariant that partition_from_row
     tests.
+
+    Only the fields axis, window, edge, left_tail and right_tail are
+    read, and the window need not be stripped: classify passes the raw
+    cuts of its spec.  A window entry equal to the tail at a tail-facing
+    end acts as the head's next value, so the answer is the stripped
+    block's.  At the left end, the entry at ``first`` has offset h - 1;
+    it enters ``below`` as its largest entry, which only an entry equal
+    to h - 1 bumps, and that entry drops as it would against the
+    stripped head [h - 1, oo).  The drops, and so r, stay the same, and
+    so do row 1's laws; on NEG the entry adds the part
+    l + r - edge + m - h + 1 = 0 (row 1's left law is l + r), which
+    as_partition drops.  At the right end of ALL, the entry at the last
+    position has offset t + 1, the first value the stripped block's
+    right law inserts: the same values are inserted in the same order,
+    and t + edge + m is unchanged.  A POS block's right end is its
+    mirror's left end.  Stripping one entry at a time gives the claim
+    for any run of them.
     """
     axis, window = block.axis, block.window
     n = len(window)

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ideal_of
 from rsinf.classifier import (
+    _cuts,
     _tokens,
     Finite,
     Omega,
@@ -41,6 +43,32 @@ def test_region_factories_coerce():
     assert r.tail == elem(0)
     assert zeta(1, [], 0).left_tail == elem(1)
     assert finite(3, "b").values == (elem(3), FieldElem("b", 0))
+
+
+def test_regions_coerce_their_values():
+    """A region built with raw values holds elements, as the factories
+    build it, so star_spec, validate and classify read it alike."""
+    raw = WeightSpec((Omega((1, 2, 0, 5), elem(0)),))
+    assert raw == weight_spec(omega([1, 2, 0, 5], 0))
+    assert star_spec(raw) == weight_spec(omega_star(0, [-5, 0, -2, -1]))
+    assert classify(raw) == ProperIdeal(2, 0, (3, 1), ())
+    raw = WeightSpec((Omega((elem(1),), 0),))
+    assert validate(raw) == Valid()
+    assert classify(raw) == ProperIdeal(0, 0, (1,), ())
+    assert Zeta("a", ["1/2", 3], 0) == zeta("a", ["1/2", 3], 0)
+    assert Zeta("a", ["1/2", 3], 0).exceptions == (elem("1/2"), elem(3))
+    assert Finite([1, "b"]) == finite(1, "b") and OmegaStar(2, ()).tail == elem(2)
+    # a bad value raises elem's error when the region is built
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Omega((1.5,), 0)
+    with pytest.raises(TypeError, match="bool"):
+        OmegaStar(True, ())
+    with pytest.raises(ValueError, match="zero denominator"):
+        Finite(("1/0",))
+    with pytest.raises(ValueError, match="malformed"):
+        Zeta(0, (), "a b")
+    with pytest.raises(TypeError, match="must not be a str"):
+        Omega("12", 0)
 
 
 def test_spec_needs_an_infinite_region():
@@ -236,6 +264,45 @@ def test_spec_properties_over_all_region_kinds():
             assert (mirrored.r, mirrored.g) == (out.r, out.g)
             assert (mirrored.X, mirrored.Y) == (out.Y, out.X)
     assert seen == {Finite, Omega, OmegaStar, Zeta}
+
+
+def test_classify_adds_up_the_blocks_of_segment():
+    """classify reads the raw cuts of one token pass; each gives the
+    answer of segment's canonical block and of the full insertion, and
+    the answers add up to classify's."""
+    rng = random.Random(20240611)
+    proper = 0
+    for _ in range(400):
+        s = _random_spec(rng)
+        out = classify(s)
+        if isinstance(out, ZeroIdeal):
+            continue
+        proper += 1
+        head, middles, tail = segment(s)
+        blocks = (head, *middles, tail)
+        stats = [block_ideal(b) for b in blocks]
+        assert [block_ideal(c) for c in _cuts(_tokens(s))] == stats, s
+        assert stats == [ideal_of(b, rs_infinite(plus_rho(b))) for b in blocks], s
+        rs_, gs, xs, ys = zip(*stats)
+        assert out == ProperIdeal(sum(rs_), sum(gs), xs[0], ys[-1]), s
+    assert proper > 200
+
+
+def test_classify_calls_block_ideal_once_per_block(monkeypatch):
+    # the benchmark's tracer counts blocks at this seam
+    spec = weight_spec(omega([5, 0], 0), finite(2), omega_star(0, [3, "a"]))
+    calls = []
+    inner = block_ideal
+
+    def counted(block):
+        calls.append(block.axis)
+        return inner(block)
+
+    monkeypatch.setattr(importlib.import_module("rsinf.classifier"), "block_ideal", counted)
+    out = classify(spec)
+    assert calls == [Axis.POS, Axis.ALL, Axis.NEG]
+    monkeypatch.undo()
+    assert out == classify(spec) == ProperIdeal(3, 1, (5,), ())
 
 
 def test_classify_makes_no_enum_hash_call(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from rsinf.core import (
     TableauFamily,
     as_partition,
     elem,
+    elems,
     from_rational,
     ge_z,
     gt_z,
@@ -495,6 +497,7 @@ def test_negate_matches_the_checked_constructor(monkeypatch):
         corpus.append(FieldElem(Fraction(rng.randrange(den), den), rng.randint(-50, 50)))
     corpus += [FieldElem(name, rng.randint(-50, 50))
                for name in ("a", "-a", "x_1", "-Zz", _Name("b")) for _ in range(10)]
+    corpus += [FieldElem(core._ZERO, k) for k in (0, 1, -7, 2**70)]
     wants = []
     for e in corpus:
         if isinstance(e.anchor, str):
@@ -515,8 +518,10 @@ def test_negate_matches_the_checked_constructor(monkeypatch):
     for e, want in zip(corpus, wants):
         got = e.negate()
         assert type(got) is FieldElem and type(got.offset) is int, e
-        assert got == want and hash(got) == hash(want), e
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), e
         assert got.negate() == e, e
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.offset = 0
     assert checks[0] == 0
     assert sum(e.anchor.startswith("-") for e in corpus if not e.is_rational) == 20
 
@@ -527,7 +532,7 @@ def test_shift_by_an_int_matches_the_constructor():
         for k in (0, 1, -1, 2**70, rng.randint(-10**6, 10**6)):
             got, want = e.shift(k), FieldElem(e.anchor, e.offset + k)
             assert type(got) is FieldElem and got.anchor is e.anchor
-            assert got == want and hash(got) == hash(want)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     e = elem("a+2")
     assert e.shift(_Offset(3)) == elem("a+5")
 
@@ -540,11 +545,27 @@ def test_shift_refuses_non_integers(k):
         elem("a").shift(k)
 
 
-def test_same_anchor():
+def test_same_anchor(monkeypatch):
+    calls = [0]
+    fraction_eq = Fraction.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return fraction_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    half, other_half = Fraction(1, 2), Fraction(1, 2)
+    assert half is not other_half and same_anchor(half, other_half)
+    assert same_anchor(_Third(1, 2), half) and not same_anchor(half, Fraction(1, 3))
+    assert not same_anchor(half, "a") and not same_anchor("a", half)
     assert not same_anchor("a", Fraction(0)) and not same_anchor(Fraction(0), "a")
     assert same_anchor(Fraction(0), core._ZERO) and same_anchor(_Third(0), core._ZERO)
     assert same_anchor("a", _Name("a")) and not same_anchor("a", "-a")
     assert not same_anchor(Fraction(1, 2), core._ZERO)
+    seen = calls[0]
+    assert half == other_half and calls[0] == seen + 1  # the counter sees __eq__
+    monkeypatch.undo()
+    assert seen == 0
     # elements compare through the same test, offsets first
     assert FieldElem("a", 0) != FieldElem(core._ZERO, 0)
     assert FieldElem(Fraction(0), 2) == elem(2) and elem(2) != elem(3)
@@ -632,6 +653,30 @@ def test_sequence_arguments_refuse_a_string():
     with pytest.raises(TypeError, match="must not be a bytes"):
         rs(b"345")
     assert rs(["3", "4", "5"]) == rs([3, 4, 5])
+
+
+class _Elem(FieldElem):
+    pass
+
+
+def test_elems_passes_a_tuple_of_elements_through():
+    run = (elem(1), elem("a-2"), elem("1/2"), elem(1))
+    assert elems(run) is run
+    assert elems(()) == ()
+    # anything else is coerced one entry at a time, as before
+    sub = _Elem("b", 4)
+    mixed = (3, "a-2", Fraction(7, 2), sub, elem(0), _Name("c"))
+    got = elems(mixed)
+    assert got == (elem(3), FieldElem("a", -2), FieldElem(Fraction(1, 2), 3), sub,
+                   elem(0), FieldElem("c", 0))
+    assert got[3] is sub and type(got) is tuple
+    assert elems(iter(run)) == elems(list(run)) == run and elems(list(run)) is not run
+    assert elems((sub,)) == (sub,)
+    for value in ("12", b"12", bytearray(b"12")):
+        with pytest.raises(TypeError, match="must not be a"):
+            elems(value)
+    with pytest.raises(TypeError, match="cannot coerce"):
+        elems((elem(1), 1.5))
 
 
 @pytest.mark.parametrize("value", [3, b"3", None, ["3"], 1.5], ids=repr)

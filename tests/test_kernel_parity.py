@@ -137,25 +137,38 @@ def test_compiled_kernel_refuses_offsets_outside_64_bits(built, monkeypatch):
     assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
 
 
+def _bytecode(pkg_dir):
+    """(name, size, mtime) of each file in pkg_dir's __pycache__."""
+    cache = os.path.join(pkg_dir, "__pycache__")
+    if not os.path.isdir(cache):
+        return []
+    stats = ((name, os.stat(os.path.join(cache, name))) for name in sorted(os.listdir(cache)))
+    return [(name, st.st_size, st.st_mtime_ns) for name, st in stats]
+
+
 def _child_backend(pkg_dir, **env):
     """BACKEND as a fresh interpreter reports it for the package in pkg_dir.
 
     The child gets a fresh environment, so it is pointed at the directory
     holding that package, not at whatever PYTHONPATH the caller set; it
     names the package it loaded on stderr, keeping stdout for the backend
-    alone."""
+    alone.  It writes no bytecode: .pyc files left in a checkout change
+    how long a later `import rsinf` takes there."""
     code = (
         "import sys, rsinf; from rsinf import _kernel; "
         "print(_kernel.BACKEND); print(rsinf.__file__, file=sys.stderr)"
     )
+    before = _bytecode(pkg_dir)
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(pkg_dir), **env},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(pkg_dir),
+             "PYTHONDONTWRITEBYTECODE": "1", **env},
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
     assert os.path.samefile(os.path.dirname(out.stderr.strip()), pkg_dir)
+    assert _bytecode(pkg_dir) == before
     return out.stdout.strip()
 
 

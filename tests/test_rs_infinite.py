@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import explicit_extract, ideal_of, rand_block, rand_block_doc, rand_entry, stable_margin
-from rsinf.classifier import classify, ideal_to_json, parse_spec
+from rsinf.classifier import _Cut, classify, ideal_to_json, parse_spec
 from rsinf.core import FieldElem, elem, parse_elem
 from rsinf.rs_infinite import (
     Axis,
@@ -419,13 +419,18 @@ def _raw_block(rng, doc):
 
 
 def test_block_ideal_matches_the_full_insertion_on_non_canonical_blocks():
+    """A non-canonical block, and the raw cut classify would pass for it,
+    give the canonical block's answer; the windows hold entries of other
+    classes too."""
     rng = random.Random(19)
     seen = set()
     for _ in range(1500):
         raw, canonical = _raw_block(rng, rand_block_doc(rng))
         assert raw != canonical and len(raw.window) > len(canonical.window)
+        cut = _Cut(raw.axis, raw.window, raw.edge, raw.left_tail, raw.right_tail)
         want = _answer(lambda: ideal_of(raw, rs_infinite(plus_rho(raw))))
         assert _answer(block_ideal, raw) == want == _answer(block_ideal, canonical), raw
+        assert _answer(block_ideal, cut) == want, cut
         seen.add((raw.axis, want[0] is ValueError))
     assert seen == {(Axis.NEG, False), (Axis.POS, False), (Axis.ALL, False), (Axis.ALL, True)}
 
