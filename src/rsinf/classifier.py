@@ -64,19 +64,32 @@ class Zeta(_Region):
 
 Region = Union[Finite, Omega, OmegaStar, Zeta]
 
+
+class _ByKind(dict):
+    """A table keyed by region class.  A subclass of a region kind, found
+    only when the exact class misses, reads its nearest kind's entry, so
+    it answers as that kind does; any other class is a TypeError."""
+
+    def __missing__(self, cls):
+        for base in cls.__mro__[1:]:
+            if base in self:
+                return self[base]
+        raise TypeError(f"{cls.__name__} is not a region type")
+
+
 # Every region kind, once.  JSON type name -> class; omega and omega_star
 # mirror each other under star_spec, finite and zeta mirror themselves
 # (a mirror's stretches are the region's in reverse order).
 _TYPES = {"finite": Finite, "omega": Omega, "omega_star": OmegaStar, "zeta": Zeta}
-_NAMES = {cls: t for t, cls in _TYPES.items()}
-_MIRROR = {Omega: OmegaStar, OmegaStar: Omega}
+_NAMES = _ByKind({cls: t for t, cls in _TYPES.items()})
+_MIRROR = _ByKind({Finite: Finite, Omega: OmegaStar, OmegaStar: Omega, Zeta: Zeta})
 # class -> its fields in declaration order, which is index order, each
 # paired with whether it is a run of exceptions (a tuple) rather than an
 # infinite constant stretch (one FieldElem)
-_STRETCHES = {
+_STRETCHES = _ByKind({
     cls: tuple((name, get_origin(t) is tuple) for name, t in get_type_hints(cls).items())
-    for cls in _NAMES
-}
+    for cls in _TYPES.values()
+})
 
 
 def finite(*values) -> Finite:
@@ -229,7 +242,7 @@ def star_spec(spec: WeightSpec) -> WeightSpec:
                 stretches.append(tuple(v.negate() for v in reversed(value)))
             else:
                 stretches.append(value.negate())
-        out.append(_MIRROR.get(type(region), type(region))(*stretches))
+        out.append(_MIRROR[type(region)](*stretches))
     return WeightSpec(tuple(out))
 
 

@@ -129,16 +129,21 @@ class FieldElem:
             return f"FieldElem({anchor}, offset={_int_repr(self.offset)})"
 
 
+# the unchecked constructors' two calls, looked up once
+_new, _set = object.__new__, object.__setattr__
+
+
 def _unchecked(anchor: Anchor, offset: int) -> FieldElem:
     """FieldElem(anchor, offset) without __post_init__'s checks, for a
     caller that holds a checked anchor, or one valid by construction, and
     an int offset."""
-    out = object.__new__(FieldElem)
-    # the frozen __setattr__ refuses to write; the instance dict takes the
-    # fields as the generated __init__ would set them
-    fields = out.__dict__
-    fields["anchor"] = anchor
-    fields["offset"] = offset
+    out = _new(FieldElem)
+    # object.__setattr__ writes past the frozen __setattr__, as the
+    # generated __init__ does.  Filling out.__dict__ instead would build
+    # the instance dict, and every later attribute read of the element
+    # would take the slower dict lookup.
+    _set(out, "anchor", anchor)
+    _set(out, "offset", offset)
     return out
 
 
@@ -164,10 +169,12 @@ def _rational_anchor(num: int, den: int) -> Fraction:
 
 def _from_ratio(num: int, den: int) -> FieldElem:
     """num/den, given in lowest terms with den > 0, as a FieldElem."""
+    # lowest terms: the remainder is coprime to den, so it is nonzero
+    # unless den is 1, and the anchor num/den is reduced in (0, 1)
     if den == 1:
-        return FieldElem(_ZERO, num)
+        return _unchecked(_ZERO, num)
     floor, num = divmod(num, den)
-    return FieldElem(_rational_anchor(num, den), floor)
+    return _unchecked(_rational_anchor(num, den), floor)
 
 
 def from_rational(q) -> FieldElem:
@@ -197,8 +204,10 @@ def elems(values) -> tuple[FieldElem, ...]:
     a sequence of them, so a str, bytes or bytearray raises TypeError."""
     if isinstance(values, (str, bytes, bytearray)):
         raise TypeError(f"a sequence of field elements must not be a {type(values).__name__}")
-    # a tuple of exact FieldElems is already coerced, and immutable
-    if type(values) is tuple and set(map(type, values)) == {FieldElem}:
+    # one copy (none for a tuple), and exact FieldElems are already
+    # coerced: the type scan runs in C, elem only on a mixed sequence
+    values = tuple(values)
+    if set(map(type, values)) == {FieldElem}:
         return values
     return tuple(map(elem, values))
 
@@ -272,8 +281,9 @@ def _read_elem(text: str) -> FieldElem:
         raise TypeError(f"an element literal must be a str, not {type(text).__name__}")
     s = text.strip()
     what = "an integer in an element literal"
+    # _digits gives an int, and a matched symbol is a valid anchor
     if _INT_RE.fullmatch(s):
-        return FieldElem(_ZERO, _digits(s, what))
+        return _unchecked(_ZERO, _digits(s, what))
     m = _FRAC_RE.fullmatch(s)
     if m:
         num, den = _digits(m.group(1), what), _digits(m.group(2), what)
@@ -283,7 +293,7 @@ def _read_elem(text: str) -> FieldElem:
         return _from_ratio(num // g, den // g)
     m = _SYM_RE.fullmatch(s)
     if m:
-        return FieldElem(m.group(1), _digits(m.group(2) or "0", what))
+        return _unchecked(m.group(1), _digits(m.group(2) or "0", what))
     raise ValueError(f"malformed element literal {text!r}")
 
 
@@ -431,6 +441,17 @@ class Tableau:
 
     def size(self) -> int:
         return sum(len(row) for row in self.rows)
+
+
+def _unchecked_tableau(anchor: Anchor, rows: tuple) -> Tableau:
+    """Tableau(anchor, rows) without __post_init__'s checks, for rows the
+    kernel built over the entries of one class, which hold the tableau
+    shape by construction; user input goes through Tableau itself."""
+    out = _new(Tableau)
+    # as in _unchecked
+    _set(out, "anchor", anchor)
+    _set(out, "rows", rows)
+    return out
 
 
 @dataclass(frozen=True)

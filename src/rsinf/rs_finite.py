@@ -8,14 +8,15 @@ from dataclasses import dataclass
 from ._insertion_py import insert_one
 from ._kernel import insert_sequence
 from .core import (
-    FieldElem, Tableau, TableauFamily, _class_key, _int, elems, ge_z, gt_z, same_anchor,
-    same_class,
+    FieldElem, Tableau, TableauFamily, _class_key, _int, _unchecked, _unchecked_tableau, elems,
+    ge_z, gt_z, same_anchor, same_class,
 )
 
 
 def rho_shift(values) -> tuple[FieldElem, ...]:
     """Subtract each entry's position: (f(1) - 1, f(2) - 2, ...)."""
-    return tuple(e.shift(-(i + 1)) for i, e in enumerate(elems(values)))
+    # each anchor was checked when its entry was built
+    return tuple([_unchecked(e.anchor, e.offset - i) for i, e in enumerate(elems(values), 1)])
 
 
 def _classes(vals) -> dict:
@@ -62,7 +63,10 @@ def rs(values) -> TableauFamily:
     for positions in _classes(vals).values():
         es = list(map(vals.__getitem__, positions))
         rows = insert_sequence([e.offset for e in es])
-        tabs.append(Tableau(es[0].anchor, tuple(tuple(map(es.__getitem__, row)) for row in rows)))
+        # kernel rows over one class's entries are a tableau by construction
+        tabs.append(_unchecked_tableau(
+            es[0].anchor, tuple([tuple(map(es.__getitem__, row)) for row in rows])
+        ))
     return TableauFamily(tuple(tabs))
 
 
@@ -94,8 +98,10 @@ def rs_trace(values) -> tuple[InsertionStep, ...]:
         key_rows = rows.setdefault(ckey, [])
         insert_one(key_rows, key)
         built[ckey] = (
-            Tableau(e.anchor, tuple(tuple(vals[n - 1 - c % n] for c in row) for row in key_rows)),
-            tuple(tuple(n - c % n for c in row) for row in key_rows),
+            _unchecked_tableau(
+                e.anchor, tuple([tuple([vals[n - 1 - c % n] for c in row]) for row in key_rows])
+            ),
+            tuple([tuple([n - c % n for c in row]) for row in key_rows]),
         )
         family = TableauFamily(tuple(tab for tab, _ in built.values()))
         # positions follow the family's canonical class order
@@ -192,6 +198,14 @@ class InterchangePath:
         return cur
 
 
+# The most words connected's search keeps.  A word of n distinct entries
+# of one class is joined to f^shape words (hook length formula): at most
+# 69,498 for n = 14, but 16,336,320 for n = 18, where an unbounded search
+# ran for minutes.  This bound searches every such class of up to 14
+# entries whole and refuses an 18-entry search within seconds.
+_CONNECTED_MAX_STATES = 100_000
+
+
 def connected(f, g, shifted: bool = False) -> InterchangePath | None:
     """A shortest interchange path from f to g, or None if there is none.
 
@@ -202,7 +216,8 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
     position on rho_shift(f), so the shifted variant compares j and
     searches the shifted words.  The breadth-first search tries
     positions in increasing order, which fixes the path among the
-    shortest ones.
+    shortest ones.  A search that would keep more than
+    _CONNECTED_MAX_STATES words raises ValueError.
     """
     start, goal = elems(f), elems(g)
     if len(start) != len(goal):
@@ -241,6 +256,12 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
                     node, pos = prev[node]
                     steps.append((pos, shifted))
                 return InterchangePath(tuple(reversed(steps)))
+            if len(prev) > _CONNECTED_MAX_STATES:
+                raise ValueError(
+                    f"the words are joined by interchanges, but a shortest path was not "
+                    f"found within the limit of {_CONNECTED_MAX_STATES} searched words "
+                    f"(rsinf.rs_finite._CONNECTED_MAX_STATES)"
+                )
             queue.append((cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :], nxt))
     raise AssertionError(f"equal insertions but no interchange path: {f} -> {g}")
 

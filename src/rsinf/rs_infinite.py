@@ -56,39 +56,46 @@ class _TailedSeq:
     """The geometry both sequence forms share: an explicit window placed
     by ``edge`` on its axis, and a left tail below it (NEG, ALL) and a
     right tail above it (POS, ALL).  A subclass adds its two tail fields,
-    names them in ``_TAIL``, and says in ``_at`` what a tail gives at a
-    position."""
+    left_<_TAIL> and right_<_TAIL>, and says in ``_at`` what a tail gives
+    at a position.  The window is coerced with elems and the tails with
+    elem when the sequence is built, as a classifier region is."""
 
     axis: Axis
     window: tuple[FieldElem, ...]
     edge: int
 
     def __post_init__(self):
-        self._check(self.axis, self.edge, *self._tails)
-
-    @classmethod
-    def _check(cls, axis: Axis, edge: int, left, right) -> None:
-        """Refuse an axis that is not an Axis, an edge that is not an int,
-        and tails that do not match the axis."""
+        """Coerce the values, then refuse an axis that is not an Axis, an
+        edge that is not an int, and tails that do not match the axis."""
+        window = elems(self.window)
+        if window is not self.window:
+            object.__setattr__(self, "window", window)
+        # an exact FieldElem is already coerced, and coercion keeps which
+        # tails are present, all that the check below reads of them
+        left, right = self._tails
+        if left is not None and type(left) is not FieldElem:
+            object.__setattr__(self, "left_" + self._TAIL, elem(left))
+        if right is not None and type(right) is not FieldElem:
+            object.__setattr__(self, "right_" + self._TAIL, elem(right))
+        axis = self.axis
         if not isinstance(axis, Axis):
             raise TypeError(f"axis must be an Axis, not {axis!r}")
-        _int(edge, "edge")
+        _int(self.edge, "edge")
         if (left is not None, right is not None) != _HAS_TAILS[axis]:
-            raise ValueError(_NEEDS[axis].format(cls._TAIL))
+            raise ValueError(_NEEDS[axis].format(self._TAIL))
 
     @classmethod
     def _canonical(cls, axis: Axis, window, edge: int | None, left, right):
-        """Build a canonical sequence: the axis, edge and tails are
-        checked first, then window entries equal to what the tail facing
-        them gives there are stripped from the tail-facing ends.  An ALL
-        sequence keeps its edge at its first window entry, or at 0 if
-        nothing but one law or constant is left."""
-        w = elems(window)
-        left = elem(left) if left is not None else None
-        right = elem(right) if right is not None else None
+        """Build a canonical sequence: the sequence as given is built
+        first, which coerces and checks it, then window entries equal to
+        what the tail facing them gives there are stripped from the
+        tail-facing ends.  An ALL sequence keeps its edge at its first
+        window entry, or at 0 if nothing but one law or constant is left.
+        A sequence that is canonical as given is returned as built."""
         if edge is None:
             edge = -1 if axis is Axis.NEG else 1
-        cls._check(axis, edge, left, right)
+        seq = cls(axis, window, edge, left, right)
+        w, (left, right) = seq.window, seq._tails
         first = _first(axis, edge, len(w))
         lo, hi = 0, len(w)
         if axis is not Axis.POS:
@@ -99,6 +106,8 @@ class _TailedSeq:
                 hi -= 1
         if axis is Axis.ALL:
             edge = 0 if lo == hi and left == right else first + lo
+        if lo == 0 and hi == len(w) and edge == seq.edge:
+            return seq
         return cls(axis, w[lo:hi], edge, left, right)
 
     def value(self, p: int) -> FieldElem:
@@ -454,7 +463,8 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     tests.
 
     Only the fields axis, window, edge, left_tail and right_tail are
-    read, and the window need not be stripped: classify passes the raw
+    read, as elements (a sequence and a region coerce their values when
+    built), and the window need not be stripped: classify passes the raw
     cuts of its spec.  A window entry equal to the tail at a tail-facing
     end acts as the head's next value, so the answer is the stripped
     block's.  At the left end, the entry at ``first`` has offset h - 1;
@@ -475,16 +485,16 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     first = _first(axis, block.edge, n)
     right = None
     if axis is Axis.POS:
-        tail = elem(block.right_tail)
+        tail = block.right_tail
         # the mirror's window runs from -last to -first
         window, first, l = window[::-1], 1 - first - n, -tail.offset
         offsets = [-e.offset - p for p, e in enumerate(window, first)]
     else:
-        tail = elem(block.left_tail)
+        tail = block.left_tail
         l = tail.offset
         offsets = [e.offset - p for p, e in enumerate(window, first)]
         if axis is Axis.ALL:
-            right = elem(block.right_tail)
+            right = block.right_tail
     row = _row_one(tail.anchor, l, first, window, offsets, right)
     r = row.r
     if row.right is not None:

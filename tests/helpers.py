@@ -3,6 +3,7 @@
 import enum
 import itertools
 import re
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
@@ -23,6 +24,19 @@ from rsinf.rs_infinite import (
 )
 
 ANCHORS = (Fraction(0), "a", "b")
+
+
+def unchecked_tableau_sites(label=None):
+    """(module, "_unchecked_tableau", label) for every loaded rsinf module
+    that binds core's unchecked tableau constructor, so that a probe which
+    patches them all, with Tableau.__post_init__, sees every tableau built."""
+    sites = [
+        (mod, "_unchecked_tableau", label)
+        for name, mod in list(sys.modules.items())
+        if (name == "rsinf" or name.startswith("rsinf.")) and hasattr(mod, "_unchecked_tableau")
+    ]
+    assert sites, "no module binds rsinf.core._unchecked_tableau"
+    return sites
 
 
 def fraction_fieldelem_check(anchor, offset):

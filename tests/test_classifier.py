@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ideal_of
+from helpers import ideal_of, unchecked_tableau_sites
 from rsinf.classifier import (
     _cuts,
     _tokens,
@@ -349,11 +349,13 @@ def test_classify_inserts_nothing(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # every tableau and family built anywhere runs its class's __post_init__
+    # every tableau and family built anywhere runs its class's __post_init__,
+    # or the unchecked tableau constructor through some module's binding
     for owner, name, label in ((ri, "rs", "rs"), (ri, "seq_of", "seq_of"),
                                (Tableau, "__post_init__", "Tableau"),
                                (TableauFamily, "__post_init__", "TableauFamily"),
-                               (rf, "insert_sequence", "insert_sequence")):
+                               (rf, "insert_sequence", "insert_sequence"),
+                               *unchecked_tableau_sites("Tableau")):
         monkeypatch.setattr(owner, name, counted(label, getattr(owner, name)))
     outs = [classify(s) for s in specs]
     seen = list(calls)
@@ -408,3 +410,27 @@ def test_integer_and_symbol_specs_make_no_fraction_calls(monkeypatch):
     assert mirrored == ProperIdeal(15, 9, (10,), (4,))
     assert sum(b[0] for b in blocks) == 15
     assert sorted(str(t.anchor) for t in fam) == ["-b", "0", "a", "b"]
+
+
+def test_region_subclasses_answer_as_their_base():
+    """A subclass of each region kind is read through its base's entry in
+    the region tables: classify, validate, star_spec and spec_to_json
+    answer as they do for the base, and its values are coerced."""
+    bases = [Finite((elem(1), elem("a"))), Omega((elem(3),), elem(0)),
+             OmegaStar(elem(0), (elem(2), elem("b"))), Zeta(elem(0), (elem(1),), elem(0))]
+    for base in bases:
+        kind = type(base)
+        sub_kind = type(f"My{kind.__name__}", (kind,), {})
+        raw = [str(v) if isinstance(v, FieldElem) else tuple(map(str, v))
+               for v in map(base.__dict__.get, kind.__dataclass_fields__)]
+        sub = sub_kind(*raw)
+        assert sub.__dict__ == base.__dict__
+        for rest in ((Omega((), elem(0)),), (Zeta(elem(0), (elem(4),), elem("a")),)):
+            spec, sub_spec = WeightSpec((base, *rest)), WeightSpec((sub, *rest))
+            assert classify(sub_spec) == classify(spec)
+            assert validate(sub_spec) == validate(spec)
+            assert star_spec(sub_spec) == star_spec(spec)
+            assert spec_to_json(sub_spec) == spec_to_json(spec)
+    # something that is no region is refused by name, not by a KeyError
+    with pytest.raises(TypeError, match="int is not a region type"):
+        classify(WeightSpec((3,)))

@@ -539,6 +539,9 @@ def test_missing_arguments_exit_2(argv):
          "an entry of X must be an integer, not ''"),
         (["cls-gamma", "0,0,0;;,1", "--level=3"], "an entry of Y must be an integer, not ''"),
         (["cls-member", "0,0,0;1; ,", "1,0,0"], "an entry of Y must be an integer, not ' '"),
+        (["cls-member", "1,0;;", "1,0"], "the first group must be r',r'',g"),
+        (["cls-level", "1,0,2,3;;", "--level=3", "--bound=1"],
+         "the first group must be r',r'',g"),
     ],
 )
 def test_malformed_numbers_name_their_field(capsys, argv, message):
@@ -786,3 +789,20 @@ def test_far_tails_classify_on_every_axis(tmp_path):
         proc = _cli("classify", str(tmp_path / name), timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ideal"] == want[name], name
+
+
+def test_long_interchange_search_refuses_in_time():
+    """A random 18-entry permutation against its own reading word: the
+    insertions agree, so the search runs, and its class holds 4,594,590
+    words, where an unbounded search ran for more than a minute.  In a
+    child with a deadline, the CLI answers an error naming the limit."""
+    rs_finite = importlib.import_module("rsinf.rs_finite")
+    f = list(range(18))
+    random.Random(5).shuffle(f)
+    assert rsinf.rs(f)[0].shape == (5, 5, 3, 3, 2)
+    g = [str(v) for v in rsinf.seq_of(rsinf.rs(f))]
+    proc = _cli("interchange", ",".join(map(str, f)), ",".join(g), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert f"limit of {rs_finite._CONNECTED_MAX_STATES} searched words" in error
+    assert "_CONNECTED_MAX_STATES" in error and proc.stderr == ""

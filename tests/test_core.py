@@ -679,6 +679,38 @@ def test_elems_passes_a_tuple_of_elements_through():
         elems((elem(1), 1.5))
 
 
+def test_elems_scans_any_sequence_of_elements_without_elem(monkeypatch):
+    """A list or an iterator of exact elements is copied into a tuple once
+    and kept entry for entry; elem runs only on a sequence holding
+    something else, once per entry."""
+    run = [elem(1), elem("a-2"), elem("1/2"), elem(1)]
+    calls = []
+    real = core.elem
+    monkeypatch.setattr(core, "elem", lambda x: calls.append(x) or real(x))
+    for values in (run, iter(run), tuple(run), (e for e in run)):
+        got = elems(values)
+        assert type(got) is tuple and all(a is b for a, b in zip(got, run, strict=True))
+    assert calls == []
+    assert elems([*run, 3]) == (*run, elem(3)) and len(calls) == 5
+    calls.clear()
+    sub = _Elem("b", 4)
+    assert elems([sub, run[0]])[0] is sub and len(calls) == 2
+    for value in ("12", b"12", bytearray(b"12")):
+        with pytest.raises(TypeError, match="must not be a"):
+            elems(value)
+
+
+def test_elem_equality_with_another_type_is_not_implemented():
+    """FieldElem.__eq__ leaves a non-element to the other operand: an
+    element never equals the int or the literal it was built from."""
+    three = elem(3)
+    assert three.__eq__(3) is NotImplemented
+    assert three.__eq__("3") is NotImplemented
+    assert not three == 3 and three != 3 and 3 != three
+    assert three != "3" and three != Fraction(3)
+    assert three == from_rational(3)
+
+
 @pytest.mark.parametrize("value", [3, b"3", None, ["3"], 1.5], ids=repr)
 def test_parse_elem_refuses_non_strings(value):
     before = core._read_memo.cache_info()
@@ -717,6 +749,9 @@ def test_literal_memo_matches_the_reader():
         for text in corpus:
             got, want = parse_elem(text), core._read_elem(text)
             assert type(got) is FieldElem and type(got.offset) is int, text
+            # the reader builds unchecked; the element is one the check accepts
+            fraction_fieldelem_check(got.anchor, got.offset)
+            assert FieldElem(got.anchor, got.offset) == got, text
             assert got == want and str(got) == str(want), text
             assert type(got.anchor) is type(want.anchor), text
     for text in ["", "1/0", "x y", "1/2/3", "٣"]:

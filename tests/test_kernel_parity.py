@@ -6,6 +6,7 @@ setup.py into a temporary directory and loaded from there, so the setup
 declaration is tested too and nothing is written under src/.  Its tests
 skip only when no C compiler is found."""
 
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from helpers import pair_insert
 from rsinf import _kernel, rs_finite
+from rsinf.core import Tableau, elem
 from rsinf._insertion_py import insert_one
 from rsinf._insertion_py import insert_sequence as pure_insert
 
@@ -282,3 +284,59 @@ def test_only_rs_trace_inserts_one_entry_at_a_time(monkeypatch):
     steps = rs_finite.rs_trace(word)
     assert calls[0] == len(word) == len(steps)
     assert steps[-1].family == rs_finite.rs(word)
+
+
+def _mixed_words(rng):
+    """Seeded words of 0 to 1,000 entries over five integrality classes:
+    distinct offsets, duplicate-heavy ones, and offsets of +-2**70, where
+    the compiled kernel overflows and the pure one answers."""
+    units = [elem(a) for a in ("0", "1/2", "2/3", "a", "-b")]
+    big = 2**70
+    words = [[], [units[3]]]
+    for n in (2, 17, 60, 300, 1000):
+        for spread in (0, 1, 3, 4 * n):
+            words.append([rng.choice(units).shift(rng.randint(-spread, spread))
+                          for _ in range(n)])
+        words.append([rng.choice(units).shift(rng.choice((big, -big, big - 1, rng.randint(-3, 3))))
+                      for _ in range(n)])
+    return words
+
+
+def _assert_checked(family):
+    """Each tableau is a frozen Tableau that the checked constructor
+    accepts, and equals and hashes like the one it builds."""
+    for t in family:
+        assert type(t) is Tableau
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.rows = ()
+        ref = Tableau(t.anchor, t.rows)
+        assert t == ref and ref == t and hash(t) == hash(ref), t
+
+
+def _unchecked_tableaux_pass_the_check(monkeypatch, impl):
+    """rs, j and every rs_trace step build their tableaux without
+    Tableau's check; rebuilt through it, each one is accepted unchanged."""
+    monkeypatch.setattr(_kernel, "_impl", impl)
+    for vals in _mixed_words(random.Random(20261020)):
+        _assert_checked(rs_finite.rs(vals))
+        _assert_checked(rs_finite.j(vals))
+        if len(vals) <= 60:
+            for step in rs_finite.rs_trace(vals):
+                _assert_checked(step.family)
+
+
+def test_unchecked_tableaux_pass_the_check_pure(monkeypatch):
+    _unchecked_tableaux_pass_the_check(monkeypatch, None)
+
+
+def test_unchecked_tableaux_pass_the_check_compiled(monkeypatch, built):
+    calls = []
+
+    class Counted:
+        @staticmethod
+        def insert_sequence(offsets):
+            calls.append(len(offsets))
+            return built.insert_sequence(offsets)
+
+    _unchecked_tableaux_pass_the_check(monkeypatch, Counted)
+    assert calls

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsinf.rs_finite as rs_finite_mod
-from helpers import bfs_connected, rand_family, setdefault_insert_by_class
+from helpers import bfs_connected, rand_family, setdefault_insert_by_class, unchecked_tableau_sites
 from rsinf.classifier import Finite, Omega, ProperIdeal, WeightSpec, ZeroIdeal, Zeta, classify
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem, elems, parse_elem, same_anchor
 from rsinf.rs_finite import (
@@ -426,6 +426,8 @@ def test_connected_and_joseph_equal_build_no_tableau(monkeypatch):
 
     monkeypatch.setattr(Tableau, "__post_init__", refuse)
     monkeypatch.setattr(TableauFamily, "__post_init__", refuse)
+    for owner, name, _ in unchecked_tableau_sites():
+        monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(rs_finite_mod, "insert_sequence", counted)
     for f, g, k, answers, kernel_calls in cases:
         calls[0] = 0
@@ -531,3 +533,29 @@ def test_class_keys_hash_no_fraction(monkeypatch):
     assert {a[6] is None for a in want} == {True, False}
     assert {a[8] for a in want} == {True, False}
     assert {type(a[5]) for a in want} == {ProperIdeal, ZeroIdeal}
+
+
+def test_connected_refuses_past_its_state_limit(monkeypatch):
+    """The search counts the words it keeps, one O(1) test per word
+    queued: past the limit it raises ValueError naming the limit, while
+    answers that need no search, or fewer words, are unchanged."""
+    f = tuple(random.Random(5).sample(range(8), 8))
+    g = seq_of(rs(f))
+    path = connected(f, g)
+    assert path is not None and len(path.steps) >= 3 and path.replay(f) == g
+    # the word whose shift is the reading word of f's shifted insertion
+    h = tuple(e.shift(i) for i, e in enumerate(seq_of(j(f)), 1))
+    shifted = connected(f, h, shifted=True)
+    assert shifted is not None and len(shifted.steps) >= 3 and shifted.replay(f) == h
+    monkeypatch.setattr(rs_finite_mod, "_CONNECTED_MAX_STATES", 3)
+    with pytest.raises(ValueError, match="limit of 3 searched words"):
+        connected(f, g)
+    with pytest.raises(ValueError, match=r"\(rsinf.rs_finite._CONNECTED_MAX_STATES\)"):
+        connected(f, h, shifted=True)
+    # equal words, unequal insertions and a target that is the first word
+    # queued answer as before, even with no room to search
+    monkeypatch.setattr(rs_finite_mod, "_CONNECTED_MAX_STATES", 0)
+    assert connected(f, f) == InterchangePath(())
+    assert connected(f, tuple(reversed(f))) is None
+    first = next(i for i in range(1, len(f)) if admissible(f, i))
+    assert connected(f, apply_interchange(f, first)) == InterchangePath(((first, False),))

@@ -478,3 +478,30 @@ def test_block_ideal_reads_only_ints(monkeypatch):
         (big, 0, (), ()),
         (1, big + 1, (), ()),
     ]
+
+
+def test_sequences_coerce_their_values_when_built():
+    """Both sequence classes coerce the window with elems and the tails
+    with elem, as a classifier region does: a raw int window reads as
+    the factory's, and a bad value is refused when the sequence is built."""
+    raw = EventuallyConstantSeq(Axis.NEG, (3, 1), -1, 0, None)
+    assert raw == eventually_constant(Axis.NEG, [3, 1], left_tail=0)
+    assert type(raw.window) is tuple and raw.value(-1) == elem(1)
+    assert type(raw.value(-1)) is FieldElem and type(raw.value(-7)) is FieldElem
+    assert block_ideal(raw) == block_ideal(eventually_constant(Axis.NEG, [3, 1], left_tail=0))
+    both = EventuallyConstantSeq(Axis.ALL, ["a", "1/2", 2], 0, "0", 5)
+    assert both.window == (elem("a"), elem("1/2"), elem(2)) and both.value(9) == elem(5)
+    laws = StablyDecreasingSeq(Axis.POS, [4, "a"], 1, None, 3)
+    assert laws == stably_decreasing(Axis.POS, [4, "a"], edge=1, right_law=3)
+    assert laws.value(1) == elem(4) and laws.value(5) == elem(-2)
+    assert rs_infinite(laws) == rs_infinite(stably_decreasing(Axis.POS, [4, "a"], right_law=3))
+    # a tuple of elements is kept as it is
+    window = (elem(2), elem("b"))
+    assert StablyDecreasingSeq(Axis.NEG, window, -1, elem(0), None).window is window
+    for bad, error in (((1.5,), TypeError), ("12", TypeError), (("x y",), ValueError)):
+        with pytest.raises(error):
+            EventuallyConstantSeq(Axis.NEG, bad, -1, 0, None)
+    with pytest.raises(ValueError):
+        StablyDecreasingSeq(Axis.NEG, (), -1, "1/0", None)
+    with pytest.raises(TypeError):
+        EventuallyConstantSeq(Axis.POS, (), 1, None, True)
