@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union, get_origin, get_type_hints
 
-from .core import FieldElem, _class_key, _field, elem, elems, parse_elems, parse_entry
+from .core import FieldElem, _class_key, _class_name, _field, elem, elems, parse_elems, parse_entry
 from .rs_infinite import Axis, block_ideal, eventually_constant
 
 
@@ -113,7 +113,13 @@ class WeightSpec:
     regions: tuple[Region, ...]
 
     def __post_init__(self):
-        if all(isinstance(r, Finite) for r in self.regions):
+        """Store the regions as a tuple; a value that is not a region is
+        refused by the region table's TypeError."""
+        regions = tuple(self.regions)
+        for r in regions:
+            _STRETCHES[type(r)]
+        object.__setattr__(self, "regions", regions)
+        if all(isinstance(r, Finite) for r in regions):
             raise ValueError("a weight spec needs at least one infinite region")
 
 
@@ -134,32 +140,19 @@ class ZeroAnnihilator:
 def validate(spec: WeightSpec):
     """A spec annihilates nontrivially iff all its infinite stretches sit
     in one integrality class."""
-    return _validate(_tokens(spec))
+    return _validate(list(_cuts(spec)))
 
 
-def _validate(tokens):
-    """validate on the spec's token list."""
-    classes = {_class_key(v.anchor): v.anchor for kind, v in tokens if kind == "c"}
+def _validate(cuts):
+    """validate on the spec's cuts: each infinite stretch is the left
+    tail of the cut after it."""
+    classes = {_class_key(c.left_tail.anchor): c.left_tail.anchor for c in cuts[1:]}
     if len(classes) > 1:
-        names = ", ".join(sorted(str(FieldElem(a, 0)) for a in classes.values()))
+        names = ", ".join(sorted(_class_name(a) for a in classes.values()))
         return ZeroAnnihilator(
             f"infinite tails fall in different integrality classes: {names}"
         )
     return Valid()
-
-
-def _tokens(spec: WeightSpec):
-    """Flatten to a stream of ('e', value) exceptions and ('c', value)
-    infinite constant stretches."""
-    out = []
-    for region in spec.regions:
-        for name, run in _STRETCHES[type(region)]:
-            value = getattr(region, name)
-            if run:
-                out.extend(("e", v) for v in value)
-            else:
-                out.append(("c", value))
-    return out
 
 
 # A block as the spec gives it: the fields block_ideal reads, with the
@@ -168,22 +161,24 @@ def _tokens(spec: WeightSpec):
 _Cut = namedtuple("_Cut", "axis window edge left_tail right_tail")
 
 
-def _cuts(tokens):
-    """Yield the raw cut of each block of a token list, left to right.
+def _cuts(spec: WeightSpec):
+    """Yield the raw cut of each block of a spec, left to right.
 
-    The stretches cut the tokens: the exceptions before the first one
-    are a POS block, those between two consecutive ones an ALL block
-    with both as its tails, and those after the last one a NEG block.
+    The infinite constant stretches cut the regions' runs of exceptions:
+    the exceptions before the first stretch are a POS block, those
+    between two consecutive ones an ALL block with both as its tails,
+    and those after the last one a NEG block.
     """
-    left, window = None, []
-    for kind, v in tokens:
-        if kind == "c":
-            axis = Axis.POS if left is None else Axis.ALL
-            yield _Cut(axis, tuple(window), 1, left, v)
-            left, window = v, []
-        else:
-            window.append(v)
-    yield _Cut(Axis.NEG, tuple(window), -1, left, None)
+    left, window = None, ()
+    for region in spec.regions:
+        for name, run in _STRETCHES[type(region)]:
+            value = getattr(region, name)
+            if run:
+                window += value
+            else:
+                yield _Cut(Axis.POS if left is None else Axis.ALL, window, 1, left, value)
+                left, window = value, ()
+    yield _Cut(Axis.NEG, window, -1, left, None)
 
 
 def segment(spec: WeightSpec):
@@ -197,7 +192,7 @@ def segment(spec: WeightSpec):
     blocks = [
         eventually_constant(c.axis, c.window, edge=c.edge, left_tail=c.left_tail,
                             right_tail=c.right_tail)
-        for c in _cuts(_tokens(spec))
+        for c in _cuts(spec)
     ]
     return blocks[0], tuple(blocks[1:-1]), blocks[-1]
 
@@ -221,13 +216,13 @@ def classify(spec: WeightSpec):
     The head contributes X and part of r, the tail contributes Y and the
     rest of r, and each middle contributes to r and all of g.
     """
-    tokens = _tokens(spec)
-    v = _validate(tokens)
+    cuts = list(_cuts(spec))
+    v = _validate(cuts)
     if isinstance(v, ZeroAnnihilator):
         return ZeroIdeal(v.reason)
     # block_ideal reads a raw cut as it reads the canonical block that
     # segment builds from it (see block_ideal)
-    rs, gs, xs, ys = zip(*[block_ideal(cut) for cut in _cuts(tokens)])
+    rs, gs, xs, ys = zip(*[block_ideal(cut) for cut in cuts])
     return ProperIdeal(sum(rs), sum(gs), xs[0], ys[-1])
 
 

@@ -16,7 +16,7 @@ import sys
 
 from . import classifier, cls
 from .core import (
-    FieldElem, Tableau, TableauFamily, _digits, _field, _int_repr, _parse_int, parse_elem,
+    Tableau, TableauFamily, _class_name, _digits, _field, _int_repr, _parse_int, parse_elem,
     parse_elems, parse_entry,
 )
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
@@ -33,7 +33,7 @@ def _parse_seq(text: str):
 def _family_json(family) -> list:
     return [
         {
-            "class": str(FieldElem(t.anchor, 0)),
+            "class": _class_name(t.anchor),
             "rows": [[str(v) for v in row] for row in t.rows],
         }
         for t in family

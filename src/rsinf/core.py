@@ -360,6 +360,14 @@ def _class_key(anchor: Anchor):
     return anchor if isinstance(anchor, str) else (anchor.numerator, anchor.denominator)
 
 
+def _class_name(anchor: Anchor) -> str:
+    """The printed name of a checked anchor's class, as FieldElem prints
+    anchor + 0, with no check run; past the digit limit, FieldElem's
+    ValueError.  _class_key, not this, is the key to hash: a name may not
+    print."""
+    return str(_unchecked(anchor, 0))
+
+
 def same_class(a: FieldElem, b: FieldElem) -> bool:
     return same_anchor(a.anchor, b.anchor)
 
@@ -403,7 +411,11 @@ class Tableau:
     rows: tuple[tuple[FieldElem, ...], ...]
 
     def __post_init__(self):
+        """Check the anchor as FieldElem does, coerce each row with elems,
+        then check the shape."""
         anchor = self.anchor
+        FieldElem(anchor, 0)
+        _set(self, "rows", tuple(map(elems, self.rows)))
         for row in self.rows:
             if not row:
                 raise ValueError("empty tableau row")
@@ -467,9 +479,13 @@ class TableauFamily:
 
     def __post_init__(self):
         # the printed anchor names its class, so sorting by it puts equal
-        # anchors side by side, and no anchor is hashed
+        # anchors side by side, and no anchor is hashed; each anchor was
+        # checked when its tableau was built
         tabs = tuple(self.tableaux)
-        keys = [str(FieldElem(t.anchor, 0)) for t in tabs]
+        for t in tabs:
+            if not isinstance(t, Tableau):
+                raise TypeError(f"a family holds tableaux, not {type(t).__name__}")
+        keys = [_class_name(t.anchor) for t in tabs]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         dup = next((keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
         if dup is not None:

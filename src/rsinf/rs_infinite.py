@@ -394,6 +394,9 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     plus r.  A POS input is computed through its mirror and the pieces
     are mirrored back.
     """
+    if not isinstance(g, StablyDecreasingSeq):
+        raise TypeError(f"rs_infinite inserts a StablyDecreasingSeq, not {type(g).__name__};"
+                        " plus_rho makes one from a block")
     if g.axis is Axis.POS:
         m = rs_infinite(star_seq(g))
         row = star_seq(m.first_row)

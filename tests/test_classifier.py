@@ -9,7 +9,6 @@ import pytest
 from helpers import ideal_of, unchecked_tableau_sites
 from rsinf.classifier import (
     _cuts,
-    _tokens,
     Finite,
     Omega,
     OmegaStar,
@@ -246,6 +245,13 @@ def _random_spec(rng):
             return WeightSpec(regions)
 
 
+_MIRROR_AXIS = {Axis.POS: Axis.NEG, Axis.ALL: Axis.ALL, Axis.NEG: Axis.POS}
+
+
+def _negated(tail):
+    return None if tail is None else tail.negate()
+
+
 def test_spec_properties_over_all_region_kinds():
     rng = random.Random(20240505)
     seen = set()
@@ -255,7 +261,13 @@ def test_spec_properties_over_all_region_kinds():
         assert parse_spec(spec_to_json(s)) == s
         m = star_spec(s)
         assert star_spec(m) == s
-        assert _tokens(m) == [(kind, v.negate()) for kind, v in reversed(_tokens(s))]
+        # every window and every stretch of the mirror is the spec's,
+        # reversed and negated
+        assert [(c.axis, c.window, c.left_tail, c.right_tail) for c in _cuts(m)] == [
+            (_MIRROR_AXIS[c.axis], tuple(v.negate() for v in reversed(c.window)),
+             _negated(c.right_tail), _negated(c.left_tail))
+            for c in reversed(list(_cuts(s)))
+        ]
         out, mirrored = classify(s), classify(m)
         if isinstance(out, ZeroIdeal):
             assert isinstance(mirrored, ZeroIdeal)
@@ -267,9 +279,9 @@ def test_spec_properties_over_all_region_kinds():
 
 
 def test_classify_adds_up_the_blocks_of_segment():
-    """classify reads the raw cuts of one token pass; each gives the
-    answer of segment's canonical block and of the full insertion, and
-    the answers add up to classify's."""
+    """classify reads the raw cuts of one pass over the regions; each
+    gives the answer of segment's canonical block and of the full
+    insertion, and the answers add up to classify's."""
     rng = random.Random(20240611)
     proper = 0
     for _ in range(400):
@@ -281,7 +293,7 @@ def test_classify_adds_up_the_blocks_of_segment():
         head, middles, tail = segment(s)
         blocks = (head, *middles, tail)
         stats = [block_ideal(b) for b in blocks]
-        assert [block_ideal(c) for c in _cuts(_tokens(s))] == stats, s
+        assert [block_ideal(c) for c in _cuts(s)] == stats, s
         assert stats == [ideal_of(b, rs_infinite(plus_rho(b))) for b in blocks], s
         rs_, gs, xs, ys = zip(*stats)
         assert out == ProperIdeal(sum(rs_), sum(gs), xs[0], ys[-1]), s
@@ -303,6 +315,25 @@ def test_classify_calls_block_ideal_once_per_block(monkeypatch):
     assert calls == [Axis.POS, Axis.ALL, Axis.NEG]
     monkeypatch.undo()
     assert out == classify(spec) == ProperIdeal(3, 1, (5,), ())
+
+
+def test_classify_cuts_the_spec_once(monkeypatch):
+    """classify validates and classifies from one pass of _cuts."""
+    classifier = importlib.import_module("rsinf.classifier")
+    specs = [_random_spec(random.Random(f"one-pass-{i}")) for i in range(40)]
+    calls = []
+    inner = classifier._cuts
+
+    def counted(spec):
+        calls.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(classifier, "_cuts", counted)
+    outs = [classify(s) for s in specs]
+    assert calls == specs
+    monkeypatch.undo()
+    assert {type(o) for o in outs} == {ProperIdeal, ZeroIdeal}
+    assert outs == [classify(s) for s in specs]
 
 
 def test_classify_makes_no_enum_hash_call(monkeypatch):
@@ -379,7 +410,7 @@ _INT_AND_SYMBOL_DOC = {"regions": [
 
 def test_integer_and_symbol_specs_make_no_fraction_calls(monkeypatch):
     spec = parse_spec(_INT_AND_SYMBOL_DOC)
-    word = [v for kind, v in _tokens(spec) if kind == "e"]
+    word = [v for c in _cuts(spec) for v in c.window]
     calls = dict.fromkeys(("__new__", "__add__", "__neg__", "__eq__"), 0)
 
     def counting(name, fn):
@@ -434,3 +465,18 @@ def test_region_subclasses_answer_as_their_base():
     # something that is no region is refused by name, not by a KeyError
     with pytest.raises(TypeError, match="int is not a region type"):
         classify(WeightSpec((3,)))
+
+
+def test_weight_spec_refuses_a_non_region():
+    """A spec stores its regions as a tuple and refuses anything that is
+    not a region when it is built, by the region table's TypeError."""
+    with pytest.raises(TypeError, match="int is not a region type"):
+        weight_spec(5)
+    with pytest.raises(TypeError, match="str is not a region type"):
+        WeightSpec("omega")
+    with pytest.raises(TypeError, match="tuple is not a region type"):
+        weight_spec(omega([], 0), ((), 0))
+    spec = WeightSpec([omega([1], 0), finite(2)])
+    assert spec.regions == (omega([1], 0), finite(2))
+    assert spec == weight_spec(omega([1], 0), finite(2))
+    assert classify(spec) == ProperIdeal(1, 0, (1,), ())

@@ -3,9 +3,12 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -806,3 +809,49 @@ def test_long_interchange_search_refuses_in_time():
     error = json.loads(proc.stdout)["error"]
     assert f"limit of {rs_finite._CONNECTED_MAX_STATES} searched words" in error
     assert "_CONNECTED_MAX_STATES" in error and proc.stderr == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_sessions():
+    """The `$ ` sessions of README's sh blocks, one per block: a list of
+    (command, the lines printed under it)."""
+    sessions = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        steps = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            elif steps:
+                steps[-1][1].append(line)
+        if steps:
+            sessions.append(steps)
+    return sessions
+
+
+def test_readme_examples_print_what_readme_shows(tmp_path, monkeypatch, capsys):
+    """Every `$ rsinf ...` example in README, run in-process from a fresh
+    directory, prints exactly the lines shown under it and exits 0; the
+    `echo ... > f` and `rsinf ... > f` steps write f there."""
+    monkeypatch.chdir(tmp_path)
+    shown = 0
+    for steps in _readme_sessions():
+        for command, lines in steps:
+            words = shlex.split(command)
+            target = None
+            if words[-2:-1] == [">"]:
+                words, target = words[:-2], words[-1]
+            if words[0] == "echo":
+                out = " ".join(words[1:]) + "\n"
+            else:
+                assert words[0] == "rsinf", command
+                assert main(words[1:]) == 0, command
+                out = capsys.readouterr().out
+            if target is not None:
+                assert not lines, command
+                (tmp_path / target).write_text(out)
+            else:
+                assert out == "".join(line + "\n" for line in lines), command
+                shown += 1
+    assert shown >= 10

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -785,3 +786,31 @@ def test_literal_memo_is_bounded():
         assert parse_elem(text) == core._read_elem(text)
     after = core._read_memo.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Tableau(1.5, ()), "anchor must be Fraction or str, got <class 'float'>"),
+    (lambda: Tableau(1.5, ((elem(1),),)), "anchor must be Fraction or str, got <class 'float'>"),
+    (lambda: Tableau(Fraction(0), ((1.5,),)), "cannot coerce 1.5"),
+    (lambda: Tableau("a", ("a",)), "must not be a str"),
+    (lambda: TableauFamily((1, 2)), "a family holds tableaux, not int"),
+], ids=["float-anchor", "float-anchor-with-rows", "float-entry", "str-row", "int-tableaux"])
+def test_tableau_and_family_refuse_a_wrong_type_at_construction(build, message):
+    """A tableau checks its anchor as FieldElem does and coerces its rows
+    with elems, and a family holds tableaux only: each wrong type is a
+    TypeError when it is built, never an AttributeError."""
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
+
+
+def test_tableau_coerces_its_rows():
+    """Rows of raw values are coerced with elems, as regions and
+    sequences coerce theirs; the anchor is checked as FieldElem does."""
+    t = Tableau(Fraction(0), ((3, 2),))
+    assert t == Tableau.from_offsets(0, [[3, 2]]) and t.rows == ((elem(3), elem(2)),)
+    assert Tableau("a", [["a+1", "a"]]).rows == ((FieldElem("a", 1), FieldElem("a", 0)),)
+    with pytest.raises(ValueError, match="not in class of anchor a"):
+        Tableau("a", ((3,),))
+    with pytest.raises(ValueError, match="not reduced"):
+        Tableau(Fraction(3, 2), ())

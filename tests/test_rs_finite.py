@@ -559,3 +559,35 @@ def test_connected_refuses_past_its_state_limit(monkeypatch):
     assert connected(f, tuple(reversed(f))) is None
     first = next(i for i in range(1, len(f)) if admissible(f, i))
     assert connected(f, apply_interchange(f, first)) == InterchangePath(((first, False),))
+
+
+def test_finite_insertion_on_elements_runs_no_element_check(monkeypatch):
+    """rs, j, rs_trace and seq_of on elements build every element and
+    family they answer without FieldElem's check: each anchor was checked
+    once, when its element was built, and a family names its classes
+    without building an element."""
+    rng = random.Random(83)
+    anchors = [Fraction(0), Fraction(1, 3), Fraction(2, 3), "a", "-a", "b"]
+    words = [
+        tuple(FieldElem(rng.choice(anchors), rng.randint(-9, 9)) for _ in range(rng.randint(0, 30)))
+        for _ in range(60)
+    ]
+    checks = [0]
+    check = FieldElem.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        check(self)
+
+    monkeypatch.setattr(FieldElem, "__post_init__", counted)
+    answers = [(rs(w), j(w), rs_trace(w), seq_of(rs(w)), seq_of(j(w))) for w in words]
+    seen = checks[0]
+    FieldElem("a", 0)
+    assert checks[0] == seen + 1  # the counter sees the check
+    monkeypatch.undo()
+    assert seen == 0
+    for w, (family, shifted, trace, word, reading) in zip(words, answers):
+        assert family == rs(w) and shifted == j(w) and rs(word) == family, w
+        assert (trace[-1].family if trace else rs(())) == family, w
+        assert rs(reading) == shifted, w
+    assert max(len(a[0]) for a in answers) >= 5

@@ -505,3 +505,17 @@ def test_sequences_coerce_their_values_when_built():
         StablyDecreasingSeq(Axis.NEG, (), -1, "1/0", None)
     with pytest.raises(TypeError):
         EventuallyConstantSeq(Axis.POS, (), 1, None, True)
+
+
+def test_rs_infinite_refuses_a_raw_block():
+    """rs_infinite inserts a stably decreasing sequence; a block of raw
+    values is a TypeError that names plus_rho, on every axis."""
+    blocks = [eventually_constant(Axis.NEG, [3], left_tail=0),
+              eventually_constant(Axis.POS, [3], right_tail=0),
+              eventually_constant(Axis.ALL, [3], left_tail=0, right_tail=0)]
+    for block in blocks:
+        with pytest.raises(TypeError, match="not EventuallyConstantSeq; plus_rho"):
+            rs_infinite(block)
+        assert rs_infinite(plus_rho(block)).axis is block.axis
+    with pytest.raises(TypeError, match="not tuple"):
+        rs_infinite(())
