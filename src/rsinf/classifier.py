@@ -11,21 +11,22 @@ annihilator is zero.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import Union, get_origin, get_type_hints
+from typing import get_origin, get_type_hints
 
 from .core import FieldElem, _class_key, _class_name, _field, elem, elems, parse_elems, parse_entry
-from .rs_infinite import Axis, block_ideal, eventually_constant
+from .rs_infinite import Axis, _Cut, block_ideal, eventually_constant
 
 
 class _Region:
     """Coerces a region's runs with elems and its stretches with elem
     when it is built, as ClsParams stores X and Y: a bad value raises
-    their TypeError or ValueError there, not in a later reader."""
+    their TypeError or ValueError there, not in a later reader.  Each
+    kind carries its description, set below the four kinds, and a
+    subclass inherits its kind's, so it answers as that kind does."""
 
     def __post_init__(self):
-        for name, run in _STRETCHES[type(self)]:
+        for name, run in self._stretches:
             value = getattr(self, name)
             coerced = elems(value) if run else elem(value)
             if coerced is not value:
@@ -62,34 +63,20 @@ class Zeta(_Region):
     right_tail: FieldElem
 
 
-Region = Union[Finite, Omega, OmegaStar, Zeta]
-
-
-class _ByKind(dict):
-    """A table keyed by region class.  A subclass of a region kind, found
-    only when the exact class misses, reads its nearest kind's entry, so
-    it answers as that kind does; any other class is a TypeError."""
-
-    def __missing__(self, cls):
-        for base in cls.__mro__[1:]:
-            if base in self:
-                return self[base]
-        raise TypeError(f"{cls.__name__} is not a region type")
-
-
-# Every region kind, once.  JSON type name -> class; omega and omega_star
-# mirror each other under star_spec, finite and zeta mirror themselves
-# (a mirror's stretches are the region's in reverse order).
+# Every region kind, once: JSON type name -> class.  Each kind carries
+# its type name, its mirror under star_spec (omega and omega_star mirror
+# each other, finite and zeta themselves; a mirror's stretches are the
+# region's in reverse order) and its stretches: its fields in declaration
+# order, which is index order, each paired with whether it is a run of
+# exceptions (a tuple) rather than an infinite constant stretch (one
+# FieldElem).
 _TYPES = {"finite": Finite, "omega": Omega, "omega_star": OmegaStar, "zeta": Zeta}
-_NAMES = _ByKind({cls: t for t, cls in _TYPES.items()})
-_MIRROR = _ByKind({Finite: Finite, Omega: OmegaStar, OmegaStar: Omega, Zeta: Zeta})
-# class -> its fields in declaration order, which is index order, each
-# paired with whether it is a run of exceptions (a tuple) rather than an
-# infinite constant stretch (one FieldElem)
-_STRETCHES = _ByKind({
-    cls: tuple((name, get_origin(t) is tuple) for name, t in get_type_hints(cls).items())
-    for cls in _TYPES.values()
-})
+for (_name, _kind), _mirror in zip(_TYPES.items(), (Finite, OmegaStar, Omega, Zeta)):
+    _kind._name, _kind._mirror = _name, _mirror
+    _kind._stretches = tuple(
+        (name, get_origin(t) is tuple) for name, t in get_type_hints(_kind).items()
+    )
+del _name, _kind, _mirror
 
 
 def finite(*values) -> Finite:
@@ -110,14 +97,15 @@ def zeta(left_tail, exceptions, right_tail) -> Zeta:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    regions: tuple[Region, ...]
+    regions: tuple[_Region, ...]
 
     def __post_init__(self):
-        """Store the regions as a tuple; a value that is not a region is
-        refused by the region table's TypeError."""
+        """Store the regions as a tuple and refuse a value that is not a
+        region."""
         regions = tuple(self.regions)
         for r in regions:
-            _STRETCHES[type(r)]
+            if not isinstance(r, _Region):
+                raise TypeError(f"{type(r).__name__} is not a region type")
         object.__setattr__(self, "regions", regions)
         if all(isinstance(r, Finite) for r in regions):
             raise ValueError("a weight spec needs at least one infinite region")
@@ -125,6 +113,13 @@ class WeightSpec:
 
 def weight_spec(*regions) -> WeightSpec:
     return WeightSpec(tuple(regions))
+
+
+def _regions(spec) -> tuple:
+    """The regions of a spec; anything but a WeightSpec is a TypeError."""
+    if not isinstance(spec, WeightSpec):
+        raise TypeError(f"a spec must be a WeightSpec, not {type(spec).__name__}")
+    return spec.regions
 
 
 @dataclass(frozen=True)
@@ -155,12 +150,6 @@ def _validate(cuts):
     return Valid()
 
 
-# A block as the spec gives it: the fields block_ideal reads, with the
-# window unstripped and the edge where eventually_constant puts it
-# before stripping (-1 on NEG, 1 otherwise).
-_Cut = namedtuple("_Cut", "axis window edge left_tail right_tail")
-
-
 def _cuts(spec: WeightSpec):
     """Yield the raw cut of each block of a spec, left to right.
 
@@ -170,8 +159,8 @@ def _cuts(spec: WeightSpec):
     and those after the last one a NEG block.
     """
     left, window = None, ()
-    for region in spec.regions:
-        for name, run in _STRETCHES[type(region)]:
+    for region in _regions(spec):
+        for name, run in region._stretches:
             value = getattr(region, name)
             if run:
                 window += value
@@ -229,15 +218,15 @@ def classify(spec: WeightSpec):
 def star_spec(spec: WeightSpec) -> WeightSpec:
     """Reverse the index order and negate every value."""
     out = []
-    for region in reversed(spec.regions):
+    for region in reversed(_regions(spec)):
         stretches = []
-        for name, run in reversed(_STRETCHES[type(region)]):
+        for name, run in reversed(region._stretches):
             value = getattr(region, name)
             if run:
                 stretches.append(tuple(v.negate() for v in reversed(value)))
             else:
                 stretches.append(value.negate())
-        out.append(_MIRROR[type(region)](*stretches))
+        out.append(region._mirror(*stretches))
     return WeightSpec(tuple(out))
 
 
@@ -247,7 +236,10 @@ _SPEC_SHAPE = "a spec document is an object with a 'regions' list"
 def parse_spec(data) -> WeightSpec:
     """Read a spec from a JSON object (or JSON text)."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("the document nests too deeply") from None
     items = _field(data, "regions", _SPEC_SHAPE, list)
     regions = []
     for item in items:
@@ -256,7 +248,7 @@ def parse_spec(data) -> WeightSpec:
         if cls is None:
             raise ValueError(f"unknown region type {t!r}")
         stretches = []
-        for name, run in _STRETCHES[cls]:
+        for name, run in cls._stretches:
             shape = f"a region of type {t!r} needs a {name!r} field"
             if run:
                 value = _field(item, name, shape, default=())
@@ -269,9 +261,9 @@ def parse_spec(data) -> WeightSpec:
 
 def spec_to_json(spec: WeightSpec) -> dict:
     regions = []
-    for region in spec.regions:
-        doc = {"type": _NAMES[type(region)]}
-        for name, run in _STRETCHES[type(region)]:
+    for region in _regions(spec):
+        doc = {"type": region._name}
+        for name, run in region._stretches:
             value = getattr(region, name)
             doc[name] = [str(v) for v in value] if run else str(value)
         regions.append(doc)

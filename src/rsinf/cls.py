@@ -153,6 +153,13 @@ def cls_params(r1: int, r2: int, g: int, X=(), Y=()) -> ClsParams:
     return ClsParams(r1, r2, g, tuple(X), tuple(Y))
 
 
+def _params(p) -> ClsParams:
+    """p itself if it is a ClsParams; anything else is a TypeError."""
+    if not isinstance(p, ClsParams):
+        raise TypeError(f"the parameters must be a ClsParams, not {type(p).__name__}")
+    return p
+
+
 def factorization(p: ClsParams) -> tuple:
     """Basic factors (kind, index, multiplicity) of the parameter tuple.
 
@@ -187,7 +194,7 @@ def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     member with the interval test of _level_set: no sum is formed.
     """
     _level_args(n, bound)
-    _check_level(p, n)
+    _check_level(_params(p), n)
     return _level_set(n, factorization(p), bound)
 
 
@@ -199,7 +206,7 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     2i - 1, and each full-step factor the middle step.
     """
     length = 2 * _int(n, "the level")
-    _check_level(p, length, n)
+    _check_level(_params(p), length, n)
     total = [0] * length
     for kind, idx, mult in factorization(p):
         # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized
@@ -250,6 +257,7 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
     <= left[a] + right[b] for all non-free a <= b.  One pass carries the
     minimum of left[a] - v_a over a <= b.
     """
+    _params(p)
     t, ordered, prev = tuple(vec), True, math.inf
     for x in t:  # every entry is checked before the order
         if type(x) is not int:

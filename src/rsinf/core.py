@@ -310,7 +310,11 @@ def parse_entry(value, what: str) -> FieldElem:
         return parse_elem(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return from_rational(value)
-    shown = json.dumps(value, default=repr)
+    try:
+        shown = json.dumps(value, default=repr)
+    except (RecursionError, ValueError):
+        # nested too deeply to print, or holding itself
+        shown = f"a {type(value).__name__}"
     raise ValueError(f"{what} must be a string or an integer, not {shown}")
 
 

@@ -126,6 +126,9 @@ def seq_of(tableaux) -> tuple[FieldElem, ...]:
         tabs = tableaux.tableaux
     else:
         tabs = tuple(tableaux)
+        for t in tabs:
+            if not isinstance(t, Tableau):
+                raise TypeError(f"seq_of reads tableaux, not {type(t).__name__}")
     out: list[FieldElem] = []
     for t in tabs:
         # shorter rows first, then smaller first entry; rows that tie on

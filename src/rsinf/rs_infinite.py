@@ -48,7 +48,7 @@ _NEEDS = {
     Axis.POS: "a POS sequence has exactly a right {}",
     Axis.ALL: "an ALL sequence has both {}s",
 }
-_MIRROR = {Axis.NEG: Axis.POS, Axis.POS: Axis.NEG, Axis.ALL: Axis.ALL}
+_STAR_AXIS = {Axis.NEG: Axis.POS, Axis.POS: Axis.NEG, Axis.ALL: Axis.ALL}
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,8 @@ def stably_decreasing(
 
 def plus_rho(block: EventuallyConstantSeq) -> StablyDecreasingSeq:
     """Shift every value by minus its position; tails become laws."""
+    if not isinstance(block, EventuallyConstantSeq):
+        raise TypeError(f"plus_rho shifts an EventuallyConstantSeq, not {type(block).__name__}")
     lo = _first(block.axis, block.edge, len(block.window))
     window = [v.shift(-(lo + i)) for i, v in enumerate(block.window)]
     return stably_decreasing(
@@ -201,13 +203,23 @@ def star_seq(x):
     """The mirror p -> -f(-p), swapping the NEG and POS axes."""
     if not isinstance(x, _TailedSeq):
         raise TypeError(f"cannot mirror {type(x).__name__}")
-    axis = _MIRROR[x.axis]
+    axis = _STAR_AXIS[x.axis]
     first = _first(x.axis, x.edge, len(x.window))
     # the mirrored window runs from -last to -first
     edge = -first if axis is Axis.NEG else -(first + len(x.window) - 1)
     left, right = (t.negate() if t is not None else None for t in reversed(x._tails))
     window = tuple(v.negate() for v in reversed(x.window))
     return type(x)._canonical(axis, window, edge, left, right)
+
+
+def _shifted(g, what: str) -> StablyDecreasingSeq:
+    """g itself if it is a StablyDecreasingSeq; anything else, above all a
+    block of raw values, is a TypeError that starts with `what` and
+    names plus_rho."""
+    if not isinstance(g, StablyDecreasingSeq):
+        raise TypeError(f"{what} a StablyDecreasingSeq, not {type(g).__name__};"
+                        " plus_rho makes one from a block")
+    return g
 
 
 def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
@@ -219,6 +231,7 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     POS and ALL the far-left part stays put and everything above shifts
     up.  The laws shift accordingly.
     """
+    _shifted(f2, "ins weaves into")
     pos = [_int(i, "an entry of positions") for i in positions]
     vals = elems(values)
     if len(pos) != len(vals):
@@ -394,10 +407,7 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     plus r.  A POS input is computed through its mirror and the pieces
     are mirrored back.
     """
-    if not isinstance(g, StablyDecreasingSeq):
-        raise TypeError(f"rs_infinite inserts a StablyDecreasingSeq, not {type(g).__name__};"
-                        " plus_rho makes one from a block")
-    if g.axis is Axis.POS:
+    if _shifted(g, "rs_infinite inserts").axis is Axis.POS:
         m = rs_infinite(star_seq(g))
         row = star_seq(m.first_row)
         underline = tuple(u.negate() for u in reversed(m.underline))
@@ -414,9 +424,13 @@ def partition_from_row(
     the domain end inward; the law anchor is h_minus plus the number of
     displaced elements.  Only ``result.first_row`` and, when r is not
     given, ``result.r`` are read."""
+    if not isinstance(result, InfiniteRSResult):
+        raise TypeError(f"partition_from_row reads an InfiniteRSResult, not {type(result).__name__}")
+    row = result.first_row
+    if not isinstance(row, StablyDecreasingSeq):
+        raise TypeError(f"a first row is a StablyDecreasingSeq, not {type(row).__name__}")
     h = elem(h_minus)
     r = result.r if r is None else _int(r, "r")
-    row = result.first_row
     if row.axis is not Axis.NEG:
         raise ValueError("expected the first row of a NEG-axis result")
     anchor = h.shift(r)
@@ -438,6 +452,12 @@ def partition_from_row(
             raise ValueError(f"row value {w} is not in the class of {h}")
         out.append(expected.offset - w.offset)
     return as_partition(out)
+
+
+# A block as a weight spec gives it (classifier._cuts): the fields
+# block_ideal reads, with the window unstripped and the edge where
+# eventually_constant puts it before stripping (-1 on NEG, 1 otherwise).
+_Cut = namedtuple("_Cut", "axis window edge left_tail right_tail")
 
 
 def block_ideal(block: EventuallyConstantSeq) -> tuple:
@@ -483,6 +503,8 @@ def block_ideal(block: EventuallyConstantSeq) -> tuple:
     mirror's left end.  Stripping one entry at a time gives the claim
     for any run of them.
     """
+    if not isinstance(block, (EventuallyConstantSeq, _Cut)):
+        raise TypeError(f"block_ideal reads an EventuallyConstantSeq, not {type(block).__name__}")
     axis, window = block.axis, block.window
     n = len(window)
     first = _first(axis, block.edge, n)

@@ -444,8 +444,8 @@ def test_integer_and_symbol_specs_make_no_fraction_calls(monkeypatch):
 
 
 def test_region_subclasses_answer_as_their_base():
-    """A subclass of each region kind is read through its base's entry in
-    the region tables: classify, validate, star_spec and spec_to_json
+    """A subclass of each region kind inherits its base's type name,
+    mirror and stretches: classify, validate, star_spec and spec_to_json
     answer as they do for the base, and its values are coerced."""
     bases = [Finite((elem(1), elem("a"))), Omega((elem(3),), elem(0)),
              OmegaStar(elem(0), (elem(2), elem("b"))), Zeta(elem(0), (elem(1),), elem(0))]
@@ -469,7 +469,7 @@ def test_region_subclasses_answer_as_their_base():
 
 def test_weight_spec_refuses_a_non_region():
     """A spec stores its regions as a tuple and refuses anything that is
-    not a region when it is built, by the region table's TypeError."""
+    not a region with a TypeError when it is built."""
     with pytest.raises(TypeError, match="int is not a region type"):
         weight_spec(5)
     with pytest.raises(TypeError, match="str is not a region type"):
@@ -480,3 +480,34 @@ def test_weight_spec_refuses_a_non_region():
     assert spec.regions == (omega([1], 0), finite(2))
     assert spec == weight_spec(omega([1], 0), finite(2))
     assert classify(spec) == ProperIdeal(1, 0, (1,), ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: classify(v), lambda v: validate(v), lambda v: star_spec(v),
+    lambda v: segment(v), lambda v: spec_to_json(v),
+], ids=["classify", "validate", "star_spec", "segment", "spec_to_json"])
+def test_spec_functions_refuse_a_non_spec(call):
+    """Each function of a spec refuses anything else with one TypeError,
+    where each used to raise AttributeError on 'regions'."""
+    for value, kind in ((5, "int"), ([omega([], 0)], "list"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^a spec must be a WeightSpec, not {kind}$"):
+            call(value)
+
+
+def test_parse_spec_refuses_a_document_nested_too_deeply():
+    """A JSON text nested past the recursion limit, and an entry too deep
+    or too circular to print in the error, are ValueErrors; the first
+    was a RecursionError, as the second was."""
+    with pytest.raises(ValueError, match="^the document nests too deeply$"):
+        parse_spec("[" * 100_000)
+    deep, loop = [], []
+    for _ in range(100_000):
+        deep = [deep]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="^'tail' must be a string or an integer, not a list$"):
+        parse_spec({"regions": [{"type": "omega", "tail": deep}]})
+    with pytest.raises(ValueError, match="^an entry of 'values' must be a string or an integer, "
+                                         "not a list$"):
+        parse_spec({"regions": [{"type": "finite", "values": [loop]}]})
+    with pytest.raises(ValueError, match=r"^'tail' must be a string or an integer, not \[1\]$"):
+        parse_spec({"regions": [{"type": "omega", "tail": [1]}]})

@@ -610,3 +610,14 @@ def test_deep_levels_are_searched_without_recursion():
     assert all(member(p, v) for v in sorted(wide)[::2_000])
     assert member(p, (9, 8) + (1,) * 296 + (1, 0))
     assert not member(p, (2,) * 100 + (1,) * 100 + (0,) * 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: member(p, (1,)), lambda p: cls_level(p, 2, 1), lambda p: gamma(p, 2),
+], ids=["member", "cls_level", "gamma"])
+def test_level_functions_refuse_non_parameters(call):
+    """member, cls_level and gamma read a ClsParams; anything else used to
+    raise AttributeError on 'r1', and is a TypeError naming it."""
+    for value, kind in ((5, "int"), ((0, 0, 0, (), ()), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^the parameters must be a ClsParams, not {kind}$"):
+            call(value)

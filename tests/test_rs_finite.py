@@ -591,3 +591,11 @@ def test_finite_insertion_on_elements_runs_no_element_check(monkeypatch):
         assert (trace[-1].family if trace else rs(())) == family, w
         assert rs(reading) == shifted, w
     assert max(len(a[0]) for a in answers) >= 5
+
+
+def test_seq_of_refuses_a_non_tableau():
+    """seq_of reads a tableau, a family or an iterable of tableaux; an
+    iterable of anything else used to raise AttributeError on 'rows'."""
+    for value, kind in (((1, 2), "int"), ("ab", "str"), ([rs([1])[0], None], "NoneType"), ([rs([1])], "TableauFamily")):
+        with pytest.raises(TypeError, match=f"^seq_of reads tableaux, not {kind}$"):
+            seq_of(value)

@@ -10,6 +10,7 @@ from rsinf.core import FieldElem, elem, parse_elem
 from rsinf.rs_infinite import (
     Axis,
     EventuallyConstantSeq,
+    InfiniteRSResult,
     StablyDecreasingSeq,
     block_ideal,
     eventually_constant,
@@ -519,3 +520,46 @@ def test_rs_infinite_refuses_a_raw_block():
         assert rs_infinite(plus_rho(block)).axis is block.axis
     with pytest.raises(TypeError, match="not tuple"):
         rs_infinite(())
+
+
+def test_ins_refuses_a_raw_block():
+    """ins weaves values into a stably decreasing sequence; a block of raw
+    values used to answer, reading its constant tail 0 as a law, and is
+    now a TypeError that names plus_rho, as rs_infinite's is."""
+    block = eventually_constant(Axis.NEG, [3], left_tail=0)
+    with pytest.raises(TypeError, match="^ins weaves into a StablyDecreasingSeq, not "
+                                        "EventuallyConstantSeq; plus_rho"):
+        ins([-1], [1], block)
+    with pytest.raises(TypeError, match="not EventuallyConstantSeq; plus_rho"):
+        ins([], [], block)
+    with pytest.raises(TypeError, match="not int; plus_rho"):
+        ins([-1], [1], 5)
+    assert ins([-1], [1], plus_rho(block)).axis is Axis.NEG
+
+
+@pytest.mark.parametrize("call, kind", [
+    (lambda: block_ideal(plus_rho(eventually_constant(Axis.NEG, [3], left_tail=0))),
+     "StablyDecreasingSeq"),
+    (lambda: block_ideal(5), "int"),
+    (lambda: block_ideal(None), "NoneType"),
+    (lambda: plus_rho(stably_decreasing(Axis.NEG, [3], left_law=0)), "StablyDecreasingSeq"),
+    (lambda: plus_rho(5), "int"),
+], ids=["block_ideal-shifted", "block_ideal-int", "block_ideal-none",
+        "plus_rho-shifted", "plus_rho-int"])
+def test_raw_block_readers_refuse_the_wrong_sequence_form(call, kind):
+    """block_ideal and plus_rho read a block of raw values; the shifted
+    form, or anything else, is a TypeError naming what was given, where
+    it used to be an AttributeError on left_tail or axis."""
+    with pytest.raises(TypeError, match=f"an EventuallyConstantSeq, not {kind}$"):
+        call()
+
+
+@pytest.mark.parametrize("result, kind", [((), "tuple"), (5, "int"), (None, "NoneType")])
+def test_partition_from_row_refuses_a_non_result(result, kind):
+    """partition_from_row reads an InfiniteRSResult and its first row;
+    anything else was an AttributeError, and is a TypeError naming what
+    was given."""
+    with pytest.raises(TypeError, match=f"reads an InfiniteRSResult, not {kind}$"):
+        partition_from_row(result, 0)
+    with pytest.raises(TypeError, match=f"^a first row is a StablyDecreasingSeq, not {kind}$"):
+        partition_from_row(InfiniteRSResult(Axis.NEG, result, (), (), ()), 0)
