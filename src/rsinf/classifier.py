@@ -10,11 +10,12 @@ annihilator is zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import get_origin, get_type_hints
 
-from .core import FieldElem, _class_key, _class_name, _field, elem, elems, parse_elems, parse_entry
+from .core import (
+    FieldElem, _class_key, _class_name, _decode_json, _field, elem, elems, parse_elems, parse_entry,
+)
 from .rs_infinite import Axis, _Cut, block_ideal, eventually_constant
 
 
@@ -236,10 +237,7 @@ _SPEC_SHAPE = "a spec document is an object with a 'regions' list"
 def parse_spec(data) -> WeightSpec:
     """Read a spec from a JSON object (or JSON text)."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except RecursionError:
-            raise ValueError("the document nests too deeply") from None
+        data = _decode_json(data)
     items = _field(data, "regions", _SPEC_SHAPE, list)
     regions = []
     for item in items:

@@ -16,7 +16,7 @@ import sys
 
 from . import classifier, cls
 from .core import (
-    Tableau, TableauFamily, _class_name, _digits, _field, _int_repr, _parse_int, parse_elem,
+    Tableau, TableauFamily, _class_name, _decode_json, _field, _int_repr, _parse_int, parse_elem,
     parse_elems, parse_entry,
 )
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
@@ -45,25 +45,17 @@ def _emit(obj) -> int:
     return 0
 
 
-def _json_int(text: str) -> int:
-    return _digits(text, "an integer in the document")
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def _load(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh, parse_int=_json_int)
-        except RecursionError:
-            raise ValueError("the document nests too deeply") from None
+    return _decode_json(_read(path))
 
 
 def _cmd_classify(args) -> int:
-    doc = _load(args.spec)
-    # parse_spec reads a str as JSON text; a file holding a JSON string
-    # would be decoded twice
-    if not isinstance(doc, dict):
-        raise ValueError(classifier._SPEC_SHAPE)
-    spec = classifier.parse_spec(doc)
+    spec = classifier.parse_spec(_read(args.spec))
     return _emit(classifier.ideal_to_json(classifier.classify(spec)))
 
 

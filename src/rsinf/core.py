@@ -76,10 +76,11 @@ class FieldElem:
         return isinstance(self.anchor, Fraction)
 
     def shift(self, k: int) -> "FieldElem":
-        if type(k) is int:
-            # the anchor was checked when self was built, and int + int is an int
-            return _unchecked(self.anchor, self.offset + k)
-        return FieldElem(self.anchor, self.offset + k)
+        if type(k) is not int:
+            # int() drops an int subclass's own arithmetic
+            k = int(_int(k, "the shift k"))
+        # the anchor was checked when self was built, and int + int is an int
+        return _unchecked(self.anchor, self.offset + k)
 
     def negate(self) -> "FieldElem":
         """-(anchor + offset), without Fraction arithmetic: a rational
@@ -301,6 +302,20 @@ def _read_elem(text: str) -> FieldElem:
 _read_memo = lru_cache(maxsize=_MEMO_SIZE)(_read_elem)
 
 
+def _json_int(text: str) -> int:
+    return _digits(text, "an integer in the document")
+
+
+def _decode_json(text: str):
+    """Decode a JSON document.  An integer past Python's digit limit and
+    a document nested past its recursion limit raise a ValueError that
+    says so."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError:
+        raise ValueError("the document nests too deeply") from None
+
+
 def parse_entry(value, what: str) -> FieldElem:
     """Parse one document entry: a literal string or an integer.
 
@@ -370,18 +385,6 @@ def _class_name(anchor: Anchor) -> str:
     ValueError.  _class_key, not this, is the key to hash: a name may not
     print."""
     return str(_unchecked(anchor, 0))
-
-
-def same_class(a: FieldElem, b: FieldElem) -> bool:
-    return same_anchor(a.anchor, b.anchor)
-
-
-def gt_z(a: FieldElem, b: FieldElem) -> bool:
-    return same_anchor(a.anchor, b.anchor) and a.offset > b.offset
-
-
-def ge_z(a: FieldElem, b: FieldElem) -> bool:
-    return same_anchor(a.anchor, b.anchor) and a.offset >= b.offset
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:

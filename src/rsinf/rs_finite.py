@@ -9,7 +9,7 @@ from ._insertion_py import insert_one
 from ._kernel import insert_sequence
 from .core import (
     FieldElem, Tableau, TableauFamily, _class_key, _int, _unchecked, _unchecked_tableau, elems,
-    ge_z, gt_z, same_anchor, same_class,
+    same_anchor,
 )
 
 
@@ -142,32 +142,47 @@ def seq_of(tableaux) -> tuple[FieldElem, ...]:
     return tuple(out)
 
 
-def _admissible_plain(f: tuple[FieldElem, ...], i: int) -> bool:
-    n = len(f)
-    a, b = f[i - 1], f[i]
-    if not same_class(a, b):
+def _codes(vals) -> tuple[tuple[int, ...], int]:
+    """One int code per entry, and the number m of classes: the entry e
+    of the class with index c (classes in _classes order) gets
+    e.offset * m + c.  Two codes share a class exactly when they agree
+    mod m, and inside a class they order as the offsets do."""
+    by_class = _classes(vals)
+    m = len(by_class)
+    out = [0] * len(vals)
+    for c, positions in enumerate(by_class.values()):
+        for p in positions:
+            out[p] = vals[p].offset * m + c
+    return tuple(out), m
+
+
+def _admissible_here(w: tuple[int, ...], m: int, i: int) -> bool:
+    """Whether positions i, i+1 (1-based) of the code word w, of m
+    classes, admit a plain interchange: entries of two classes always
+    do, and entries of one class need a neighbour of their class that
+    lies between them (Knuth's relations, decreasing form)."""
+    a, b = w[i - 1], w[i]
+    if (a - b) % m:
         return True
-    if i + 1 < n:
-        c = f[i + 1]
-        if gt_z(b, c) and ge_z(c, a):
+    if i + 1 < len(w):
+        c = w[i + 1]
+        if (c - a) % m == 0 and (b > c >= a or a > c >= b):
             return True
-        if gt_z(a, c) and ge_z(c, b):
-            return True
-    if i - 2 >= 0:
-        d = f[i - 2]
-        if ge_z(b, d) and gt_z(d, a):
-            return True
-        if ge_z(a, d) and gt_z(d, b):
+    if i >= 2:
+        d = w[i - 2]
+        if (d - a) % m == 0 and (b >= d > a or a >= d > b):
             return True
     return False
 
 
 def admissible(values, i: int, shifted: bool = False) -> bool:
-    """Whether positions i, i+1 (1-based) admit an interchange."""
+    """Whether positions i, i+1 (1-based) admit an interchange.  A
+    shifted move on f is a plain move at the same position on
+    rho_shift(f)."""
     f = elems(values)
     if not 1 <= _int(i, "the interchange position i") <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
-    return _admissible_here(f, i, shifted)
+    return _admissible_here(*_codes(rho_shift(f) if shifted else f), i)
 
 
 def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem, ...]:
@@ -231,27 +246,23 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
         return None
     if shifted:
         start, goal = rho_shift(start), rho_shift(goal)
-    # visited words are keyed by tuples of int codes, one per distinct
-    # entry, so no state hashes a FieldElem or its Fraction anchor; equal
-    # entries share a code, which keeps the search and its path the same
-    codes: dict = {}
-
-    def code(e: FieldElem) -> int:
-        return codes.setdefault((e.offset, _class_key(e.anchor)), len(codes))
-
+    # both words are coded in one pass, so their codes share one class
+    # order; the search keys visited words by code tuples and decides
+    # each move on them, so no state hashes a FieldElem or its anchor
     n = len(start)
-    first, target = tuple(map(code, start)), tuple(map(code, goal))
+    codes, m = _codes(start + goal)
+    first, target = codes[:n], codes[n:]
     prev: dict = {first: None}
-    queue = deque([(start, first)])
+    queue = deque([first])
     while queue:
-        cur, key = queue.popleft()
+        cur = queue.popleft()
         for i in range(1, n):
-            if not _admissible_here(cur, i, False):
+            if not _admissible_here(cur, m, i):
                 continue
-            nxt = key[: i - 1] + (key[i], key[i - 1]) + key[i + 1 :]
+            nxt = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
             if nxt in prev:
                 continue
-            prev[nxt] = (key, i)
+            prev[nxt] = (cur, i)
             if nxt == target:
                 steps = []
                 node = nxt
@@ -265,14 +276,8 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
                     f"found within the limit of {_CONNECTED_MAX_STATES} searched words "
                     f"(rsinf.rs_finite._CONNECTED_MAX_STATES)"
                 )
-            queue.append((cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :], nxt))
+            queue.append(nxt)
     raise AssertionError(f"equal insertions but no interchange path: {f} -> {g}")
-
-
-def _admissible_here(f: tuple[FieldElem, ...], i: int, shifted: bool) -> bool:
-    if shifted:
-        return _admissible_plain(rho_shift(f), i)
-    return _admissible_plain(f, i)
 
 
 def joseph_equal(f, fprime, k: int | None = None) -> bool:

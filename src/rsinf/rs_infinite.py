@@ -222,6 +222,13 @@ def _shifted(g, what: str) -> StablyDecreasingSeq:
     return g
 
 
+# ins reads every position of its answer's window, from the lowest
+# insertion or window entry to the highest, so it refuses a window longer
+# than this instead of building it: the gap to a far insertion or edge
+# would otherwise cost time and memory in proportion
+_INS_MAX_ENTRIES = 100_000
+
+
 def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     """Weave the given values into f2 at the given positions.
 
@@ -229,7 +236,8 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     from the anchored end of the axis to make room: on NEG the domain
     end stays put and everything below the insertions shifts down; on
     POS and ALL the far-left part stays put and everything above shifts
-    up.  The laws shift accordingly.
+    up.  The laws shift accordingly.  An answer whose window would hold
+    more than _INS_MAX_ENTRIES entries raises ValueError.
     """
     _shifted(f2, "ins weaves into")
     pos = [_int(i, "an entry of positions") for i in positions]
@@ -260,6 +268,11 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
         hi = max(f2.edge, pos[-1])
     elif f2.axis is Axis.POS:
         lo = min(f2.edge, pos[0])
+    if hi - lo >= _INS_MAX_ENTRIES:
+        raise ValueError(
+            f"the woven sequence's window would hold more than {_INS_MAX_ENTRIES} entries "
+            f"(rsinf.rs_infinite._INS_MAX_ENTRIES)"
+        )
     out = []
     for p in range(lo, hi + 1):
         if p in inserted:

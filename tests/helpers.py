@@ -1,6 +1,7 @@
 """Random object generators and oracles shared across the test modules."""
 
 import enum
+import importlib.util
 import itertools
 import re
 import sys
@@ -9,21 +10,41 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from operator import add, itemgetter
+from pathlib import Path
 
 from rsinf.cls import (
     _SPANS, ClsParams, _check_level, _int, _split_linf_rinf, factorization,
 )
 from rsinf._kernel import insert_sequence
 from rsinf.core import (
-    FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor, same_class,
+    FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor,
 )
-from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, rs, seq_of
+from rsinf.rs_finite import InterchangePath, rs, seq_of
 from rsinf.rs_infinite import (
     Axis, EventuallyConstantSeq, InfiniteRSResult, StablyDecreasingSeq, _first,
     eventually_constant, partition_from_row, stably_decreasing, star_seq,
 )
 
 ANCHORS = (Fraction(0), "a", "b")
+
+
+def _load_oracles():
+    """The benchmark's reference module, which imports nothing from
+    rsinf, loaded by path: rsbench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "rsbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("rsbench_oracles", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+oracles = _load_oracles()
+
+
+def pairs_of(values) -> tuple:
+    """A word as the oracles read it: (class label, offset) pairs, the
+    label printed as rsbench/oracles.py prints it ("0", "1/2", "a", "-b")."""
+    return tuple((str(e.anchor), e.offset) for e in values)
 
 
 def unchecked_tableau_sites(label=None):
@@ -94,7 +115,7 @@ class Comparison(enum.Enum):
 def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
     """Compare two values in the integral partial order: values with
     different anchors are incomparable, otherwise the offsets decide."""
-    if not same_class(a, b):
+    if not same_anchor(a.anchor, b.anchor):
         return Comparison.INCOMPARABLE
     if a.offset < b.offset:
         return Comparison.LESS
@@ -205,9 +226,10 @@ def rand_block_doc(rng):
 
 def bfs_connected(f, g, shifted=False):
     """Breadth-first search over the whole rearrangement class, through
-    the public moves: a shortest interchange path from f to g trying
-    positions in increasing order, or None.  An oracle for short words."""
-    start, goal = tuple(f), tuple(g)
+    the moves of rsbench/oracles.py, which shares no code with rsinf: a
+    shortest interchange path from f to g trying positions in increasing
+    order, or None.  An oracle for short words."""
+    start, goal = pairs_of(f), pairs_of(g)
     if len(start) != len(goal):
         return None
     if start == goal:
@@ -217,9 +239,9 @@ def bfs_connected(f, g, shifted=False):
     while queue:
         cur = queue.popleft()
         for i in range(1, len(cur)):
-            if not admissible(cur, i, shifted=shifted):
+            if not oracles.admissible(cur, i, shifted):
                 continue
-            nxt = apply_interchange(cur, i, shifted=shifted)
+            nxt = tuple(oracles.interchange(cur, i, shifted))
             if nxt in prev:
                 continue
             prev[nxt] = (cur, i)

@@ -38,7 +38,8 @@ from rsinf.core import (
     parse_elem,
 )
 from rsinf.rs_finite import (
-    _admissible_plain,
+    _admissible_here,
+    _codes,
     admissible,
     apply_interchange,
     connected,
@@ -138,9 +139,14 @@ def _g_of(f):
     return tuple(v.shift(-(i + 1)) for i, v in enumerate(f))
 
 
-def _components(arrangements):
+def _components(rep):
+    """Each rearrangement of rep mapped to the first-found member of its
+    interchange component.  The class is coded once, one int per entry as
+    connected codes it, and every move is decided on the codes."""
+    codes, m = _codes(rep)
+    decode = dict(zip(codes, rep))
     comp = {}
-    for start in arrangements:
+    for start in set(itertools.permutations(codes)):
         if start in comp:
             continue
         comp[start] = start
@@ -148,12 +154,12 @@ def _components(arrangements):
         while queue:
             cur = queue.pop()
             for i in range(1, len(cur)):
-                if _admissible_plain(cur, i):
+                if _admissible_here(cur, m, i):
                     nxt = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
                     if nxt not in comp:
                         comp[nxt] = start
                         queue.append(nxt)
-    return comp
+    return {tuple(map(decode.get, w)): tuple(map(decode.get, c)) for w, c in comp.items()}
 
 
 def test_a05_shifted_insertion_equality_is_interchange_reachability():
@@ -178,11 +184,10 @@ def test_a05_shifted_insertion_equality_is_interchange_reachability():
     # moves and insertion both preserve the multiset of entries, so the
     # equivalence only needs checking within each rearrangement class
     for rep in groups.values():
-        arrangements = set(itertools.permutations(rep))
-        comp = _components(arrangements)
+        comp = _components(rep)
         by_rs = {}
         by_comp = {}
-        for arr in arrangements:
+        for arr in comp:
             by_rs.setdefault(rs(arr), set()).add(arr)
             by_comp.setdefault(comp[arr], set()).add(arr)
         assert {frozenset(s) for s in by_rs.values()} == {

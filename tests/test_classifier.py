@@ -2,6 +2,7 @@ import enum
 import importlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -492,6 +493,16 @@ def test_spec_functions_refuse_a_non_spec(call):
     for value, kind in ((5, "int"), ([omega([], 0)], "list"), (None, "NoneType")):
         with pytest.raises(TypeError, match=f"^a spec must be a WeightSpec, not {kind}$"):
             call(value)
+
+
+def test_parse_spec_names_an_integer_past_the_digit_limit():
+    """parse_spec decodes JSON text as the CLI does: an integer past
+    Python's digit limit used to raise Python's own "Exceeds the limit"
+    message, where rsinf classify named the document's integer."""
+    limit = sys.get_int_max_str_digits()
+    text = '{"regions": [{"type": "omega", "exceptions": [%s], "tail": "0"}]}' % ("9" * (limit + 1))
+    with pytest.raises(ValueError, match=f"^an integer in the document has more than {limit} digits$"):
+        parse_spec(text)
 
 
 def test_parse_spec_refuses_a_document_nested_too_deeply():

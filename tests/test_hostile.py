@@ -9,10 +9,10 @@ Sizes are bounded so that every call ends at once: words of at most 7
 entries, levels of at most 6 and entry bounds of at most 4.  Huge values
 reach only arguments whose answer does not grow with them: elements,
 finite words, the sequences and specs that block_ideal and classify
-read, and the parameters of gamma and member.  They never become the
-law gap of an infinite insertion, a position of ins (whose answer grows
-with the distance to the window), or a parameter of a level set that is
-enumerated.
+read, and the parameters of gamma and member, the positions, values
+and sequences of ins (which refuses a window longer than its limit).
+They never become the law gap of an infinite insertion or a parameter
+of a level set that is enumerated.
 """
 
 import json
@@ -292,10 +292,11 @@ def partitions(big: bool = False):
 @st.composite
 def insertions(draw):
     """Arguments of an ins call that may answer: up to 3 increasing
-    positions near a small stably decreasing sequence, and as many values."""
-    pos = sorted(draw(st.sets(st.integers(-6, 6), max_size=3)))
-    vals = draw(st.lists(values(False), min_size=len(pos), max_size=len(pos)))
-    return (pos, vals, draw(sequences(stably_decreasing, False))), {}
+    positions, near a stably decreasing sequence or +-10^18 away from it,
+    and as many values."""
+    pos = sorted(draw(st.sets(st.integers(-6, 6) | st.sampled_from([BIG, -BIG]), max_size=3)))
+    vals = draw(st.lists(values(True), min_size=len(pos), max_size=len(pos)))
+    return (pos, vals, draw(sequences(stably_decreasing, True))), {}
 
 
 @st.composite
@@ -406,10 +407,11 @@ SWEEP = {
     "finite": st.tuples(st.lists(st.one_of(values(True), hostile), max_size=3).map(tuple),
                         st.just({})),
     "gamma": args(params(True), levels),
-    "ins": args(st.one_of(st.lists(st.integers(-6, 6), max_size=3).map(sorted),
-                          st.lists(small, max_size=3), hostile),
+    "ins": args(st.one_of(st.lists(st.integers(-6, 6) | st.sampled_from([BIG, -BIG]),
+                                   max_size=3).map(sorted),
+                          st.lists(st.one_of(small, hostile), max_size=3), hostile),
                 st.one_of(st.lists(values(True), max_size=3), hostile),
-                blocks(False))
+                blocks(True))
     | insertions(),
     "j": args(words()),
     "joseph_equal": _args_of(pairs(), st.one_of(st.none(), st.integers(-3, 3),

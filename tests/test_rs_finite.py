@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsinf.rs_finite as rs_finite_mod
-from helpers import bfs_connected, rand_family, setdefault_insert_by_class, unchecked_tableau_sites
+from helpers import (
+    bfs_connected, oracles, pairs_of, rand_family, setdefault_insert_by_class, unchecked_tableau_sites,
+)
 from rsinf.classifier import Finite, Omega, ProperIdeal, WeightSpec, ZeroIdeal, Zeta, classify
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem, elems, parse_elem, same_anchor
 from rsinf.rs_finite import (
@@ -251,6 +253,33 @@ def walk(rng, f, shifted):
     return g
 
 
+# the integers and the classes of 1/2, a and -b
+FOUR = (Fraction(0), Fraction(1, 2), "a", "-b")
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_admissible_matches_the_independent_oracle(shifted):
+    """rsinf's move test and that of rsbench/oracles.py, which shares no
+    code with rsinf, agree at every position of seeded words over up to
+    four classes, and each admissible move lands where the oracle's does."""
+    rng = random.Random(53 + shifted)
+    seen = [0, 0]
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        classes = rng.sample(FOUR, rng.randint(1, 4))
+        f = tuple(FieldElem(rng.choice(classes), rng.randint(-3, 3)) for _ in range(n))
+        w = pairs_of(f)
+        for i in range(1, n):
+            want = oracles.admissible(w, i, shifted)
+            assert admissible(f, i, shifted=shifted) is want, (f, i)
+            seen[want] += 1
+            if want:
+                got = apply_interchange(f, i, shifted=shifted)
+                assert pairs_of(got) == tuple(oracles.interchange(w, i, shifted)), (f, i)
+    # both answers occur often
+    assert min(seen) > 1000, seen
+
+
 @pytest.mark.parametrize("shifted", [False, True])
 def test_connected_matches_breadth_first_oracle(shifted):
     rng = random.Random(41 + shifted)
@@ -294,9 +323,9 @@ def test_connected_skips_the_search_when_insertions_differ(monkeypatch):
     calls = [0]
     orig = rs_finite_mod._admissible_here
 
-    def counted(f, i, shifted):
+    def counted(*args):
         calls[0] += 1
-        return orig(f, i, shifted)
+        return orig(*args)
 
     monkeypatch.setattr(rs_finite_mod, "_admissible_here", counted)
     for f, g, shifted in (

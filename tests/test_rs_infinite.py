@@ -1,5 +1,9 @@
 import importlib
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,6 +169,53 @@ def test_ins_boundary_position_needs_values_past_the_domain():
     f2 = stably_decreasing(Axis.NEG, [], edge=-1, left_law=0)
     with pytest.raises(ValueError, match="outside its domain"):
         ins([0], ["u"], f2)
+
+
+INS_LIMIT = r"more than \d+ entries \(rsinf\.rs_infinite\._INS_MAX_ENTRIES\)$"
+
+
+def test_ins_refuses_a_window_past_its_limit(monkeypatch):
+    ri = importlib.import_module("rsinf.rs_infinite")
+    monkeypatch.setattr(ri, "_INS_MAX_ENTRIES", 10)
+    f2 = stably_decreasing(Axis.NEG, [], left_law=0)
+    # an insertion at -p reads the p + 1 positions from -p - 1 to the edge -1
+    assert len(ins([-9], [5], f2).window) <= 10
+    with pytest.raises(ValueError, match=INS_LIMIT):
+        ins([-10], [5], f2)
+    # the domain checks still come first
+    with pytest.raises(ValueError, match="past the domain end"):
+        ins([10**18], [5], f2)
+    pos = stably_decreasing(Axis.POS, [], edge=1, right_law=0)
+    with pytest.raises(ValueError, match="below the domain start"):
+        ins([-10**18], [5], pos)
+
+
+def test_far_insertions_and_edges_refuse_at_once():
+    """Calls whose answer's window spans the gap to a far insertion or
+    edge refuse instead of building it, in a child with a deadline, so a
+    regression fails instead of running for minutes."""
+    code = (
+        "from rsinf import Axis, ins, stably_decreasing\n"
+        "for f2, pos in (\n"
+        "    (stably_decreasing(Axis.ALL, [5], edge=10**6, left_law=0, right_law=0), [0]),\n"
+        "    (stably_decreasing(Axis.ALL, [5], edge=10**18, left_law=0, right_law=0), [0]),\n"
+        "    (stably_decreasing(Axis.NEG, [], left_law=0), [-10**6]),\n"
+        "):\n"
+        "    try:\n"
+        "        ins(pos, [1], f2)\n"
+        "        print('answered')\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    pkg_dir = os.path.dirname(os.path.abspath(importlib.import_module("rsinf").__file__))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        assert re.search(INS_LIMIT, line), line
 
 
 def test_neg_single_symbol_block():
