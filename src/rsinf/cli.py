@@ -16,7 +16,7 @@ import sys
 
 from . import classifier, cls
 from .core import (
-    Tableau, TableauFamily, _class_name, _decode_json, _field, _int_repr, _parse_int, parse_elem,
+    Tableau, TableauFamily, _class_name, _decode_json, _field, _parse_int, parse_elem,
     parse_elems, parse_entry,
 )
 from .rs_finite import connected, j, joseph_equal, rs, seq_of
@@ -90,11 +90,6 @@ def _cmd_interchange(args) -> int:
     return _emit(out)
 
 
-# rs-inf prints each of a block's r displaced entries, so it answers an
-# error past this r instead of inserting; classify counts r at any size
-_RS_INF_MAX_R = 100_000
-
-
 def _cmd_rs_inf(args) -> int:
     data = _load(args.block)
     shape = "a block document is an object with an 'axis' field"
@@ -111,11 +106,6 @@ def _cmd_rs_inf(args) -> int:
     )
     block = eventually_constant(axis, window, left_tail=lt, right_tail=rt)
     r, g, x, y = block_ideal(block)
-    if r > _RS_INF_MAX_R:
-        raise ValueError(
-            f"the block displaces r = {_int_repr(r)} entries, more than the "
-            f"{_RS_INF_MAX_R} rs-inf prints"
-        )
     res = rs_infinite(plus_rho(block))
     row = res.first_row
     row_json = {"window": [str(v) for v in row.window]}

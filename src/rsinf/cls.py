@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .core import _int
+from .core import _int, _int_repr
 
 WeightVec = tuple[int, ...]
 
@@ -57,6 +57,32 @@ def _capacities(n: int, factors, bound: int) -> tuple:
     return list(itertools.accumulate(reversed(left)))[::-1], list(itertools.accumulate(right))
 
 
+# A level set holds its weights times the level entries; past this many
+# cls_level, basic_level, q_union_level and gamma refuse instead of
+# building the answer
+_LEVEL_MAX_ENTRIES = 20_000_000
+
+
+def _too_many(what: str) -> ValueError:
+    return ValueError(f"{what} would hold more than {_LEVEL_MAX_ENTRIES} entries "
+                      "(rsinf.cls._LEVEL_MAX_ENTRIES)")
+
+
+def _pairs(x: int, low: int, left1: int, left2: int, right1: int) -> int:
+    """The number of (v_1, v_2) pairs _level_set emits below v_3 = x, low
+    the minimum carried down to v_2.  v_2 = y runs from x to left2 + low,
+    and v_1 from y to left1 + min(low, right1 + y): left1 + right1 + 1
+    values up to y = low - right1, then one fewer for each y above it,
+    down to none past left1 + low."""
+    top, turn, last = left2 + low, low - right1, left1 + low
+    flat = min(top, turn) - x + 1
+    pairs = flat * (left1 + right1 + 1) if flat > 0 else 0
+    a, b = max(x, turn + 1), min(top, last)
+    if a <= b:
+        pairs += (b - a + 1) * (2 * last + 2 - a - b) // 2
+    return pairs
+
+
 def _level_set(n: int, factors, bound: int) -> frozenset:
     """Normalized dominant n-vectors whose differences are a sum of one
     vector per factor (kind, i, m), supported on its interval and of
@@ -73,13 +99,26 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
     The search keeps the fixed entries in one buffer and a stack of nodes
     down to v_3; a node for v_3 emits every (v_1, v_2) below it in one
     comprehension, since those two coordinates hold most of the nodes.
+
+    Since no branch dies, each pending node and each emitted weight
+    stands for a weight of its own, so the search refuses once they make
+    more than _LEVEL_MAX_ENTRIES // n weights.  It counts them with the
+    children of a node that has more than 64, or the pairs (_pairs) of
+    a node for v_3 that may have more than 64, before adding them, and
+    after every node for v_3.  At most n nodes are popped between two
+    nodes for v_3, so at most 64 n uncounted nodes are pushed between
+    two counts.
     """
     if n < 2:
         return frozenset({(0,) * n})
+    most = _LEVEL_MAX_ENTRIES // n
     left, right = _capacities(n, factors, bound)
     if n == 2:
+        if left[1] + right[1] + 1 > most:
+            raise _too_many("the level set")
         return frozenset([(x, 0) for x in range(left[1] + right[1] + 1)])
     left1, left2, right1 = left[1], left[2], right[1]
+    wide = left1 + right1 + 1  # the most v_1 for one v_2
     v, out = [0] * n, []  # v[k - 1] is v_k
     stack = [(n, 0, math.inf)]  # v_n = 0, and no b >= n
     while stack:
@@ -87,11 +126,22 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
         v[k - 1] = x
         low = min(low, right[k - 1] + x)  # now over b >= k - 1
         if k > 3:
-            stack.extend([(k - 1, y, low) for y in range(x, left[k - 1] + low + 1)])
-        else:  # every (v_1, v_2) below v_3 at once
-            rest = tuple(v[2:])
-            out += [(z, y) + rest for y in range(x, left2 + low + 1)
-                    for z in range(y, left1 + min(low, right1 + y) + 1)]
+            top = left[k - 1] + low + 1
+            if top - x > 64 and len(stack) + len(out) + top - x > most:
+                raise _too_many("the level set")
+            stack.extend([(k - 1, y, low) for y in range(x, top)])
+            continue
+        # every (v_1, v_2) below v_3 at once
+        top = left2 + low
+        if (top - x + 1) * wide > 64 and (
+            len(stack) + len(out) + _pairs(x, low, left1, left2, right1) > most
+        ):
+            raise _too_many("the level set")
+        rest = tuple(v[2:])
+        out += [(z, y) + rest for y in range(x, top + 1)
+                for z in range(y, left1 + min(low, right1 + y) + 1)]
+        if len(out) > most:
+            raise _too_many("the level set")
     return frozenset(out)
 
 
@@ -115,10 +165,14 @@ def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
 def _level_args(n, bound, r=0) -> None:
     """Refuse a level n, an entry bound or a split total r that is not a
     nonnegative int: a level is a tuple length, and a negative bound
-    would drop the zero weight every level set holds."""
+    would drop the zero weight every level set holds.  A level past
+    _LEVEL_MAX_ENTRIES is refused too, since its zero weight alone holds
+    n entries."""
     for value, name in ((r, "r"), (n, "the level"), (bound, "the entry bound")):
         if _int(value, name) < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+    if n > _LEVEL_MAX_ENTRIES:
+        raise _too_many(f"a weight of level {_int_repr(n)}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +261,8 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     """
     length = 2 * _int(n, "the level")
     _check_level(_params(p), length, n)
+    if length > _LEVEL_MAX_ENTRIES:
+        raise _too_many(f"the weight of level {_int_repr(length)}")
     total = [0] * length
     for kind, idx, mult in factorization(p):
         # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized

@@ -59,10 +59,12 @@ class FieldElem:
                 raise ValueError(f"bad symbol name {anchor!r}")
         else:
             raise TypeError(f"anchor must be Fraction or str, got {type(anchor)!r}")
-        if type(offset) is not int and (
-            isinstance(offset, bool) or not isinstance(offset, int)
-        ):
-            raise TypeError(f"offset must be int, got {offset!r}")
+        if type(offset) is not int:
+            if isinstance(offset, bool) or not isinstance(offset, int):
+                raise TypeError(f"offset must be int, got {offset!r}")
+            # an int subclass's own arithmetic never reaches the unchecked
+            # paths (shift, negate, rho_shift), which trust int + int
+            object.__setattr__(self, "offset", int(offset))
 
     def __eq__(self, other):
         # offsets first, then the one anchor test: comparing (anchor,
@@ -77,8 +79,7 @@ class FieldElem:
 
     def shift(self, k: int) -> "FieldElem":
         if type(k) is not int:
-            # int() drops an int subclass's own arithmetic
-            k = int(_int(k, "the shift k"))
+            k = _int(k, "the shift k")
         # the anchor was checked when self was built, and int + int is an int
         return _unchecked(self.anchor, self.offset + k)
 
@@ -214,11 +215,14 @@ def elems(values) -> tuple[FieldElem, ...]:
 
 
 def _int(value, name: str, kind: str = "an integer") -> int:
-    """value itself if it is an int; a float, a string or a bool is
-    refused, not truncated.  The error says `name` must be `kind`."""
+    """value as a plain int: an int subclass gives its int value, so its
+    own arithmetic never reaches the caller, and a float, a string or a
+    bool is refused, not truncated.  The error says `name` must be `kind`."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be {kind}, not {value!r}")
-    return value
+    return int(value)
 
 
 # Symbol names and literals are ASCII: \d and \w would also match the

@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import FieldElem, Tableau, _int, as_partition, elem, elems, same_anchor
+from .core import FieldElem, Tableau, _int, _int_repr, as_partition, elem, elems, same_anchor
 from .rs_finite import rs, seq_of
 
 
@@ -80,7 +80,10 @@ class _TailedSeq:
         axis = self.axis
         if not isinstance(axis, Axis):
             raise TypeError(f"axis must be an Axis, not {axis!r}")
-        _int(self.edge, "edge")
+        if type(self.edge) is not int:
+            # kept as a plain int, as FieldElem keeps its offset, so an int
+            # subclass's own arithmetic never reaches a position
+            object.__setattr__(self, "edge", _int(self.edge, "edge"))
         if (left is not None, right is not None) != _HAS_TAILS[axis]:
             raise ValueError(_NEEDS[axis].format(self._TAIL))
 
@@ -95,7 +98,7 @@ class _TailedSeq:
         if edge is None:
             edge = -1 if axis is Axis.NEG else 1
         seq = cls(axis, window, edge, left, right)
-        w, (left, right) = seq.window, seq._tails
+        w, edge, (left, right) = seq.window, seq.edge, seq._tails
         first = _first(axis, edge, len(w))
         lo, hi = 0, len(w)
         if axis is not Axis.POS:
@@ -110,12 +113,17 @@ class _TailedSeq:
             return seq
         return cls(axis, w[lo:hi], edge, left, right)
 
-    def value(self, p: int) -> FieldElem:
-        _int(p, "the position p")
+    def _in_domain(self, p: int, what: str) -> None:
+        """Refuse a position p past the domain end of a NEG sequence or
+        below the domain start of a POS one; `what` names p."""
         if self.axis is Axis.NEG and p > self.edge:
-            raise ValueError(f"position {p} is beyond the domain end {self.edge}")
+            raise ValueError(f"{what} {p} is past the domain end {self.edge}")
         if self.axis is Axis.POS and p < self.edge:
-            raise ValueError(f"position {p} is below the domain start {self.edge}")
+            raise ValueError(f"{what} {p} is below the domain start {self.edge}")
+
+    def value(self, p: int) -> FieldElem:
+        p = _int(p, "the position p")
+        self._in_domain(p, "position")
         i = p - _first(self.axis, self.edge, len(self.window))
         if i < 0:
             return self._at(self._tails[0], p)
@@ -232,12 +240,13 @@ _INS_MAX_ENTRIES = 100_000
 def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     """Weave the given values into f2 at the given positions.
 
-    Positions must be strictly increasing.  Entries of f2 slide away
-    from the anchored end of the axis to make room: on NEG the domain
-    end stays put and everything below the insertions shifts down; on
-    POS and ALL the far-left part stays put and everything above shifts
-    up.  The laws shift accordingly.  An answer whose window would hold
-    more than _INS_MAX_ENTRIES entries raises ValueError.
+    Positions must be strictly increasing and lie in f2's domain.
+    Entries of f2 slide away from the anchored end of the axis to make
+    room: on NEG the domain end stays put and everything below the
+    insertions shifts down; on POS and ALL the far-left part stays put
+    and everything above shifts up.  The laws shift accordingly.  An
+    answer whose window would hold more than _INS_MAX_ENTRIES entries
+    raises ValueError.
     """
     _shifted(f2, "ins weaves into")
     pos = [_int(i, "an entry of positions") for i in positions]
@@ -249,44 +258,26 @@ def ins(positions, values, f2: StablyDecreasingSeq) -> StablyDecreasingSeq:
     if not vals:
         return f2
     neg = f2.axis is Axis.NEG
-    if neg and pos[-1] > f2.edge + 1:
-        raise ValueError(
-            f"insertion position {pos[-1]} is past the domain end {f2.edge}"
-        )
-    if f2.axis is Axis.POS and pos[0] < f2.edge - 1:
-        raise ValueError(
-            f"insertion position {pos[0]} is below the domain start {f2.edge}"
-        )
+    # the insertion nearest the domain's edge; ALL has no edge
+    f2._in_domain(pos[-1] if neg else pos[0], "insertion position")
     s = len(vals)
-    inserted = dict(zip(pos, vals))
     # read far enough past the window and the insertions that both ends
-    # follow the laws, and no further than the domain of the result
+    # follow the laws; the anchored end of NEG and POS is f2's edge
     first = _first(f2.axis, f2.edge, len(f2.window))
-    lo = min(pos[0], first - s) - 1
-    hi = max(pos[-1], first + len(f2.window) - 1 + s) + 1
-    if neg:
-        hi = max(f2.edge, pos[-1])
-    elif f2.axis is Axis.POS:
-        lo = min(f2.edge, pos[0])
+    lo = f2.edge if f2.axis is Axis.POS else min(pos[0], first - s) - 1
+    hi = f2.edge if neg else max(pos[-1], first + len(f2.window) - 1 + s) + 1
     if hi - lo >= _INS_MAX_ENTRIES:
         raise ValueError(
             f"the woven sequence's window would hold more than {_INS_MAX_ENTRIES} entries "
             f"(rsinf.rs_infinite._INS_MAX_ENTRIES)"
         )
-    out = []
-    for p in range(lo, hi + 1):
-        if p in inserted:
-            out.append(inserted[p])
-            continue
-        # an entry of f2 moves past the insertions below it, or on NEG
-        # past those above it
-        source = p - bisect_left(pos, p) + (s if neg else 0)
-        try:
-            out.append(f2.value(source))
-        except ValueError as exc:
-            raise ValueError(
-                f"insertion at {pos} needs {type(f2).__name__} values outside its domain"
-            ) from exc
+    # the positions no insertion takes hold f2's entries in order: on
+    # NEG the s insertions all lie above lo, so lo holds f2's lo + s; on
+    # POS and ALL the insertions below a position shift it up, so the
+    # first free position holds f2's lo
+    inserted = dict(zip(pos, vals))
+    kept = map(f2.value, range(lo + s, hi + 1) if neg else range(lo, hi + 1 - s))
+    out = [inserted[p] if p in inserted else next(kept) for p in range(lo, hi + 1)]
     left, right = f2._tails
     return stably_decreasing(
         f2.axis, out, edge=hi if neg else lo,
@@ -389,14 +380,25 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
     return _RowOne(below, edge, l, t + edge + len(below), drops, others, r)
 
 
+# rs_infinite lists each of the r entries the block displaces, so past
+# this r it refuses instead of inserting; block_ideal counts r at any size
+_RS_INF_MAX_R = 100_000
+
+
 def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
     """Insert a NEG or ALL g: row 1 from _row_one, and the finite rows
     from rs of the entries it names, as elements of g's classes; the law
-    class is split off the other classes."""
+    class is split off the other classes.  An r past _RS_INF_MAX_R
+    raises ValueError before anything is listed."""
     law, first = g.left_law, _first(g.axis, g.edge, len(g.window))
     offsets = [e.offset for e in g.window]
     # a NEG g has no right law, so right_law is None there
     row = _row_one(law.anchor, law.offset, first, g.window, offsets, g.right_law)
+    if row.r > _RS_INF_MAX_R:
+        raise ValueError(
+            f"the block displaces r = {_int_repr(row.r)} entries, more than the "
+            f"{_RS_INF_MAX_R} rs_infinite lists (rsinf.rs_infinite._RS_INF_MAX_R)"
+        )
 
     def at(v: int) -> FieldElem:
         return law.shift(v - law.offset)
@@ -418,7 +420,8 @@ def rs_infinite(g: StablyDecreasingSeq) -> InfiniteRSResult:
     NEG and ALL inputs are inserted directly, the left law kept as the
     implicit head of row 1 (see _row_one), at a cost linear in the window
     plus r.  A POS input is computed through its mirror and the pieces
-    are mirrored back.
+    are mirrored back.  An input that displaces more than _RS_INF_MAX_R
+    entries raises ValueError.
     """
     if _shifted(g, "rs_infinite inserts").axis is Axis.POS:
         m = rs_infinite(star_seq(g))

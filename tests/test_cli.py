@@ -745,13 +745,14 @@ def test_far_window_entries_answer_at_once(tmp_path, big):
     proc = _cli("rs-inf", str(tmp_path / "far_block.json"), timeout=10)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {
-        "error": f"the block displaces r = {big} entries, more than the 100000 rs-inf prints"
+        "error": f"the block displaces r = {big} entries, more than the 100000 rs_infinite "
+                 "lists (rsinf.rs_infinite._RS_INF_MAX_R)"
     }
 
 
 def test_rs_inf_prints_up_to_its_limit_on_r(tmp_path, capsys, monkeypatch):
     """rs-inf answers a block whose r is at its limit and refuses one past it."""
-    monkeypatch.setattr(importlib.import_module("rsinf.cli"), "_RS_INF_MAX_R", 3)
+    monkeypatch.setattr(importlib.import_module("rsinf.rs_infinite"), "_RS_INF_MAX_R", 3)
     path = tmp_path / "block.json"
     path.write_text(json.dumps({"axis": "all", "left_tail": "0", "right_tail": "3"}))
     code, out = run(capsys, "rs-inf", str(path))
@@ -761,7 +762,8 @@ def test_rs_inf_prints_up_to_its_limit_on_r(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "rs-inf", str(path))
     assert code == 1
     assert json.loads(out) == {
-        "error": "the block displaces r = 4 entries, more than the 3 rs-inf prints"
+        "error": "the block displaces r = 4 entries, more than the 3 rs_infinite lists "
+                 "(rsinf.rs_infinite._RS_INF_MAX_R)"
     }
 
 
@@ -809,6 +811,23 @@ def test_long_interchange_search_refuses_in_time():
     error = json.loads(proc.stdout)["error"]
     assert f"limit of {rs_finite._CONNECTED_MAX_STATES} searched words" in error
     assert "_CONNECTED_MAX_STATES" in error and proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("cls-level", "0,0,20;;", "--level", "20", "--bound", "0"),
+    ("cls-level", "1,0,0;;", "--level", "3", "--bound", "1000000000"),
+    ("cls-level", "1,0,0;;", "--level", "1000000000000", "--bound", "1"),
+    ("cls-gamma", "1,0,0;;", "--level", "1000000000000"),
+], ids=["weights", "bound", "level", "gamma"])
+def test_large_level_sets_refuse_in_time(argv):
+    """A set of C(39, 19) weights ran for minutes, and a bound of 10^9 or
+    a level of 10^12 died of a MemoryError traceback.  In a child with a
+    deadline, the CLI answers an error naming the limit."""
+    proc = _cli(*argv, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.endswith("would hold more than 20000000 entries (rsinf.cls._LEVEL_MAX_ENTRIES)")
+    assert proc.stderr == ""
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

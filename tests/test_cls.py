@@ -621,3 +621,51 @@ def test_level_functions_refuse_non_parameters(call):
     for value, kind in ((5, "int"), ((0, 0, 0, (), ()), "tuple"), (None, "NoneType")):
         with pytest.raises(TypeError, match=f"^the parameters must be a ClsParams, not {kind}$"):
             call(value)
+
+
+LEVEL_LIMIT = r"would hold more than \d+ entries \(rsinf\.cls\._LEVEL_MAX_ENTRIES\)$"
+
+
+def test_level_sets_answer_at_their_limit_and_refuse_past_it(monkeypatch):
+    """A level set of w weights at level n answers under a limit of w * n
+    entries and refuses under w * n - 1, on sets whose nodes are small,
+    large, or of level 2."""
+    cls = importlib.import_module("rsinf.cls")
+    cases = [(cls_params(1, 1, 0), 5, 2), (cls_params(2, 2, 1), 30, 3),
+             (cls_params(0, 0, 9), 4, 0), (cls_params(1, 0, 0), 3, 70),
+             (cls_params(1, 0, 0), 2, 5)]
+    for (p, n, bound), want in [(case, cls_level(*case)) for case in cases]:
+        monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", len(want) * n)
+        assert cls_level(p, n, bound) == want
+        monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", len(want) * n - 1)
+        with pytest.raises(ValueError, match="^the level set " + LEVEL_LIMIT):
+            cls_level(p, n, bound)
+    monkeypatch.undo()
+    # a node with 10^9 + 1 children, or pairs, refuses before they are listed
+    for p, n in ((cls_params(0, 0, 10**9), 4), (cls_params(0, 0, 10**9), 3)):
+        with pytest.raises(ValueError, match="^the level set " + LEVEL_LIMIT):
+            cls_level(p, n, 0)
+    # a level and gamma's doubled level are refused before any list is built
+    monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", 6)
+    assert cls_level(cls_params(0, 0, 0), 6, 0) == {(0,) * 6}
+    assert gamma(cls_params(1, 0, 0), 3) == (1, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^a weight of level 7 " + LEVEL_LIMIT):
+        cls_level(cls_params(0, 0, 0), 7, 0)
+    with pytest.raises(ValueError, match="^a weight of level 7 " + LEVEL_LIMIT):
+        q_union_level(0, 0, (), (), 7, 0)
+    with pytest.raises(ValueError, match="^the weight of level 8 " + LEVEL_LIMIT):
+        gamma(cls_params(1, 0, 0), 4)
+
+
+def test_pair_count_matches_the_emitted_pairs():
+    """_pairs counts what the innermost comprehension of _level_set would
+    emit, before it is built."""
+    pairs = importlib.import_module("rsinf.cls")._pairs
+    rng = random.Random(3)
+    for _ in range(3000):
+        left2, right1 = rng.randint(0, 6), rng.randint(0, 6)
+        left1 = left2 + rng.randint(0, 6)
+        low, x = rng.randint(-3, 9), rng.randint(-3, 9)
+        want = sum(1 for y in range(x, left2 + low + 1)
+                   for z in range(y, left1 + min(low, right1 + y) + 1))
+        assert pairs(x, low, left1, left2, right1) == want, (x, low, left1, left2, right1)

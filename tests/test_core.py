@@ -32,11 +32,12 @@ from rsinf.core import (
 )
 from rsinf.classifier import omega
 from rsinf.cls import basic_level, cls_level, cls_params, gamma, member, q_union_level
-from rsinf.rs_finite import admissible, apply_interchange, connected, joseph_equal, rs
+from rsinf.rs_finite import admissible, apply_interchange, connected, joseph_equal, rho_shift, rs
 from rsinf.rs_infinite import (
     Axis,
     EventuallyConstantSeq,
     StablyDecreasingSeq,
+    block_ideal,
     eventually_constant,
     ins,
     partition_from_row,
@@ -537,6 +538,32 @@ def test_shift_by_an_int_matches_the_constructor():
 
     # an int subclass's own arithmetic never reaches the offset
     assert type(e.shift(Halving(3)).offset) is int and e.shift(Halving(3)) == elem("a+5")
+
+
+class _Odd(int):
+    """An int whose own arithmetic gives no int."""
+
+    def __add__(self, other):
+        return 0.5
+
+    def __sub__(self, other):
+        return 0.25
+
+    def __neg__(self):
+        return "x"
+
+
+def test_int_subclass_offsets_and_edges_are_kept_as_ints():
+    # the unchecked paths did the subclass's arithmetic: 0.5, 'x' and 0.25
+    e = FieldElem("a", _Odd(3))
+    assert type(e.offset) is int
+    assert e.shift(1) == elem("a+4") and type(e.shift(1).offset) is int
+    assert e.negate() == elem("-a-3") and type(e.negate().offset) is int
+    assert rho_shift([e]) == (elem("a+2"),)
+    # block_ideal raised "'float' object cannot be interpreted as an integer"
+    block = eventually_constant(Axis.NEG, [], edge=_Odd(-1), left_tail=0)
+    assert type(block.edge) is int and block_ideal(block) == (0, 0, (), ())
+    assert block.value(_Odd(-1)) == elem(0)
 
 
 # a bool too: elem(3).shift(True) answered 4, and elem("1/2").shift(True) 3/2

@@ -5,14 +5,16 @@ offsets of +-10^18.  Each call answers, or raises TypeError or ValueError
 (LevelError is a ValueError); any other exception, an AttributeError,
 KeyError or IndexError above all, fails the sweep.
 
-Sizes are bounded so that every call ends at once: words of at most 7
-entries, levels of at most 6 and entry bounds of at most 4.  Huge values
-reach only arguments whose answer does not grow with them: elements,
-finite words, the sequences and specs that block_ideal and classify
-read, and the parameters of gamma and member, the positions, values
-and sequences of ins (which refuses a window longer than its limit).
-They never become the law gap of an infinite insertion or a parameter
-of a level set that is enumerated.
+Words have at most 7 entries, so that every finite insertion and
+interchange search ends at once.  Every other argument may be +-10^18:
+elements, the sequences and specs that block_ideal and classify read,
+the law gaps of rs_infinite, the positions and sequences of ins, and the
+levels, entry bounds and parameters of the level sets and of gamma and
+member.  Where the answer grows with such a value, the call refuses
+past its limit before building anything: rs_infinite past
+_RS_INF_MAX_R displaced entries, ins past _INS_MAX_ENTRIES window
+entries, and cls_level, q_union_level, cls.basic_level and gamma past
+_LEVEL_MAX_ENTRIES entries.
 """
 
 import json
@@ -49,6 +51,7 @@ from rsinf import (
     stably_decreasing,
 )
 from rsinf.classifier import spec_to_json
+from rsinf.cls import basic_level
 
 BIG = 10**18
 # a list nested past the recursion limit, and a list that holds itself
@@ -330,8 +333,10 @@ def params(big: bool = False):
     return st.one_of(good, good.map(lambda p: MyParams(p.r1, p.r2, p.g, p.X, p.Y)), tame)
 
 
-levels = st.one_of(st.integers(-1, 6), tame)
-bounds = st.one_of(st.integers(-1, 4), tame)
+# a far level or bound makes a level set past its limit
+far = st.sampled_from([BIG, 10**9])
+levels = st.one_of(st.integers(-1, 6), far, hostile)
+bounds = st.one_of(st.integers(-1, 4), far, hostile)
 small = st.one_of(st.integers(-2, 8), tame)
 flags = st.one_of(st.booleans(), hostile)
 
@@ -397,7 +402,7 @@ SWEEP = {
     "apply_interchange": args(words(), small, flags),
     "block_ideal": args(blocks(True)),
     "classify": args(spec_args()),
-    "cls_level": args(params(), levels, bounds),
+    "cls_level": args(params(True), levels, bounds),
     "cls_params": args(small, small, small, X=partitions(True), Y=partitions(True)),
     "connected": _args_of(pairs(), flags),
     "elem": args(st.one_of(values(True), hostile)),
@@ -426,13 +431,13 @@ SWEEP = {
                                st.one_of(st.none(), small, st.sampled_from([BIG])))
     | row_reads(),
     "plus_rho": args(blocks(True)),
-    "q_union_level": args(st.one_of(st.integers(0, 4), hostile), st.one_of(st.integers(0, 3), tame),
-                          partitions(), partitions(), levels, bounds)
+    "q_union_level": args(st.one_of(st.integers(0, 4), hostile), st.one_of(st.integers(0, 3), hostile),
+                          partitions(True), partitions(True), levels, bounds)
     | args(st.integers(0, 4), st.integers(0, 3), partitions(), partitions(), st.integers(1, 6),
            st.integers(0, 4)),
     "rho_shift": args(words()),
     "rs": args(words()),
-    "rs_infinite": args(blocks(False)),
+    "rs_infinite": args(blocks(True)) | args(sequences(eventually_constant, True).map(plus_rho)),
     "rs_trace": args(words()),
     "segment": args(spec_args()),
     "seq_of": args(families()),
@@ -469,5 +474,19 @@ def test_hostile_arguments_answer_or_raise_a_clean_error(name, data):
     call, kwargs = data.draw(SWEEP[name], label="arguments")
     try:
         getattr(rsinf, name)(*call, **kwargs)
+    except (TypeError, ValueError):
+        pass
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_basic_level_answers_or_raises_a_clean_error(data):
+    """cls.basic_level, which rsinf does not export, swept as the rest."""
+    kind = data.draw(st.one_of(st.sampled_from(["T", "L", "R", "E", "Linf", "Rinf", "Einf"]),
+                               hostile), label="kind")
+    i, n, bound = data.draw(st.tuples(st.one_of(st.integers(-2, 8), hostile), levels, bounds),
+                            label="i, level, bound")
+    try:
+        basic_level(kind, i, n, bound)
     except (TypeError, ValueError):
         pass

@@ -157,7 +157,7 @@ def test_ins_validation():
     with pytest.raises(ValueError):
         ins([-1], ["u", "v"], f2)  # length mismatch
     with pytest.raises(ValueError):
-        ins([5], ["u"], f2)  # beyond the loose box
+        ins([5], ["u"], f2)  # past the domain end
     assert ins([], [], f2) == f2
     # a position is an int: -1.5 was truncated to -1, and '-1' was read
     for pos in (-1.5, "-1"):
@@ -165,10 +165,15 @@ def test_ins_validation():
             ins([pos], [5], stably_decreasing(Axis.NEG, [], left_law=0))
 
 
-def test_ins_boundary_position_needs_values_past_the_domain():
+def test_ins_refuses_a_position_one_past_the_domain():
+    """The position next to the domain's edge, on either side, is outside
+    the domain: the entry at the edge would have to come from it."""
     f2 = stably_decreasing(Axis.NEG, [], edge=-1, left_law=0)
-    with pytest.raises(ValueError, match="outside its domain"):
-        ins([0], ["u"], f2)
+    with pytest.raises(ValueError, match="^insertion position 0 is past the domain end -1$"):
+        ins([-3, 0], ["u", "v"], f2)
+    f2 = stably_decreasing(Axis.POS, [], edge=1, right_law=0)
+    with pytest.raises(ValueError, match="^insertion position 0 is below the domain start 1$"):
+        ins([0, 3], ["u", "v"], f2)
 
 
 INS_LIMIT = r"more than \d+ entries \(rsinf\.rs_infinite\._INS_MAX_ENTRIES\)$"
@@ -216,6 +221,22 @@ def test_far_insertions_and_edges_refuse_at_once():
     assert len(lines) == 3
     for line in lines:
         assert re.search(INS_LIMIT, line), line
+
+
+def test_rs_infinite_refuses_an_r_past_its_limit(monkeypatch):
+    """r is counted before anything is listed, on ALL and, through the
+    mirror, on POS; block_ideal still counts r at any size."""
+    monkeypatch.setattr(importlib.import_module("rsinf.rs_infinite"), "_RS_INF_MAX_R", 3)
+    limit = (r"^the block displaces r = 4 entries, more than the 3 rs_infinite lists "
+             r"\(rsinf\.rs_infinite\._RS_INF_MAX_R\)$")
+    three = eventually_constant(Axis.ALL, [], left_tail=0, right_tail=3)
+    assert rs_infinite(plus_rho(three)).r == 3
+    four = eventually_constant(Axis.ALL, [], left_tail=0, right_tail=4)
+    pos = eventually_constant(Axis.POS, ["a", "a", "a", "a"], right_tail=0)
+    for block in (four, pos):
+        with pytest.raises(ValueError, match=limit):
+            rs_infinite(plus_rho(block))
+        assert block_ideal(block)[0] == 4
 
 
 def test_neg_single_symbol_block():

@@ -143,7 +143,7 @@ def _rand_positions(rng):
 
 
 def test_ins_matches_the_weave_oracle():
-    seen = {"woven": 0, "outside": 0}
+    woven = 0
     for rng, f2 in _cases(5, 300, kinds=(StablyDecreasingSeq,)):
         pos = _rand_positions(rng)
         anchors = [t.anchor for t in _tails(f2) if t is not None] + ["c"]
@@ -151,34 +151,27 @@ def test_ins_matches_the_weave_oracle():
         if not pos:
             assert ins(pos, vals, f2) is f2
             continue
-        if f2.axis is Axis.NEG and pos[-1] > f2.edge + 1:
-            with pytest.raises(ValueError, match="past the domain end"):
+        # every position must lie in f2's domain
+        if f2.axis is Axis.NEG and pos[-1] > f2.edge:
+            with pytest.raises(ValueError, match=f"^insertion position {pos[-1]} is past the domain end"):
                 ins(pos, vals, f2)
             continue
-        if f2.axis is Axis.POS and pos[0] < f2.edge - 1:
-            with pytest.raises(ValueError, match="below the domain start"):
+        if f2.axis is Axis.POS and pos[0] < f2.edge:
+            with pytest.raises(ValueError, match=f"^insertion position {pos[0]} is below the domain start"):
                 ins(pos, vals, f2)
             continue
-        # the woven sequence keeps the anchored end of the axis, moved
-        # only by an insertion past it
+        # the woven sequence keeps the anchored end of the axis, and the
+        # oracle reads every entry of it inside f2's domain
         if f2.axis is Axis.NEG:
-            domain = range(-30, max(f2.edge, pos[-1]) + 1)
+            domain = range(-30, f2.edge + 1)
         elif f2.axis is Axis.POS:
-            domain = range(min(f2.edge, pos[0]), 31)
+            domain = range(f2.edge, 31)
         else:
             domain = range(-30, 31)
-        want = {}
-        try:
-            for p in domain:
-                want[p] = weave_value(pos, vals, f2, p)
-        except ValueError:
-            with pytest.raises(ValueError, match="outside its domain"):
-                ins(pos, vals, f2)
-            seen["outside"] += 1
-            continue
+        want = {p: weave_value(pos, vals, f2, p) for p in domain}
         out = ins(pos, vals, f2)
-        seen["woven"] += 1
+        woven += 1
         assert out.axis is f2.axis and out == _canonical(out)
         for p in SPAN:
             assert _values(out, [p])[p] == want.get(p), (f2, pos, vals, p)
-    assert seen["woven"] > 300 and seen["outside"] > 20, seen
+    assert woven > 300, woven
