@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import get_origin, get_type_hints
 
 from .core import (
-    FieldElem, _class_key, _class_name, _decode_json, _field, elem, elems, parse_elems, parse_entry,
+    FieldElem, _class_key, _class_order, _decode_json, _field, elem, elems, parse_elems, parse_entry,
 )
 from .rs_infinite import Axis, _Cut, block_ideal, eventually_constant
 
@@ -144,7 +144,9 @@ def _validate(cuts):
     tail of the cut after it."""
     classes = {_class_key(c.left_tail.anchor): c.left_tail.anchor for c in cuts[1:]}
     if len(classes) > 1:
-        names = ", ".join(sorted(_class_name(a) for a in classes.values()))
+        # a class's zero prints its name, or past the digit limit its
+        # anchor's bit lengths (FieldElem.__repr__)
+        names = ", ".join(repr(FieldElem(a, 0)) for a in sorted(classes.values(), key=_class_order))
         return ZeroAnnihilator(
             f"infinite tails fall in different integrality classes: {names}"
         )

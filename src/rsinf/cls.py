@@ -83,7 +83,7 @@ def _pairs(x: int, low: int, left1: int, left2: int, right1: int) -> int:
     return pairs
 
 
-def _level_set(n: int, factors, bound: int) -> frozenset:
+def _level_set(n: int, factors, bound: int, most=None, what="the level set") -> frozenset:
     """Normalized dominant n-vectors whose differences are a sum of one
     vector per factor (kind, i, m), supported on its interval and of
     total at most m, or m * bound for an unbounded kind.
@@ -101,8 +101,9 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
     comprehension, since those two coordinates hold most of the nodes.
 
     Since no branch dies, each pending node and each emitted weight
-    stands for a weight of its own, so the search refuses once they make
-    more than _LEVEL_MAX_ENTRIES // n weights.  It counts them with the
+    stands for a weight of its own, so the search refuses, with an error
+    that names `what`, once they make more than `most` weights, by
+    default _LEVEL_MAX_ENTRIES // n.  It counts them with the
     children of a node that has more than 64, or the pairs (_pairs) of
     a node for v_3 that may have more than 64, before adding them, and
     after every node for v_3.  At most n nodes are popped between two
@@ -111,11 +112,11 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
     """
     if n < 2:
         return frozenset({(0,) * n})
-    most = _LEVEL_MAX_ENTRIES // n
+    most = _LEVEL_MAX_ENTRIES // n if most is None else most
     left, right = _capacities(n, factors, bound)
     if n == 2:
         if left[1] + right[1] + 1 > most:
-            raise _too_many("the level set")
+            raise _too_many(what)
         return frozenset([(x, 0) for x in range(left[1] + right[1] + 1)])
     left1, left2, right1 = left[1], left[2], right[1]
     wide = left1 + right1 + 1  # the most v_1 for one v_2
@@ -128,7 +129,7 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
         if k > 3:
             top = left[k - 1] + low + 1
             if top - x > 64 and len(stack) + len(out) + top - x > most:
-                raise _too_many("the level set")
+                raise _too_many(what)
             stack.extend([(k - 1, y, low) for y in range(x, top)])
             continue
         # every (v_1, v_2) below v_3 at once
@@ -136,12 +137,12 @@ def _level_set(n: int, factors, bound: int) -> frozenset:
         if (top - x + 1) * wide > 64 and (
             len(stack) + len(out) + _pairs(x, low, left1, left2, right1) > most
         ):
-            raise _too_many("the level set")
+            raise _too_many(what)
         rest = tuple(v[2:])
         out += [(z, y) + rest for y in range(x, top + 1)
                 for z in range(y, left1 + min(low, right1 + y) + 1)]
         if len(out) > most:
-            raise _too_many("the level set")
+            raise _too_many(what)
     return frozenset(out)
 
 
@@ -157,22 +158,27 @@ def basic_level(kind: str, i: int, n: int, bound: int) -> frozenset:
     """
     if kind not in _SPANS and kind not in _UNBOUNDED:
         raise ValueError(f"unknown family kind {kind!r}")
-    _int(i, "the family index i")
-    _level_args(n, bound)
+    i = _int(i, "the family index i")
+    n, bound, _ = _level_args(n, bound)
     return _level_set(n, [(kind, i, 1)], bound)
 
 
-def _level_args(n, bound, r=0) -> None:
-    """Refuse a level n, an entry bound or a split total r that is not a
-    nonnegative int: a level is a tuple length, and a negative bound
-    would drop the zero weight every level set holds.  A level past
-    _LEVEL_MAX_ENTRIES is refused too, since its zero weight alone holds
-    n entries."""
+def _level_args(n, bound, r=0) -> tuple:
+    """The plain ints (n, bound, r), after refusing a level n, an entry
+    bound or a split total r that is not a nonnegative int: a level is a
+    tuple length, and a negative bound would drop the zero weight every
+    level set holds.  A level past _LEVEL_MAX_ENTRIES is refused too,
+    since its zero weight alone holds n entries."""
+    plain = []
     for value, name in ((r, "r"), (n, "the level"), (bound, "the entry bound")):
-        if _int(value, name) < 0:
+        value = _int(value, name)
+        if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+        plain.append(value)
+    r, n, bound = plain
     if n > _LEVEL_MAX_ENTRIES:
         raise _too_many(f"a weight of level {_int_repr(n)}")
+    return n, bound, r
 
 
 @dataclass(frozen=True)
@@ -184,16 +190,16 @@ class ClsParams:
     Y: tuple[int, ...]
 
     def __post_init__(self):
-        # tuples, so that the parameters hash and an iterator is read once
-        object.__setattr__(self, "X", tuple(self.X))
-        object.__setattr__(self, "Y", tuple(self.Y))
-        for x in self.X:
-            _int(x, "an entry of X")
-        for y in self.Y:
-            _int(y, "an entry of Y")
-        _int(self.r1, "r'")
-        _int(self.r2, "r''")
-        _int(self.g, "g")
+        # plain ints, in tuples: the parameters hash, an iterator is read
+        # once, and no int subclass's arithmetic reaches a level set.  A
+        # tuple of exact ints is kept as it is, so that a key of
+        # _member_caps holding it compares by identity.
+        for field, name in (("X", "an entry of X"), ("Y", "an entry of Y")):
+            part = tuple(getattr(self, field))
+            plain = part if set(map(type, part)) <= {int} else tuple([_int(v, name) for v in part])
+            object.__setattr__(self, field, plain)
+        for field, name in (("r1", "r'"), ("r2", "r''"), ("g", "g")):
+            object.__setattr__(self, field, _int(getattr(self, field), name))
         if self.r1 < 0 or self.r2 < 0 or self.g < 0:
             raise ValueError("r', r'' and g must be nonnegative")
         for name, part in (("X", self.X), ("Y", self.Y)):
@@ -204,7 +210,7 @@ class ClsParams:
 
 
 def cls_params(r1: int, r2: int, g: int, X=(), Y=()) -> ClsParams:
-    return ClsParams(r1, r2, g, tuple(X), tuple(Y))
+    return ClsParams(r1, r2, g, X, Y)
 
 
 def _params(p) -> ClsParams:
@@ -247,7 +253,7 @@ def cls_level(p: ClsParams, n: int, bound: int) -> frozenset:
     The Minkowski sum of the factors' level sets, enumerated member by
     member with the interval test of _level_set: no sum is formed.
     """
-    _level_args(n, bound)
+    n, bound, _ = _level_args(n, bound)
     _check_level(_params(p), n)
     return _level_set(n, factorization(p), bound)
 
@@ -263,14 +269,13 @@ def gamma(p: ClsParams, n: int) -> WeightVec:
     _check_level(_params(p), length, n)
     if length > _LEVEL_MAX_ENTRIES:
         raise _too_many(f"the weight of level {_int_repr(length)}")
-    total = [0] * length
+    steps = [0] * length  # steps[k - 1] is the coefficient of f_{k,2n}
     for kind, idx, mult in factorization(p):
         # the factor's step f_{k,2n}, 0 < k < 2n, so the sum stays normalized
-        k = n if kind == "E" else idx if kind[0] == "L" else length - idx
-        coef = 2 * idx - 1 if kind.endswith("inf") else mult
-        for i in range(k):
-            total[i] += coef
-    return tuple(total)
+        k = length // 2 if kind == "E" else idx if kind[0] == "L" else length - idx
+        steps[k - 1] += 2 * idx - 1 if kind.endswith("inf") else mult
+    # f_{k,2n} is one on its first k entries: entry i sums the steps k > i
+    return tuple(itertools.accumulate(reversed(steps)))[::-1]
 
 
 def _split_linf_rinf(u: tuple, r1: int, r2: int) -> bool:
@@ -315,20 +320,20 @@ def member(p: ClsParams, vec, n: int | None = None) -> bool:
     """
     _params(p)
     t, ordered, prev = tuple(vec), True, math.inf
-    for x in t:  # every entry is checked before the order
-        if type(x) is not int:
-            _int(x, "an entry of the weight")
+    for x in t:
+        if type(x) is not int:  # every entry is read before the order
+            return member(p, [_int(v, "an entry of the weight") for v in t], n)
         if x > prev:
             ordered = False
         prev = x
     if not ordered:
-        raise ValueError(f"{tuple(map(int, t))} is not weakly decreasing")
-    if n is None:
-        n = len(t)
-    elif _int(n, "the level") != len(t):
-        raise ValueError(f"vector has length {len(t)}, expected level {n}")
+        raise ValueError(f"{t} is not weakly decreasing")
+    if n is not None:  # the level, if given, is the weight's length
+        n = _int(n, "the level")
+        if n != len(t):
+            raise ValueError(f"vector has length {len(t)}, expected level {n}")
     low = math.inf
-    for b, (left, right) in enumerate(_member_caps(p.r1, p.r2, p.g, p.X, p.Y, n), p.r1 + 1):
+    for b, (left, right) in enumerate(_member_caps(p.r1, p.r2, p.g, p.X, p.Y, len(t)), p.r1 + 1):
         if left - t[b - 1] < low:  # t[b - 1] is v_b
             low = left - t[b - 1]
         if -t[b] - right > low:
@@ -340,12 +345,26 @@ def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
     """Union of the level sets over the splits r = r' + r'' whose level
     is defined, n > r' + len(X) and n > r'' + len(Y), so r' runs from
     max(0, r - n + 1 + len(Y)) to min(r, n - 1 - len(X)); if that range
-    is empty, the level is too small outright."""
-    _level_args(n, bound, r)
+    is empty, the level is too small outright.
+
+    With bound 0 the unbounded factors supply nothing, and the capacity
+    X_{max(1, a - r')} grows with r', Y_{max(1, n - b - r'')} with r''.
+    By the Hall test of _level_set, a split of pointwise larger
+    capacities holds every weight of the other, so with Y empty the
+    union is the set of the largest r', with X empty that of the
+    smallest.  The splits searched share one budget of
+    _LEVEL_MAX_ENTRIES // n weights, duplicates counted, and refuse
+    together past it."""
+    n, bound, r = _level_args(n, bound, r)
     p = cls_params(0, r, g, X, Y)  # g, X and Y are checked once
     lo, hi = max(0, r - n + 1 + len(p.Y)), min(r, n - 1 - len(p.X))
     if lo > hi:
         raise LevelError(f"level {n} is too small for every split of r={r}")
-    return frozenset().union(*(
-        cls_level(cls_params(r1, r - r1, g, p.X, p.Y), n, bound) for r1 in range(lo, hi + 1)
-    ))
+    if bound == 0 and not (p.X and p.Y):  # the one split that holds the rest
+        lo = hi = lo if p.Y else hi
+    most, levels = _LEVEL_MAX_ENTRIES // n, []
+    for r1 in range(lo, hi + 1):
+        split = factorization(cls_params(r1, r - r1, p.g, p.X, p.Y))
+        levels.append(_level_set(n, split, bound, most, "the splits' level sets"))
+        most -= len(levels[-1])
+    return frozenset().union(*levels)

@@ -391,14 +391,22 @@ def _class_name(anchor: Anchor) -> str:
     return str(_unchecked(anchor, 0))
 
 
+def _class_order(anchor: Anchor) -> tuple:
+    """The sort key of a checked anchor's class: (0, its printed name),
+    or (1, numerator, denominator) for a rational anchor whose name is
+    past the digit limit.  Equal keys are one class."""
+    try:
+        return 0, _class_name(anchor)
+    except ValueError:
+        return 1, anchor.numerator, anchor.denominator
+
+
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Normalize to a partition: weakly decreasing nonnegative ints, no trailing zeros.
 
     Parts must be ints; a float or bool is refused, not truncated.
     """
-    p = tuple(parts)
-    for x in p:
-        _int(x, "a partition part", "an int")
+    p = tuple([_int(x, "a partition part", "an int") for x in parts])
     for i in range(len(p) - 1):
         if p[i] < p[i + 1]:
             raise ValueError(f"not weakly decreasing: {p}")
@@ -482,25 +490,27 @@ class TableauFamily:
     """Tableaux with pairwise distinct anchors, kept in a canonical order.
 
     Construction order does not matter: tableaux are sorted by the printed
-    form of their anchor, so two families with the same per-class content
-    compare equal.
+    form of their anchor (_class_order), so two families with the same
+    per-class content compare equal.
     """
 
     tableaux: tuple[Tableau, ...]
 
     def __post_init__(self):
-        # the printed anchor names its class, so sorting by it puts equal
+        # the order key names its class, so sorting by it puts equal
         # anchors side by side, and no anchor is hashed; each anchor was
         # checked when its tableau was built
         tabs = tuple(self.tableaux)
         for t in tabs:
             if not isinstance(t, Tableau):
                 raise TypeError(f"a family holds tableaux, not {type(t).__name__}")
-        keys = [_class_name(t.anchor) for t in tabs]
+        keys = [_class_order(t.anchor) for t in tabs]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        dup = next((keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
+        dup = next((tabs[a].anchor for a, b in zip(order, order[1:]) if keys[a] == keys[b]), None)
         if dup is not None:
-            raise ValueError(f"the family has two tableaux of class {dup}")
+            # the repr of the class's zero prints its name, or past the
+            # digit limit the bit lengths of its anchor
+            raise ValueError(f"the family has two tableaux of class {_unchecked(dup, 0)!r}")
         object.__setattr__(self, "tableaux", tuple(tabs[i] for i in order))
 
     def __iter__(self):

@@ -179,8 +179,8 @@ def admissible(values, i: int, shifted: bool = False) -> bool:
     """Whether positions i, i+1 (1-based) admit an interchange.  A
     shifted move on f is a plain move at the same position on
     rho_shift(f)."""
-    f = elems(values)
-    if not 1 <= _int(i, "the interchange position i") <= len(f) - 1:
+    f, i = elems(values), _int(i, "the interchange position i")
+    if not 1 <= i <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
     return _admissible_here(*_codes(rho_shift(f) if shifted else f), i)
 
@@ -188,7 +188,7 @@ def admissible(values, i: int, shifted: bool = False) -> bool:
 def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem, ...]:
     """Swap positions i, i+1; the shifted variant conjugates the swap
     through the position shift, so the two entries move by one as well."""
-    f = elems(values)
+    f, i = elems(values), _int(i, "the interchange position i")
     if not admissible(f, i, shifted=shifted):
         raise ValueError(f"positions {i}, {i + 1} do not admit an interchange")
     out = list(f)
@@ -303,5 +303,5 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
             return False
         k = max(ka) - max(kb)
     else:
-        _int(k, "the shift k")
+        k = _int(k, "the shift k")
     return _inserted(a, True) == _inserted(b, True, k)

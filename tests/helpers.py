@@ -403,6 +403,20 @@ def search_member(p, vec):
     return dfs(0, v)
 
 
+def loop_gamma(p: ClsParams, n: int) -> tuple:
+    """gamma(p, n) for a level that fits p, by adding each factor's
+    coefficient to every entry below its step, one loop per factor: the
+    form the suffix sum replaced, kept as its oracle."""
+    length = 2 * n
+    total = [0] * length
+    for kind, idx, mult in factorization(p):
+        k = n if kind == "E" else idx if kind[0] == "L" else length - idx
+        coef = 2 * idx - 1 if kind.endswith("inf") else mult
+        for i in range(k):
+            total[i] += coef
+    return tuple(total)
+
+
 def sweep_member(p: ClsParams, vec, n: int | None = None) -> bool:
     """Membership by an earliest-deadline allocation, with the checks
     and messages of member: the sweep that the interval test on cached

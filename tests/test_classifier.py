@@ -86,6 +86,11 @@ def test_validate_tail_classes():
     assert "integrality classes" in v.reason
     v = validate(weight_spec(zeta(0, [], "a")))
     assert isinstance(v, ZeroAnnihilator)
+    # the reason names a class past the digit limit by its bit lengths,
+    # where it raised "an entry of the answer has more than 4300 digits"
+    v = validate(weight_spec(omega([], 0), omega_star(Fraction(1, 10**5000), [])))
+    assert v.reason == ("infinite tails fall in different integrality classes: "
+                        "0, FieldElem(1/<16610-bit int>, offset=0)")
 
 
 def test_segment_geometry():

@@ -1,6 +1,9 @@
 import importlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +14,7 @@ from helpers import (
     enumerated_basic_level,
     f_kn,
     frontier_split,
+    loop_gamma,
     normalize,
     product_cls_level,
     search_member,
@@ -201,6 +205,18 @@ def test_gamma_fixtures():
     assert gamma(cls_params(0, 0, 1), 2) == (1, 1, 0, 0)
     assert gamma(cls_params(0, 0, 0, X=(2,)), 2) == (2, 0, 0, 0)
     assert len(gamma(cls_params(1, 1, 1, (1,), (2, 1)), 5)) == 10
+
+
+def test_gamma_matches_the_loop_per_factor():
+    parts = [(), (1,), (2, 1), (2, 2), (3, 1, 1)]
+    checked = 0
+    for r1, r2, g, x, y, n in itertools.product(range(3), range(3), range(3), parts, parts,
+                                                range(1, 6)):
+        p = cls_params(r1, r2, g, x, y)
+        if 2 * n > max(r1 + len(x), r2 + len(y)):
+            assert gamma(p, n) == loop_gamma(p, n), (p, n)
+            checked += 1
+    assert checked == 2415  # of 3,375 cases, the rest at a level too small
 
 
 def test_small_levels_coincide():
@@ -571,7 +587,7 @@ def test_q_union_level_takes_the_splits_that_fit():
     assert q_union_level(1, 0, iter((1,)), (), 3, 1) == q_union_level(1, 0, (1,), (), 3, 1)
     parts = [(), (1,), (2, 1), (3, 1, 1), (1, 2), (1.0,)]
     for r, g, x, y, n, bound in itertools.product(
-        range(4), range(2), parts, parts, range(6), range(2)
+        range(6), range(3), parts, parts, range(6), range(3)
     ):
         args = (r, g, x, y, n, bound)
         assert _answer(q_union_level, *args) == _answer(_q_union_by_trial, *args), args
@@ -655,6 +671,45 @@ def test_level_sets_answer_at_their_limit_and_refuse_past_it(monkeypatch):
         q_union_level(0, 0, (), (), 7, 0)
     with pytest.raises(ValueError, match="^the weight of level 8 " + LEVEL_LIMIT):
         gamma(cls_params(1, 0, 0), 4)
+    # the splits share one budget: they hold 3, 4 and 3 weights of level
+    # 4, and their union 5, so a limit of 16 entries admits each split and
+    # the union, but not the splits together; 40 admit them, 39 do not
+    monkeypatch.undo()
+    splits = [cls_level(cls_params(r1, 2 - r1, 0), 4, 1) for r1 in range(3)]
+    union = frozenset().union(*splits)
+    assert list(map(len, splits)) == [3, 4, 3] and len(union) == 5
+    monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", 40)
+    assert q_union_level(2, 0, (), (), 4, 1) == union
+    for limit in (39, 16):
+        monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", limit)
+        with pytest.raises(ValueError, match="^the splits' level sets " + LEVEL_LIMIT):
+            q_union_level(2, 0, (), (), 4, 1)
+
+
+def _in_child(code: str):
+    """Run code, which imports rsinf, in a child with a deadline of 60 s."""
+    pkg_dir = os.path.dirname(os.path.abspath(importlib.import_module("rsinf").__file__))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("code", [
+    # one weight, the zero vector: a level set per split is quadratic in
+    # the level, minutes at n = 20,000
+    "n = 20_000\n"
+    "assert q_union_level(n, 0, (), (), n, 0) == {(0,) * n}",
+    # n weights, all in the split of the largest r': a level set per
+    # split is cubic, 8.6 s at n = 400
+    "n = 2_000\n"
+    "assert q_union_level(n - 2, 0, (1,), (), n, 0) == {(1,) * k + (0,) * (n - k) for k in range(n)}",
+    # one factor per part of X: a loop per factor took 2.1 s at N = 8,000
+    "N = 8_000\n"
+    "assert gamma(cls_params(0, 0, 0, range(N, 0, -1)), N + 1) == (*range(N, 0, -1), *(0,) * (N + 2))",
+], ids=["q-union-one-weight", "q-union-one-split", "gamma"])
+def test_deep_level_repros_answer_in_time(code):
+    proc = _in_child("from rsinf import cls_params, gamma, q_union_level\n" + code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pair_count_matches_the_emitted_pairs():

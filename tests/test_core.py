@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,7 +34,9 @@ from rsinf.core import (
 )
 from rsinf.classifier import omega
 from rsinf.cls import basic_level, cls_level, cls_params, gamma, member, q_union_level
-from rsinf.rs_finite import admissible, apply_interchange, connected, joseph_equal, rho_shift, rs
+from rsinf.rs_finite import (
+    admissible, apply_interchange, connected, j, joseph_equal, rho_shift, rs, rs_trace,
+)
 from rsinf.rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -271,6 +275,49 @@ def test_integer_arguments_refuse_what_is_not_an_int(name, call):
         assert str(exc.value).endswith(f", not {v!r}"), str(exc.value)
 
 
+def test_every_int_call_keeps_what_it_returns():
+    """core._int returns the plain int that the caller computes with.  A
+    call that is a whole statement, or only compared, checks the
+    argument and keeps the caller's object, so an int subclass's own
+    arithmetic reaches the computation: twelve such calls gave wrong
+    answers for eight public calls."""
+    dropped = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Expr, ast.Compare)):
+                for child in ast.iter_child_nodes(node):
+                    func = getattr(child, "func", None)
+                    if getattr(func, "id", getattr(func, "attr", None)) == "_int":
+                        dropped.append(f"{path.name}:{child.lineno}")
+    assert dropped == []
+
+
+def _answer(call):
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("lying, plain", [
+    (lambda: cls_level(cls_params(_Odd(5), 0, 0), 3, 1), lambda: cls_level(cls_params(5, 0, 0), 3, 1)),
+    (lambda: cls_level(cls_params(0, 0, 1), _Odd(3), 2), lambda: cls_level(cls_params(0, 0, 1), 3, 2)),
+    (lambda: basic_level("R", _Odd(1), 3, 9), lambda: basic_level("R", 1, 3, 9)),
+    (lambda: q_union_level(_Odd(1), 0, (), (), 3, 1), lambda: q_union_level(1, 0, (), (), 3, 1)),
+    (lambda: member(cls_params(0, 0, 1), tuple(map(_Odd, (2, 1, 0)))),
+     lambda: member(cls_params(0, 0, 1), (2, 1, 0))),
+    (lambda: admissible([3, 1, 2], _Odd(2)), lambda: admissible([3, 1, 2], 2)),
+    (lambda: apply_interchange([3, 1, 2], _Odd(2)), lambda: apply_interchange([3, 1, 2], 2)),
+    (lambda: joseph_equal([1, 2], [0, 1], k=_Odd(1)), lambda: joseph_equal([1, 2], [0, 1], k=1)),
+], ids=["r'", "level", "index", "r", "weight", "admissible", "apply_interchange", "shift"])
+def test_lying_int_arguments_answer_as_plain_ones(lying, plain):
+    # an int subclass's own sums and differences reached each of these
+    # calls: where they give 0, the calls answered three weights where
+    # r' = 5 is refused, {(0, 0, 0)}, an extra (1, 0, 0), the empty set,
+    # True, True, (2, 1, 3) and False, without an error
+    assert _answer(lying) == _answer(plain)
+
+
 def test_bool_offsets_are_refused():
     # FieldElem(Fraction(0), True) used to build and print 1
     for anchor in (Fraction(0), Fraction(1, 2), "a"):
@@ -336,6 +383,25 @@ def test_family_order_is_canonical():
     assert [t.anchor for t in TableauFamily((ta, t0))] == [Fraction(0), "a"]
     with pytest.raises(ValueError):
         TableauFamily((ta, Tableau.from_offsets("a", [[2]])))
+
+
+def test_families_order_classes_whose_names_do_not_print():
+    """A family sorts its classes by printed name, and a class whose name
+    is past the digit limit after every printable one, by (numerator,
+    denominator); rs, j, rs_trace and rs_infinite print nothing, and
+    used to raise on such an entry that classify read."""
+    tiny, tinier = Fraction(1, 10**5000), Fraction(1, 10**5001)
+    word = [tinier, tiny + 1, "a", 3, Fraction(1, 2), tiny]
+    fam = rs(word)
+    assert [t.anchor for t in fam] == [Fraction(0), Fraction(1, 2), "a", tiny, tinier]
+    assert fam == TableauFamily(fam.tableaux[::-1])
+    assert fam[3].offsets() == ((1, 0),)
+    assert len(j(word)) == 5 and rs_trace(word)[-1].family == fam
+    block = stably_decreasing(Axis.NEG, [tiny + 1, tiny + 3, 5, 7], left_law=tiny + 6)
+    assert rs_infinite(block).r == 3
+    with pytest.raises(ValueError, match=r"^the family has two tableaux of class "
+                       r"FieldElem\(1/<16610-bit int>, offset=0\)$"):
+        TableauFamily((rs([tiny])[0], rs([tiny + 2])[0]))
 
 
 def test_family_size_and_access():
@@ -548,6 +614,8 @@ class _Odd(int):
 
     def __sub__(self, other):
         return 0.25
+
+    __radd__, __rsub__ = __add__, __sub__
 
     def __neg__(self):
         return "x"

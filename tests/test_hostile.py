@@ -15,10 +15,16 @@ past its limit before building anything: rs_infinite past
 _RS_INF_MAX_R displaced entries, ins past _INS_MAX_ENTRIES window
 entries, and cls_level, q_union_level, cls.basic_level and gamma past
 _LEVEL_MAX_ENTRIES entries.
+
+Every call is made a second time with each int in its arguments
+replaced by a Liar, an int whose own arithmetic and order lie, and
+must answer or raise exactly as the first: the package computes with
+the plain int that core._int returns, never with the caller's object.
 """
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +69,32 @@ LOOP.append(LOOP)
 
 class MyInt(int):
     pass
+
+
+class Liar(int):
+    """An int whose own arithmetic and order lie: every sum, difference,
+    product and negation is 0, and every order comparison is false."""
+
+    def _zero(self, *other):
+        return 0
+
+    def _false(self, other):
+        return False
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _zero
+    __lt__ = __le__ = __gt__ = __ge__ = _false
+
+
+def lie(value):
+    """value with each int in it replaced by a Liar of the same value,
+    inside lists and tuples and in the fields of a ClsParams too."""
+    if type(value) is int:
+        return Liar(value)
+    if type(value) in (list, tuple):
+        return type(value)(map(lie, value))
+    if isinstance(value, ClsParams):
+        return type(value)(*map(lie, (value.r1, value.r2, value.g, value.X, value.Y)))
+    return value
 
 
 class MyStr(str):
@@ -478,15 +510,38 @@ def test_hostile_arguments_answer_or_raise_a_clean_error(name, data):
         pass
 
 
+def _outcome(call, args, kwargs):
+    """What call(*args, **kwargs) answers, or the type and message of
+    the TypeError or ValueError it raises; a message that names the type
+    of a Liar argument names int instead."""
+    try:
+        return call(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), re.sub(rf"\b({__name__}\.)?Liar\b", "int", str(exc))
+
+
+# an exception class answers an exception, which equals only itself
+@pytest.mark.parametrize("name", sorted(set(SWEEP) - {"LevelError"}))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_lying_int_arguments_answer_as_plain_ones(name, data):
+    """An int subclass's own arithmetic never reaches the computation:
+    Liar(5) as r' gave three weights where 5 is refused, and Liar(2) as
+    an interchange position admitted a move that 2 does not."""
+    call, kwargs = data.draw(SWEEP[name], label="arguments")
+    plain = _outcome(getattr(rsinf, name), call, kwargs)
+    lying = _outcome(getattr(rsinf, name), lie(call), {k: lie(v) for k, v in kwargs.items()})
+    assert lying == plain
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_basic_level_answers_or_raises_a_clean_error(data):
-    """cls.basic_level, which rsinf does not export, swept as the rest."""
+    """cls.basic_level, which rsinf does not export, swept as the rest,
+    with plain and with lying ints."""
     kind = data.draw(st.one_of(st.sampled_from(["T", "L", "R", "E", "Linf", "Rinf", "Einf"]),
                                hostile), label="kind")
     i, n, bound = data.draw(st.tuples(st.one_of(st.integers(-2, 8), hostile), levels, bounds),
                             label="i, level, bound")
-    try:
-        basic_level(kind, i, n, bound)
-    except (TypeError, ValueError):
-        pass
+    plain = _outcome(basic_level, (kind, i, n, bound), {})
+    assert _outcome(basic_level, (kind, *map(lie, (i, n, bound))), {}) == plain
