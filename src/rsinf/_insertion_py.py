@@ -1,18 +1,18 @@
-"""Pure-Python Schensted bumping over packed integer keys.
+"""Pure-Python Schensted bumping over integer keys.
 
-Entry t of an n-entry word with offset x is packed into the one int key
-(n - 1 - t) - x * n: the pair key (-x, -t) in lexicographic order.  Keys
-are distinct, a row keeps them sorted ascending, so its offsets strictly
-decrease, and among equal offsets the newer entry has the smaller key, so
-it bumps the older one.  A row is one sorted list, a bump is one
-``bisect_left`` and a swap, and the index is decoded as n - 1 - key % n.
+A row is one sorted ascending list of keys, and a bump is one
+``bisect_left`` and a swap, so a key equal to one in the row bumps that
+older one.  ``insert_sequence`` inserts each offset as its negation:
+its rows hold strictly decreasing offsets, and an equal offset bumps the
+one already in the row.
 """
 
 from bisect import bisect_left
+from operator import neg
 
 
 def insert_one(rows, key):
-    """Bump one packed key through the rows, mutating them in place."""
+    """Bump one key through the rows, mutating them in place."""
     for row in rows:
         i = bisect_left(row, key)
         if i == len(row):
@@ -23,9 +23,8 @@ def insert_one(rows, key):
 
 
 def insert_sequence(offsets):
-    """Insert all offsets in order; return rows of indices into the input."""
-    n = len(offsets)
+    """Insert all offsets in order; return rows of offsets."""
     rows = []
-    for offset, key in zip(offsets, range(n - 1, -1, -1)):
-        insert_one(rows, key - offset * n)
-    return [[n - 1 - c % n for c in row] for row in rows]
+    for key in map(neg, offsets):
+        insert_one(rows, key)
+    return [list(map(neg, row)) for row in rows]

@@ -47,25 +47,27 @@ def _inserted(vals, rho: bool = False, k: int = 0) -> dict:
     offsets of j(vals shifted by k).
     """
     step = 1 if rho else 0
-    out = {}
-    for key, positions in _classes(vals).items():
-        offsets = [vals[i].offset + k - step * (i + 1) for i in positions]
-        out[key] = [list(map(offsets.__getitem__, row)) for row in insert_sequence(offsets)]
-    return out
+    return {
+        key: insert_sequence([vals[i].offset + k - step * (i + 1) for i in positions])
+        for key, positions in _classes(vals).items()
+    }
 
 
 def rs(values) -> TableauFamily:
-    """Insert the sequence, one tableau per integrality class.  The rows
-    hold the input's own entries, and a tableau's anchor is the first one
-    seen in its class."""
+    """Insert the sequence, one tableau per integrality class.  Each box
+    holds an input entry of its value, and a tableau's anchor is the
+    first one seen in its class."""
     vals = elems(values)
     tabs = []
     for positions in _classes(vals).values():
         es = list(map(vals.__getitem__, positions))
-        rows = insert_sequence([e.offset for e in es])
+        offsets = [e.offset for e in es]
+        # the kernel's rows hold offsets, and one class's entries of one
+        # offset are equal, so any of them fills its box
+        entry = dict(zip(offsets, es)).__getitem__
         # kernel rows over one class's entries are a tableau by construction
         tabs.append(_unchecked_tableau(
-            es[0].anchor, tuple([tuple(map(es.__getitem__, row)) for row in rows])
+            es[0].anchor, tuple([tuple(map(entry, row)) for row in insert_sequence(offsets)])
         ))
     return TableauFamily(tuple(tabs))
 
@@ -91,7 +93,11 @@ def rs_trace(values) -> tuple[InsertionStep, ...]:
     built: dict = {}
     steps = []
     for pos, e in enumerate(vals, start=1):
-        # the kernel's packed key, distinct across classes; key % n is
+        # entry pos of n with offset x is packed into the one int key
+        # (n - pos) - x * n: the pair key (-x, -pos) in lexicographic
+        # order, distinct across classes.  A row keeps its keys ascending,
+        # so its offsets strictly decrease, and the newer of two equal
+        # offsets has the smaller key and bumps the older; key % n is
         # n - pos, so the key decodes to its entry and position
         key = n - pos - e.offset * n
         ckey = _class_key(e.anchor)

@@ -19,7 +19,7 @@ from rsinf._kernel import insert_sequence
 from rsinf.core import (
     FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor,
 )
-from rsinf.rs_finite import InterchangePath, rs, seq_of
+from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, rs, seq_of
 from rsinf.rs_infinite import (
     Axis, EventuallyConstantSeq, InfiniteRSResult, StablyDecreasingSeq, _first,
     eventually_constant, partition_from_row, stably_decreasing, star_seq,
@@ -39,6 +39,17 @@ def _load_oracles():
 
 
 oracles = _load_oracles()
+
+
+def walk(rng, f, shifted):
+    """f after up to five random interchanges of one variant."""
+    g = f
+    for _ in range(rng.randint(0, 5)):
+        opts = [i for i in range(1, len(g)) if admissible(g, i, shifted=shifted)]
+        if not opts:
+            break
+        g = apply_interchange(g, rng.choice(opts), shifted=shifted)
+    return g
 
 
 def pairs_of(values) -> tuple:
@@ -92,17 +103,18 @@ def fraction_negate(e: FieldElem) -> FieldElem:
 def setdefault_insert_by_class(vals) -> dict:
     """rs's grouping as it was: one dict lookup per entry, keyed by the
     hashed anchor; a dict from the first anchor seen in each class to the
-    rows of the input's own entries."""
+    rows of the input's own entries, each box holding an entry of the
+    offset the kernel put there."""
     by_class: dict = {}
     for e in vals:
         by_class.setdefault(e.anchor, []).append(e)
-    return {
-        anchor: tuple(
-            tuple(es[i] for i in row)
-            for row in insert_sequence([e.offset for e in es])
+    out = {}
+    for anchor, es in by_class.items():
+        by_offset = {e.offset: e for e in es}
+        out[anchor] = tuple(
+            tuple(by_offset[x] for x in row) for row in insert_sequence([e.offset for e in es])
         )
-        for anchor, es in by_class.items()
-    }
+    return out
 
 
 class Comparison(enum.Enum):

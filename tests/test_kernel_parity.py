@@ -1,10 +1,12 @@
 """The compiled insertion kernel and the pure one must agree exactly, and
-both with the pair-keyed insertion of tests/helpers.py.
+both with the benchmark's insertion oracle and the pair-keyed insertion
+of tests/helpers.py.
 
 The compiled kernel is built once per session by the repository's own
 setup.py into a temporary directory and loaded from there, so the setup
-declaration is tested too and nothing is written under src/.  Its tests
-skip only when no C compiler is found."""
+declaration is tested too and nothing is written under src/; a compiler
+that takes gcc's flags builds it with -Wall -Werror.  Its tests skip
+only when no C compiler is found."""
 
 import dataclasses
 import importlib.util
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_insert
+from helpers import oracles, pair_insert, pairs_of, walk
 from rsinf import _kernel, rs_finite
 from rsinf.core import Tableau, elem
 from rsinf._insertion_py import insert_one
@@ -33,7 +35,11 @@ REPO = Path(__file__).resolve().parents[1]
 
 def _build_ext(build_dir, env=None):
     """Run setup.py build_ext into build_dir; return the process and the
-    extension files it built."""
+    extension files it built.  A compiler that takes gcc's flags builds
+    with every -Wall warning an error."""
+    env = dict(os.environ if env is None else env)
+    if _gnu_flags(_c_compiler(env)):
+        env["CFLAGS"] = f"{env.get('CFLAGS', '')} -Wall -Werror".strip()
     out = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(build_dir / "lib"), "--build-temp", str(build_dir / "tmp")],
@@ -42,9 +48,18 @@ def _build_ext(build_dir, env=None):
     return out, sorted((build_dir / "lib" / "rsinf").glob("_insertion.*"))
 
 
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+def _c_compiler(env=os.environ):
+    cc = env.get("CC") or sysconfig.get_config_var("CC") or "cc"
     return shutil.which(shlex.split(cc)[0])
+
+
+def _gnu_flags(cc):
+    """Whether the compiler at path cc takes gcc's warning flags: gcc and
+    clang both predefine __GNUC__."""
+    if cc is None:
+        return False
+    out = subprocess.run([cc, "-dM", "-E", "-"], input="", capture_output=True, text=True)
+    return out.returncode == 0 and "__GNUC__" in out.stdout
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +70,8 @@ def build(tmp_path_factory):
     before = set((REPO / "src").rglob("*"))
     out, built = _build_ext(tmp_path_factory.mktemp("build"))
     assert out.returncode == 0 and len(built) == 1, out.stdout + out.stderr
+    if _gnu_flags(_c_compiler()):
+        assert "-Werror" in out.stdout, out.stdout
     return built[0], set((REPO / "src").rglob("*")) - before
 
 
@@ -67,6 +84,12 @@ def built(build):
     return module
 
 
+def _pair_rows(offsets):
+    """helpers.pair_insert's rows of indices, each index replaced by the
+    offset it points at."""
+    return [[offsets[i] for i in row] for row in pair_insert(offsets, range(1, len(offsets) + 1))]
+
+
 def test_backend_reports_something_sensible():
     assert _kernel.BACKEND in ("compiled", "pure")
 
@@ -74,8 +97,8 @@ def test_backend_reports_something_sensible():
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_backends_agree(built, offsets):
-    want = pair_insert(offsets, range(1, len(offsets) + 1))
-    assert built.insert_sequence(offsets) == pure_insert(offsets) == want
+    want = oracles.insert_rows(offsets)
+    assert built.insert_sequence(offsets) == pure_insert(offsets) == want == _pair_rows(offsets)
 
 
 def _duplicate_heavy(rng, max_len):
@@ -88,8 +111,9 @@ def test_backends_agree_on_duplicate_heavy_input(built):
     rng = random.Random(42)
     for _ in range(500):
         offsets = _duplicate_heavy(rng, 200)
-        want = pair_insert(offsets, range(1, len(offsets) + 1))
+        want = oracles.insert_rows(offsets)
         assert built.insert_sequence(offsets) == pure_insert(offsets) == want, offsets
+        assert want == _pair_rows(offsets), offsets
 
 
 def test_kernel_matches_pair_keyed_insertion():
@@ -98,7 +122,8 @@ def test_kernel_matches_pair_keyed_insertion():
     rng = random.Random(1961)
     for _ in range(2000):
         offsets = _duplicate_heavy(rng, 60)
-        want = pair_insert(offsets, range(1, len(offsets) + 1))
+        want = _pair_rows(offsets)
+        assert want == oracles.insert_rows(offsets), offsets
         assert pure_insert(offsets) == want, offsets
         assert _kernel.insert_sequence(offsets) == want, offsets
 
@@ -124,7 +149,7 @@ def test_build_without_a_compiler_exits_cleanly(tmp_path):
 def test_huge_offsets_fall_back_to_pure():
     offsets = [10**30, 3, -(10**25), 3, 10**30]
     assert _kernel.insert_sequence(offsets) == pure_insert(offsets)
-    assert pure_insert(offsets) == pair_insert(offsets, range(1, 6))
+    assert pure_insert(offsets) == _pair_rows(offsets) == oracles.insert_rows(offsets)
 
 
 def test_compiled_kernel_refuses_offsets_outside_64_bits(built, monkeypatch):
@@ -132,7 +157,7 @@ def test_compiled_kernel_refuses_offsets_outside_64_bits(built, monkeypatch):
         with pytest.raises(OverflowError):
             built.insert_sequence(offsets)
     edges = [2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63)]
-    assert built.insert_sequence(edges) == pure_insert(edges)
+    assert built.insert_sequence(edges) == pure_insert(edges) == oracles.insert_rows(edges)
     # _kernel catches the OverflowError and answers with the pure kernel
     monkeypatch.setattr(_kernel, "_impl", built)
     offsets = [10**30, 3, -(10**25), 3, 10**30, 2**70, -(2**70)]
@@ -181,7 +206,7 @@ def test_env_override_selects_pure_backend():
 
 def test_built_package_selects_compiled_backend(build, tmp_path):
     # a copy of the package holding the built extension imports it, unless
-    # RSINF_PURE is set
+    # RSINF_PURE is set to a value other than the empty string and 0
     pkg_dir = tmp_path / "rsinf"
     shutil.copytree(
         os.path.dirname(os.path.abspath(_kernel.__file__)), pkg_dir,
@@ -190,14 +215,17 @@ def test_built_package_selects_compiled_backend(build, tmp_path):
     shutil.copy(build[0], pkg_dir)
     assert _child_backend(str(pkg_dir)) == "compiled"
     assert _child_backend(str(pkg_dir), RSINF_PURE="1") == "pure"
+    # an empty value and 0 leave the override off
+    assert _child_backend(str(pkg_dir), RSINF_PURE="") == "compiled"
+    assert _child_backend(str(pkg_dir), RSINF_PURE="0") == "compiled"
 
 
 def test_bump_prefers_the_older_equal_entry():
-    # rows hold input slots; inserting an equal value displaces the old
-    # copy, so slot 2 stays in the first row and slot 0 drops out
-    assert pure_insert([2, 1, 2]) == [[2, 1], [0]]
+    # inserting an equal value displaces the copy already in the row, so
+    # the first row stays strictly decreasing and the older 2 drops out
+    assert pure_insert([2, 1, 2]) == [[2, 1], [2]]
     # a strictly larger value bumps the leftmost smaller-or-equal entry
-    assert pure_insert([5, 3, 8]) == [[2, 1], [0]]
+    assert pure_insert([5, 3, 8]) == [[8, 3], [5]]
 
 
 def test_empty_input():
@@ -208,7 +236,7 @@ def test_empty_input():
 def _oracle_corpus(rng):
     """Empty and one-entry words, one value repeated 500 times,
     duplicate-heavy words of up to 2,000 entries, and offsets of +-2**70
-    among small ones, where the packed keys outgrow 64 bits."""
+    among small ones, where the compiled kernel overflows."""
     big = 2**70
     corpus = [[], [0], [-7], [big], [5] * 500]
     for spread in (0, 1, 2, 5, 50):
@@ -238,24 +266,24 @@ def _check_rs_trace(offsets):
         assert steps[-1].family == rs_finite.rs(offsets), offsets
 
 
-def test_packed_kernel_matches_single_insertions_and_pair_keys():
+def test_pure_kernel_matches_single_insertions_and_pair_keys():
     corpus = _oracle_corpus(random.Random(20261018))
     assert max(map(len, corpus)) > 1000
     for offsets in corpus:
         got = pure_insert(offsets)
-        assert got == pair_insert(offsets, range(1, len(offsets) + 1)), offsets
+        assert got == oracles.insert_rows(offsets) == _pair_rows(offsets), offsets
         if len(offsets) <= 500:
             _check_rs_trace(offsets)
         assert _kernel.insert_sequence(offsets) == got, offsets
     # one repeated value bumps its older copy down every row
-    assert pure_insert([5] * 500) == [[t] for t in range(499, -1, -1)]
+    assert pure_insert([5] * 500) == [[5]] * 500
 
 
 def test_built_kernel_matches_the_oracle_corpus(built, monkeypatch):
     # offsets of +-2**70 raise in the module, and _kernel falls back
     monkeypatch.setattr(_kernel, "_impl", built)
     for offsets in _oracle_corpus(random.Random(20261018)):
-        want = pure_insert(offsets)
+        want = oracles.insert_rows(offsets)
         assert _kernel.insert_sequence(offsets) == want, offsets
         if all(-(2**63) <= x < 2**63 for x in offsets):
             assert built.insert_sequence(offsets) == want, offsets
@@ -340,3 +368,64 @@ def test_unchecked_tableaux_pass_the_check_compiled(monkeypatch, built):
 
     _unchecked_tableaux_pass_the_check(monkeypatch, Counted)
     assert calls
+
+
+def _interchange_answers(words, pairs):
+    """_inserted of each word and j-shifted word, and connected (plain and
+    shifted) and joseph_equal (k given and omitted) on each pair."""
+    inserted = [(rs_finite._inserted(w), rs_finite._inserted(w, True)) for w in words]
+    answers = [
+        (rs_finite.connected(f, g), rs_finite.connected(f, g, shifted=True),
+         rs_finite.joseph_equal(f, g), rs_finite.joseph_equal(f, g, k=k))
+        for f, g, k in pairs
+    ]
+    return inserted, answers
+
+
+def test_backends_decide_interchanges_alike(monkeypatch, built):
+    # a class holding an offset of +-2**70 overflows the compiled call and
+    # falls back to the pure kernel, so one _inserted dict mixes rows
+    # from both backends
+    rng = random.Random(20261021)
+    words = _mixed_words(rng)
+    pairs = []
+    for w in words:
+        # connected searches only words short enough to search whole
+        f = w[:8]
+        for g in (walk(rng, f, False), walk(rng, f, True), rng.sample(f, len(f))):
+            pairs.append((f, g, rng.randint(-2, 2)))
+        # a shift of a long word: joseph_equal finds k, and no search runs
+        k = rng.randint(-3, 3)
+        pairs.append((w, [e.shift(k) for e in w], -k))
+    monkeypatch.setattr(_kernel, "_impl", None)
+    pure = _interchange_answers(words, pairs)
+
+    outcomes = []
+
+    class Counted:
+        @staticmethod
+        def insert_sequence(offsets):
+            try:
+                rows = built.insert_sequence(offsets)
+            except OverflowError:
+                outcomes.append("overflow")
+                raise
+            outcomes.append("compiled")
+            return rows
+
+    monkeypatch.setattr(_kernel, "_impl", Counted)
+    mixed = 0
+    for w in words + [f for f, _, _ in pairs]:
+        outcomes.clear()
+        rs_finite._inserted(w)
+        mixed += len(set(outcomes)) == 2
+    assert mixed >= 3
+    compiled = _interchange_answers(words, pairs)
+    assert compiled == pure
+    inserted, answers = pure
+    for w, (plain, _) in zip(words, inserted):
+        # classes in order of first appearance on both sides
+        assert list(plain.values()) == list(oracles.insertion(pairs_of(w)).values()), w
+    assert sum(a[0] is not None for a in answers) > 10
+    assert sum(a[1] is not None for a in answers) > 10
+    assert sum(a[2] for a in answers) > 10

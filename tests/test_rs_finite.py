@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rsinf.rs_finite as rs_finite_mod
 from helpers import (
     bfs_connected, oracles, pairs_of, rand_family, setdefault_insert_by_class, unchecked_tableau_sites,
+    walk,
 )
 from rsinf.classifier import Finite, Omega, ProperIdeal, WeightSpec, ZeroIdeal, Zeta, classify
 from rsinf.core import FieldElem, Tableau, TableauFamily, elem, elems, parse_elem, same_anchor
@@ -241,16 +242,6 @@ LITERALS = ("0", "1", "2", "3", "1/2", "3/2", "-1/2", "a", "a+1", "a-1")
 
 def rand_word(rng, n):
     return seq(",".join(rng.choice(LITERALS) for _ in range(n)))
-
-
-def walk(rng, f, shifted):
-    g = f
-    for _ in range(rng.randint(0, 5)):
-        opts = [i for i in range(1, len(g)) if admissible(g, i, shifted=shifted)]
-        if not opts:
-            break
-        g = apply_interchange(g, rng.choice(opts), shifted=shifted)
-    return g
 
 
 # the integers and the classes of 1/2, a and -b
