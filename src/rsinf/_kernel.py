@@ -12,7 +12,10 @@ Three things choose the backend:
 * ``RSINF_PURE`` set to any value but the empty string and ``0``, which
   selects the pure kernel even where the extension is built;
 * per call, an offset outside 64 bits: the extension raises
-  ``OverflowError`` and this call runs the pure kernel instead.
+  ``OverflowError`` and this call runs the pure kernel instead.  The
+  interchange checks insert codes, offset * (number of classes) + class
+  index, which pass 64 bits sooner than the offsets do; such a class
+  falls back alone, and its rows are the same on both kernels.
 
 ``BACKEND`` names the result of the first two.  ``rs_trace`` inserts
 one entry per step with ``_insertion_py.insert_one`` on every backend:

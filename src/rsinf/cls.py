@@ -352,9 +352,10 @@ def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
     By the Hall test of _level_set, a split of pointwise larger
     capacities holds every weight of the other, so with Y empty the
     union is the set of the largest r', with X empty that of the
-    smallest.  The splits searched share one budget of
-    _LEVEL_MAX_ENTRIES // n weights, duplicates counted, and refuse
-    together past it."""
+    smallest.  The union grows split by split, and each split's search
+    may hold _LEVEL_MAX_ENTRIES // n weights less those of the union so
+    far, so the weights held never pass that budget, and a refusal means
+    the union and one split's set together do."""
     n, bound, r = _level_args(n, bound, r)
     p = cls_params(0, r, g, X, Y)  # g, X and Y are checked once
     lo, hi = max(0, r - n + 1 + len(p.Y)), min(r, n - 1 - len(p.X))
@@ -362,9 +363,8 @@ def q_union_level(r: int, g: int, X, Y, n: int, bound: int) -> frozenset:
         raise LevelError(f"level {n} is too small for every split of r={r}")
     if bound == 0 and not (p.X and p.Y):  # the one split that holds the rest
         lo = hi = lo if p.Y else hi
-    most, levels = _LEVEL_MAX_ENTRIES // n, []
+    most, union = _LEVEL_MAX_ENTRIES // n, set()
     for r1 in range(lo, hi + 1):
         split = factorization(cls_params(r1, r - r1, p.g, p.X, p.Y))
-        levels.append(_level_set(n, split, bound, most, "the splits' level sets"))
-        most -= len(levels[-1])
-    return frozenset().union(*levels)
+        union |= _level_set(n, split, bound, most - len(union), "the splits' level sets")
+    return frozenset(union)

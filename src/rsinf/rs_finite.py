@@ -9,7 +9,6 @@ from ._insertion_py import insert_one
 from ._kernel import insert_sequence
 from .core import (
     FieldElem, Tableau, TableauFamily, _class_key, _int, _unchecked, _unchecked_tableau, elems,
-    same_anchor,
 )
 
 
@@ -38,19 +37,6 @@ def _classes(vals) -> dict:
                 bucket = by_id[id(last)] = by_class.setdefault(_class_key(last), [])
         bucket.append(i)
     return by_class
-
-
-def _inserted(vals, rho: bool = False, k: int = 0) -> dict:
-    """The insertion of vals as plain data, for equality tests: a dict
-    from each class key to the offset rows of its tableau.  The offsets
-    inserted are offset + k, minus the 1-based position when rho: the
-    offsets of j(vals shifted by k).
-    """
-    step = 1 if rho else 0
-    return {
-        key: insert_sequence([vals[i].offset + k - step * (i + 1) for i in positions])
-        for key, positions in _classes(vals).items()
-    }
 
 
 def rs(values) -> TableauFamily:
@@ -162,6 +148,32 @@ def _codes(vals) -> tuple[tuple[int, ...], int]:
     return tuple(out), m
 
 
+def _rho(w: tuple[int, ...], m: int, k: int = 0) -> tuple[int, ...]:
+    """The codes of rho_shift of the code word w, of m classes, shifted
+    by k: the entry at 1-based position p moves by k - p."""
+    return tuple([c + m * (k - p) for p, c in enumerate(w, 1)])
+
+
+def _class_rows(w: tuple[int, ...], m: int) -> list:
+    """Each class's insertion rows of the code word w, of m classes, in
+    class index order: one pass groups the codes, and each class is
+    inserted once.  Inside a class codes order as the offsets do, so code
+    rows are equal exactly when offset rows are."""
+    if m == 1:
+        return [insert_sequence(w)]
+    by_class: list = [[] for _ in range(m)]
+    for c in w:
+        by_class[c % m].append(c)
+    return list(map(insert_sequence, by_class))
+
+
+def _same_insertion(a: tuple[int, ...], b: tuple[int, ...], m: int) -> bool:
+    """Whether the code words a and b, of m classes, have equal insertions.
+    Insertion only moves entries within their class's tableau, so
+    unequal sorted codes answer False with no kernel call."""
+    return sorted(a) == sorted(b) and _class_rows(a, m) == _class_rows(b, m)
+
+
 def _admissible_here(w: tuple[int, ...], m: int, i: int) -> bool:
     """Whether positions i, i+1 (1-based) of the code word w, of m
     classes, admit a plain interchange: entries of two classes always
@@ -184,11 +196,12 @@ def _admissible_here(w: tuple[int, ...], m: int, i: int) -> bool:
 def admissible(values, i: int, shifted: bool = False) -> bool:
     """Whether positions i, i+1 (1-based) admit an interchange.  A
     shifted move on f is a plain move at the same position on
-    rho_shift(f)."""
+    rho_shift(f), whose codes _rho reads off those of f."""
     f, i = elems(values), _int(i, "the interchange position i")
     if not 1 <= i <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
-    return _admissible_here(*_codes(rho_shift(f) if shifted else f), i)
+    w, m = _codes(f)
+    return _admissible_here(_rho(w, m) if shifted else w, m, i)
 
 
 def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem, ...]:
@@ -197,12 +210,8 @@ def apply_interchange(values, i: int, shifted: bool = False) -> tuple[FieldElem,
     f, i = elems(values), _int(i, "the interchange position i")
     if not admissible(f, i, shifted=shifted):
         raise ValueError(f"positions {i}, {i + 1} do not admit an interchange")
-    out = list(f)
-    if shifted:
-        out[i - 1], out[i] = f[i].shift(-1), f[i - 1].shift(1)
-    else:
-        out[i - 1], out[i] = f[i], f[i - 1]
-    return tuple(out)
+    pair = (f[i].shift(-1), f[i - 1].shift(1)) if shifted else (f[i], f[i - 1])
+    return f[: i - 1] + pair + f[i + 1 :]
 
 
 @dataclass(frozen=True)
@@ -235,29 +244,30 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
 
     Two words are joined by interchanges exactly when their insertions
     agree (Knuth 1970), so unequal insertions answer None without a
-    search; the insertions are compared as per-class offset rows, and no
-    tableau is built.  A shifted move on f is a plain move at the same
-    position on rho_shift(f), so the shifted variant compares j and
-    searches the shifted words.  The breadth-first search tries
-    positions in increasing order, which fixes the path among the
-    shortest ones.  A search that would keep more than
-    _CONNECTED_MAX_STATES words raises ValueError.
+    search.  Both words are coded in one _codes pass, so their codes
+    share one class order, and _same_insertion compares them: insertion
+    keeps each class's multiset of entries, so unequal multisets answer
+    None with no insertion, and no tableau is built.  A shifted move on
+    f is a plain move at the same position on rho_shift(f), so the
+    shifted variant compares and searches the codes of the shifted
+    words.  The breadth-first search tries positions in increasing
+    order, which fixes the path among the shortest ones.  A search that
+    would keep more than _CONNECTED_MAX_STATES words raises ValueError.
     """
     start, goal = elems(f), elems(g)
     if len(start) != len(goal):
         return None
     if start == goal:
         return InterchangePath(())
-    if _inserted(start, shifted) != _inserted(goal, shifted):
-        return None
-    if shifted:
-        start, goal = rho_shift(start), rho_shift(goal)
-    # both words are coded in one pass, so their codes share one class
-    # order; the search keys visited words by code tuples and decides
-    # each move on them, so no state hashes a FieldElem or its anchor
+    # the search keys visited words by code tuples and decides each move
+    # on them, so no state hashes a FieldElem or its anchor
     n = len(start)
     codes, m = _codes(start + goal)
     first, target = codes[:n], codes[n:]
+    if shifted:
+        first, target = _rho(first, m), _rho(target, m)
+    if not _same_insertion(first, target, m):
+        return None
     prev: dict = {first: None}
     queue = deque([first])
     while queue:
@@ -293,21 +303,22 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
     j only rearranges the entries of rho_shift, so equal results have
     equal entries class by class.  That fixes the one k that can work:
     the largest shifted entry of f in the class of f's first entry minus
-    the largest shifted entry of fprime in that class.  Both j are
-    compared as per-class offset rows, and no tableau is built.
+    the largest shifted entry of fprime in that class.  Both words are
+    coded in one _codes pass, so f's first class has index 0 and its
+    codes are offset * m, and _same_insertion compares the shifted
+    codes: unequal multisets answer False with no insertion, and no
+    tableau is built.
     """
     a, b = elems(f), elems(fprime)
-    if k is None:
-        if len(a) != len(b):
-            return False
-        if not a:
-            return True
-        anchor = a[0].anchor
-        ka = [e.offset - i for i, e in enumerate(a, 1) if same_anchor(e.anchor, anchor)]
-        kb = [e.offset - i for i, e in enumerate(b, 1) if same_anchor(e.anchor, anchor)]
-        if not kb:
-            return False
-        k = max(ka) - max(kb)
-    else:
+    if k is not None:
         k = _int(k, "the shift k")
-    return _inserted(a, True) == _inserted(b, True, k)
+    elif len(a) != len(b):
+        return False
+    codes, m = _codes(a + b)
+    ja, jb = _rho(codes[: len(a)], m), codes[len(a) :]
+    if k is None:
+        kb = [c for c in _rho(jb, m) if c % m == 0]
+        if not kb:  # fprime misses the class of f[0], or both words are empty
+            return not a
+        k = (max([c for c in ja if c % m == 0]) - max(kb)) // m
+    return _same_insertion(ja, _rho(jb, m, k), m)

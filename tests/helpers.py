@@ -3,7 +3,9 @@
 import enum
 import importlib.util
 import itertools
+import os
 import re
+import subprocess
 import sys
 from bisect import bisect_right
 from collections import deque
@@ -39,6 +41,14 @@ def _load_oracles():
 
 
 oracles = _load_oracles()
+
+
+def in_child(code: str, timeout: float = 60):
+    """Run code, which imports rsinf, in a child with a deadline."""
+    pkg_dir = os.path.dirname(os.path.abspath(importlib.import_module("rsinf").__file__))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def walk(rng, f, shifted):

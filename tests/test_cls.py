@@ -1,9 +1,6 @@
 import importlib
 import itertools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -14,6 +11,7 @@ from helpers import (
     enumerated_basic_level,
     f_kn,
     frontier_split,
+    in_child,
     loop_gamma,
     normalize,
     product_cls_level,
@@ -671,27 +669,21 @@ def test_level_sets_answer_at_their_limit_and_refuse_past_it(monkeypatch):
         q_union_level(0, 0, (), (), 7, 0)
     with pytest.raises(ValueError, match="^the weight of level 8 " + LEVEL_LIMIT):
         gamma(cls_params(1, 0, 0), 4)
-    # the splits share one budget: they hold 3, 4 and 3 weights of level
-    # 4, and their union 5, so a limit of 16 entries admits each split and
-    # the union, but not the splits together; 40 admit them, 39 do not
+    # the splits share one budget, less the union so far: they hold 3, 4
+    # and 3 weights of level 4, the first two a union of 5, so the third
+    # needs room for 5 + 3 weights, 32 entries, and 31 refuse; 16 refuse
+    # at the second split, since 3 + 4 weights pass 4
     monkeypatch.undo()
     splits = [cls_level(cls_params(r1, 2 - r1, 0), 4, 1) for r1 in range(3)]
     union = frozenset().union(*splits)
-    assert list(map(len, splits)) == [3, 4, 3] and len(union) == 5
-    monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", 40)
-    assert q_union_level(2, 0, (), (), 4, 1) == union
-    for limit in (39, 16):
+    assert list(map(len, splits)) == [3, 4, 3] and len(splits[0] | splits[1]) == len(union) == 5
+    for limit in (40, 32):
+        monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", limit)
+        assert q_union_level(2, 0, (), (), 4, 1) == union
+    for limit in (31, 16):
         monkeypatch.setattr(cls, "_LEVEL_MAX_ENTRIES", limit)
         with pytest.raises(ValueError, match="^the splits' level sets " + LEVEL_LIMIT):
             q_union_level(2, 0, (), (), 4, 1)
-
-
-def _in_child(code: str):
-    """Run code, which imports rsinf, in a child with a deadline of 60 s."""
-    pkg_dir = os.path.dirname(os.path.abspath(importlib.import_module("rsinf").__file__))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(pkg_dir)}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
 
 
 @pytest.mark.parametrize("code", [
@@ -706,9 +698,17 @@ def _in_child(code: str):
     # one factor per part of X: a loop per factor took 2.1 s at N = 8,000
     "N = 8_000\n"
     "assert gamma(cls_params(0, 0, 0, range(N, 0, -1)), N + 1) == (*range(N, 0, -1), *(0,) * (N + 2))",
-], ids=["q-union-one-weight", "q-union-one-split", "gamma"])
+    # 7,023 weights, but 287,980 counted split by split, past the budget
+    # of 166,666: a budget that counted duplicates refused after 3.3 s
+    "from rsinf import cls_level\n"
+    "n = 120\n"
+    "union = q_union_level(n - 2, 0, (), (), n, 1)\n"
+    "assert len(union) == 7_023\n"
+    "splits = [cls_level(cls_params(r1, n - 2 - r1, 0), n, 1) for r1 in range(n - 1)]\n"
+    "assert union == set().union(*splits) and sum(map(len, splits)) == 287_980",
+], ids=["q-union-one-weight", "q-union-one-split", "gamma", "q-union-shared-budget"])
 def test_deep_level_repros_answer_in_time(code):
-    proc = _in_child("from rsinf import cls_params, gamma, q_union_level\n" + code)
+    proc = in_child("from rsinf import cls_params, gamma, q_union_level\n" + code)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -370,10 +370,21 @@ def test_unchecked_tableaux_pass_the_check_compiled(monkeypatch, built):
     assert calls
 
 
+def _class_rows(w, shifted=False):
+    """The rows rs_finite._class_rows gives each class of w's codes (of
+    j's codes when shifted), mapped back from codes to offsets."""
+    codes, m = rs_finite._codes(w)
+    if shifted:
+        codes = rs_finite._rho(codes, m)
+    return [[[(x - c) // m for x in row] for row in rows]
+            for c, rows in enumerate(rs_finite._class_rows(codes, m))]
+
+
 def _interchange_answers(words, pairs):
-    """_inserted of each word and j-shifted word, and connected (plain and
-    shifted) and joseph_equal (k given and omitted) on each pair."""
-    inserted = [(rs_finite._inserted(w), rs_finite._inserted(w, True)) for w in words]
+    """The class rows of each word and j-shifted word, and connected
+    (plain and shifted) and joseph_equal (k given and omitted) on each
+    pair."""
+    inserted = [(_class_rows(w), _class_rows(w, True)) for w in words]
     answers = [
         (rs_finite.connected(f, g), rs_finite.connected(f, g, shifted=True),
          rs_finite.joseph_equal(f, g), rs_finite.joseph_equal(f, g, k=k))
@@ -384,8 +395,8 @@ def _interchange_answers(words, pairs):
 
 def test_backends_decide_interchanges_alike(monkeypatch, built):
     # a class holding an offset of +-2**70 overflows the compiled call and
-    # falls back to the pure kernel, so one _inserted dict mixes rows
-    # from both backends
+    # falls back to the pure kernel, so the class rows of one word mix
+    # rows from both backends
     rng = random.Random(20261021)
     words = _mixed_words(rng)
     pairs = []
@@ -417,15 +428,16 @@ def test_backends_decide_interchanges_alike(monkeypatch, built):
     mixed = 0
     for w in words + [f for f, _, _ in pairs]:
         outcomes.clear()
-        rs_finite._inserted(w)
+        _class_rows(w)
         mixed += len(set(outcomes)) == 2
     assert mixed >= 3
     compiled = _interchange_answers(words, pairs)
     assert compiled == pure
     inserted, answers = pure
-    for w, (plain, _) in zip(words, inserted):
+    for w, (plain, shifted) in zip(words, inserted):
         # classes in order of first appearance on both sides
-        assert list(plain.values()) == list(oracles.insertion(pairs_of(w)).values()), w
+        assert plain == list(oracles.insertion(pairs_of(w)).values()), w
+        assert shifted == list(oracles.shifted_insertion(pairs_of(w)).values()), w
     assert sum(a[0] is not None for a in answers) > 10
     assert sum(a[1] is not None for a in answers) > 10
     assert sum(a[2] for a in answers) > 10
