@@ -341,7 +341,8 @@ def parse_elems(values, what: str) -> tuple[FieldElem, ...]:
     """Parse a document's list of entries; a string is not a list."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be a list, not {type(values).__name__}")
-    return tuple(parse_entry(v, f"an entry of {what}") for v in values)
+    label = f"an entry of {what}"
+    return tuple([parse_entry(v, label) for v in values])
 
 
 _REQUIRED = object()

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from ._insertion_py import insert_one
 from ._kernel import insert_sequence
 from .core import (
-    FieldElem, Tableau, TableauFamily, _class_key, _int, _unchecked, _unchecked_tableau, elems,
+    FieldElem, Tableau, TableauFamily, _class_key, _class_order, _int, _unchecked,
+    _unchecked_tableau, elems,
 )
 
 
@@ -18,44 +19,20 @@ def rho_shift(values) -> tuple[FieldElem, ...]:
     return tuple([_unchecked(e.anchor, e.offset - i) for i, e in enumerate(elems(values), 1)])
 
 
-def _classes(vals) -> dict:
-    """Group the entries by integrality class: a dict from each class key
-    (core._class_key) to the 0-based positions of its entries, classes in
-    order of first appearance.  A run of entries with one anchor object is
-    looked up once, and by the object's id in front of its key, so each
-    distinct anchor object is keyed at most once; the entries keep their
-    anchors alive, so no id is reused during the call.
-    """
-    by_class: dict = {}
-    by_id: dict = {}
-    last = bucket = None
-    for i, e in enumerate(vals):
-        if e.anchor is not last:
-            last = e.anchor
-            bucket = by_id.get(id(last))
-            if bucket is None:
-                bucket = by_id[id(last)] = by_class.setdefault(_class_key(last), [])
-        bucket.append(i)
-    return by_class
-
-
 def rs(values) -> TableauFamily:
     """Insert the sequence, one tableau per integrality class.  Each box
     holds an input entry of its value, and a tableau's anchor is the
     first one seen in its class."""
     vals = elems(values)
-    tabs = []
-    for positions in _classes(vals).values():
-        es = list(map(vals.__getitem__, positions))
-        offsets = [e.offset for e in es]
-        # the kernel's rows hold offsets, and one class's entries of one
-        # offset are equal, so any of them fills its box
-        entry = dict(zip(offsets, es)).__getitem__
-        # kernel rows over one class's entries are a tableau by construction
-        tabs.append(_unchecked_tableau(
-            es[0].anchor, tuple([tuple(map(entry, row)) for row in insert_sequence(offsets)])
-        ))
-    return TableauFamily(tuple(tabs))
+    codes, m, anchors = _codes(vals)
+    # one class's entries of one offset share one code and are equal, so
+    # any of them fills its box
+    entry = dict(zip(codes, vals)).__getitem__
+    # kernel rows over one class's entries are a tableau by construction
+    return TableauFamily(tuple([
+        _unchecked_tableau(anchor, tuple([tuple(map(entry, row)) for row in rows]))
+        for anchor, rows in zip(anchors, _class_rows(codes, m))
+    ]))
 
 
 @dataclass(frozen=True)
@@ -71,33 +48,38 @@ class InsertionStep:
 
 
 def rs_trace(values) -> tuple[InsertionStep, ...]:
-    """All intermediate states of rs, one per input entry.  A step
-    rebuilds only the class of the entry it inserts."""
+    """All intermediate states of rs, one per input entry.  The word is
+    coded once, so each tableau carries the first anchor seen in its
+    class, as in rs, and a step rebuilds only the class of the entry it
+    inserts."""
     vals = elems(values)
     n = len(vals)
-    rows: dict = {}
-    built: dict = {}
+    codes, m, anchors = _codes(vals)
+    # the family's class order, fixed once: class indices sorted as
+    # TableauFamily sorts their anchors
+    order = sorted(range(m), key=lambda c: _class_order(anchors[c]))
+    rows, tabs, where = [[] for _ in anchors], [None] * m, [None] * m
+    live: list = []
     steps = []
-    for pos, e in enumerate(vals, start=1):
+    for pos, (e, code) in enumerate(zip(vals, codes), start=1):
         # entry pos of n with offset x is packed into the one int key
         # (n - pos) - x * n: the pair key (-x, -pos) in lexicographic
-        # order, distinct across classes.  A row keeps its keys ascending,
-        # so its offsets strictly decrease, and the newer of two equal
-        # offsets has the smaller key and bumps the older; key % n is
-        # n - pos, so the key decodes to its entry and position
-        key = n - pos - e.offset * n
-        ckey = _class_key(e.anchor)
-        key_rows = rows.setdefault(ckey, [])
-        insert_one(key_rows, key)
-        built[ckey] = (
-            _unchecked_tableau(
-                e.anchor, tuple([tuple([vals[n - 1 - c % n] for c in row]) for row in key_rows])
-            ),
-            tuple([tuple([n - c % n for c in row]) for row in key_rows]),
+        # order.  A row keeps its keys ascending, so its offsets strictly
+        # decrease, and the newer of two equal offsets has the smaller key
+        # and bumps the older; key % n is n - pos, so the key decodes to
+        # its entry and position
+        c = code % m
+        if c == len(live):  # the first entry of its class
+            live = [d for d in order if d <= c]
+        insert_one(rows[c], n - pos - e.offset * n)
+        tabs[c] = _unchecked_tableau(
+            anchors[c], tuple([tuple([vals[n - 1 - k % n] for k in row]) for row in rows[c]])
         )
-        family = TableauFamily(tuple(tab for tab, _ in built.values()))
-        # positions follow the family's canonical class order
-        steps.append(InsertionStep(family, tuple(built[_class_key(t.anchor)][1] for t in family)))
+        where[c] = tuple([tuple([n - k % n for k in row]) for row in rows[c]])
+        # tableaux given in the family's order keep it, and so do positions
+        steps.append(InsertionStep(
+            TableauFamily(tuple([tabs[d] for d in live])), tuple([where[d] for d in live])
+        ))
     return tuple(steps)
 
 
@@ -134,18 +116,32 @@ def seq_of(tableaux) -> tuple[FieldElem, ...]:
     return tuple(out)
 
 
-def _codes(vals) -> tuple[tuple[int, ...], int]:
-    """One int code per entry, and the number m of classes: the entry e
-    of the class with index c (classes in _classes order) gets
-    e.offset * m + c.  Two codes share a class exactly when they agree
-    mod m, and inside a class they order as the offsets do."""
-    by_class = _classes(vals)
-    m = len(by_class)
-    out = [0] * len(vals)
-    for c, positions in enumerate(by_class.values()):
-        for p in positions:
-            out[p] = vals[p].offset * m + c
-    return tuple(out), m
+def _codes(vals) -> tuple[tuple[int, ...], int, list]:
+    """Group the entries by integrality class (core._class_key), classes
+    in order of first appearance: one int code per entry, the number m of
+    classes, and each class's first anchor seen.  The entry e of the
+    class with index c gets e.offset * m + c, so two codes share a class
+    exactly when they agree mod m, and inside a class they order as the
+    offsets do.  A run of entries with one anchor object is looked up
+    once, and by the object's id in front of its key, so each distinct
+    anchor object is keyed at most once; the entries keep their anchors
+    alive, so no id is reused during the call."""
+    index: dict = {}
+    by_id: dict = {}
+    anchors: list = []
+    classes = []
+    last = c = None
+    for e in vals:
+        if e.anchor is not last:
+            last = e.anchor
+            c = by_id.get(id(last))
+            if c is None:
+                c = by_id[id(last)] = index.setdefault(_class_key(last), len(anchors))
+                if c == len(anchors):
+                    anchors.append(last)
+        classes.append(c)
+    m = len(anchors)
+    return tuple([e.offset * m + c for e, c in zip(vals, classes)]), m, anchors
 
 
 def _rho(w: tuple[int, ...], m: int, k: int = 0) -> tuple[int, ...]:
@@ -200,7 +196,7 @@ def admissible(values, i: int, shifted: bool = False) -> bool:
     f, i = elems(values), _int(i, "the interchange position i")
     if not 1 <= i <= len(f) - 1:
         raise ValueError(f"interchange position {i} out of range for length {len(f)}")
-    w, m = _codes(f)
+    w, m, _ = _codes(f)
     return _admissible_here(_rho(w, m) if shifted else w, m, i)
 
 
@@ -262,7 +258,7 @@ def connected(f, g, shifted: bool = False) -> InterchangePath | None:
     # the search keys visited words by code tuples and decides each move
     # on them, so no state hashes a FieldElem or its anchor
     n = len(start)
-    codes, m = _codes(start + goal)
+    codes, m, _ = _codes(start + goal)
     first, target = codes[:n], codes[n:]
     if shifted:
         first, target = _rho(first, m), _rho(target, m)
@@ -314,7 +310,7 @@ def joseph_equal(f, fprime, k: int | None = None) -> bool:
         k = _int(k, "the shift k")
     elif len(a) != len(b):
         return False
-    codes, m = _codes(a + b)
+    codes, m, _ = _codes(a + b)
     ja, jb = _rho(codes[: len(a)], m), codes[len(a) :]
     if k is None:
         kb = [c for c in _rho(jb, m) if c % m == 0]

@@ -143,7 +143,7 @@ def _components(rep):
     """Each rearrangement of rep mapped to the first-found member of its
     interchange component.  The class is coded once, one int per entry as
     connected codes it, and every move is decided on the codes."""
-    codes, m = _codes(rep)
+    codes, m, _ = _codes(rep)
     decode = dict(zip(codes, rep))
     comp = {}
     for start in set(itertools.permutations(codes)):

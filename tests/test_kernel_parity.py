@@ -373,7 +373,7 @@ def test_unchecked_tableaux_pass_the_check_compiled(monkeypatch, built):
 def _class_rows(w, shifted=False):
     """The rows rs_finite._class_rows gives each class of w's codes (of
     j's codes when shifted), mapped back from codes to offsets."""
-    codes, m = rs_finite._codes(w)
+    codes, m, _ = rs_finite._codes(w)
     if shifted:
         codes = rs_finite._rho(codes, m)
     return [[[(x - c) // m for x in row] for row in rows]

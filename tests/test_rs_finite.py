@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -582,10 +584,12 @@ def test_rs_groups_alternating_classes():
     vals = tuple(elem(v) for v in [user, "a", 1, "a", FieldElem(Fraction(0), 5), "1/2"])
     _same_grouping(vals)
     # classes in order of first appearance, keyed by symbol or by
-    # (numerator, denominator), each with its 0-based positions
-    assert list(rs_finite_mod._classes(vals).items()) == [
-        ((0, 1), [0, 2, 4]), ("a", [1, 3]), ((1, 2), [5]),
-    ]
+    # (numerator, denominator): each entry's class index, its offset, and
+    # each class's first anchor object
+    codes, m, anchors = rs_finite_mod._codes(vals)
+    assert [c % m for c in codes] == [0, 1, 0, 1, 0, 2]
+    assert [c // m for c in codes] == [e.offset for e in vals]
+    assert anchors == [Fraction(0), "a", Fraction(1, 2)] and anchors[0] is user.anchor
     got = {t.anchor: t for t in rs(vals)}
     assert got[Fraction(0)].anchor is user.anchor
     assert got[Fraction(0)].rows == ((vals[4], vals[2]), (vals[0],))
@@ -724,3 +728,74 @@ def test_seq_of_refuses_a_non_tableau():
     for value, kind in (((1, 2), "int"), ("ab", "str"), ([rs([1])[0], None], "NoneType"), ([rs([1])], "TableauFamily")):
         with pytest.raises(TypeError, match=f"^seq_of reads tableaux, not {kind}$"):
             seq_of(value)
+
+
+def _twin_anchors():
+    """Pairs of equal anchors held by distinct objects: a symbol and two
+    rationals."""
+    pairs = [("".join(["a", "b"]), "".join(["a", "b"])), (Fraction(1, 3), Fraction(1, 3)),
+             (Fraction(0), Fraction(0))]
+    assert all(x == y and x is not y for x, y in pairs)
+    return pairs
+
+
+def test_rs_trace_keeps_the_first_anchor_of_each_class():
+    """Every step of rs_trace gives each tableau the first anchor object
+    seen in its class, as rs does; it used to carry the latest one."""
+    rng = random.Random(34)
+    twins = _twin_anchors()
+    for _ in range(200):
+        word = tuple(FieldElem(rng.choice(rng.choice(twins)), rng.randint(-3, 3))
+                     for _ in range(rng.randint(1, 10)))
+        for pos, step in enumerate(rs_trace(word), 1):
+            first = {}
+            for e in word[:pos]:
+                first.setdefault(e.anchor, e.anchor)
+            assert all(t.anchor is first[t.anchor] for t in step.family), (word, pos)
+        assert [id(t.anchor) for t in step.family] == [id(t.anchor) for t in rs(word)]
+
+
+def test_each_call_keys_each_anchor_object_once(monkeypatch):
+    """rs, j, rs_trace and the interchange checks group their words in one
+    class pass, which keys each distinct anchor object at most once;
+    rs_trace used to key every entry and every tableau of every step."""
+    rng = random.Random(35)
+    twins = _twin_anchors()
+    keyed = []
+    class_key = rs_finite_mod._class_key
+
+    def counted(anchor):
+        keyed.append(id(anchor))
+        return class_key(anchor)
+
+    monkeypatch.setattr(rs_finite_mod, "_class_key", counted)
+    calls = (
+        lambda f, g: rs(f), lambda f, g: j(f), lambda f, g: rs_trace(f),
+        lambda f, g: connected(f, g), lambda f, g: connected(f, g, shifted=True),
+        lambda f, g: joseph_equal(f, g), lambda f, g: joseph_equal(f, g, k=1),
+        lambda f, g: admissible(f, 1), lambda f, g: admissible(f, 1, shifted=True),
+    )
+    most = 0
+    for _ in range(100):
+        f = tuple(FieldElem(rng.choice(rng.choice(twins)), rng.randint(-3, 3))
+                  for _ in range(rng.randint(2, 8)))
+        g = walk(rng, f, rng.random() < 0.5)
+        for call in calls:
+            keyed.clear()
+            call(f, g)
+            assert len(keyed) == len(set(keyed)), (f, g)
+            most = max(most, len(keyed))
+    assert most >= 4
+
+
+def test_one_site_each_for_the_kernels_and_the_class_key():
+    """In rs_finite the batch kernel is used only in _class_rows, the
+    stepwise bump only in rs_trace, and the class key only in _codes, the
+    one class pass every finite insertion goes through."""
+    want = {"insert_sequence": {"_class_rows"}, "insert_one": {"rs_trace"}, "_class_key": {"_codes"}}
+    found: dict = {name: set() for name in want}
+    for top in ast.parse(Path(rs_finite_mod.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in found:
+                found[node.id].add(getattr(top, "name", f"line {top.lineno}"))
+    assert found == want
