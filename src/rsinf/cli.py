@@ -258,7 +258,7 @@ def main(argv=None) -> int:
         # devnull so that the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, separators=(",", ":")))
         return 1
 

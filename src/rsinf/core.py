@@ -67,11 +67,13 @@ class FieldElem:
             object.__setattr__(self, "offset", int(offset))
 
     def __eq__(self, other):
-        # offsets first, then the one anchor test: comparing (anchor,
-        # offset) tuples would run Fraction.__eq__ on a symbol and a rational
+        # offsets first, then identity, then the class keys: comparing
+        # (anchor, offset) tuples would run Fraction.__eq__ on a symbol and
+        # a rational
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.offset == other.offset and same_anchor(self.anchor, other.anchor)
+        a, b = self.anchor, other.anchor
+        return self.offset == other.offset and (a is b or _class_key(a) == _class_key(b))
 
     @property
     def is_rational(self) -> bool:
@@ -364,23 +366,12 @@ def _field(doc, name: str, shape: str, kind: type = object, default=_REQUIRED):
     return value
 
 
-def same_anchor(a: Anchor, b: Anchor) -> bool:
-    """Anchor equality: identity first, a symbol never meets a rational,
-    and two distinct rationals compare by (numerator, denominator), which
-    are reduced with a positive denominator, so Fraction.__eq__ never runs."""
-    if a is b:
-        return True
-    if isinstance(a, str):
-        return isinstance(b, str) and a == b
-    return not isinstance(b, str) and (
-        a.numerator == b.numerator and a.denominator == b.denominator
-    )
-
-
 def _class_key(anchor: Anchor):
     """The key of the anchor's integrality class: the symbol itself, or a
-    rational anchor's (numerator, denominator).  Equal anchors give equal
-    keys, a symbol never equals a tuple, and no Fraction is hashed."""
+    rational anchor's (numerator, denominator), reduced with a positive
+    denominator.  Two anchors are one class exactly when their keys are
+    equal: a symbol never equals a tuple, and no Fraction is hashed or
+    compared.  Every class-identity test goes through this key."""
     return anchor if isinstance(anchor, str) else (anchor.numerator, anchor.denominator)
 
 
@@ -435,12 +426,13 @@ class Tableau:
         then check the shape."""
         anchor = self.anchor
         FieldElem(anchor, 0)
+        key = _class_key(anchor)
         _set(self, "rows", tuple(map(elems, self.rows)))
         for row in self.rows:
             if not row:
                 raise ValueError("empty tableau row")
             for e in row:
-                if e.anchor is not anchor and not same_anchor(e.anchor, anchor):
+                if e.anchor is not anchor and _class_key(e.anchor) != key:
                     raise ValueError(f"entry {e} not in class of anchor {anchor}")
         for r in range(len(self.rows) - 1):
             if len(self.rows[r]) < len(self.rows[r + 1]):

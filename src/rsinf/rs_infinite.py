@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import FieldElem, Tableau, _int, _int_repr, as_partition, elem, elems, same_anchor
+from .core import FieldElem, Tableau, _class_key, _int, _int_repr, as_partition, elem, elems
 from .rs_finite import rs, seq_of
 
 
@@ -351,12 +351,13 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
     classes.  The head drops stay a ``range``, so reading row 1 and r
     costs time linear in the window however far apart the laws lie.
     """
-    if right is not None and not same_anchor(anchor, right.anchor):
+    key = _class_key(anchor)
+    if right is not None and _class_key(right.anchor) != key:
         raise ValueError("the two tails lie in different integrality classes")
     h = l - first + 1
     below, drops, others = [], [], []
     for e, v in zip(window, offsets):
-        if e.anchor is not anchor and not same_anchor(e.anchor, anchor):
+        if e.anchor is not anchor and _class_key(e.anchor) != key:
             others.append(e)
         elif v >= h:
             drops.append(v)
@@ -408,8 +409,9 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
         right_law=None if row.right is None else at(row.right),
     )
     family = rs(chain(map(at, row.drops), row.others))
-    law_tab = tuple(t for t in family if same_anchor(t.anchor, law.anchor))
-    finite = tuple(t for t in family if not same_anchor(t.anchor, law.anchor))
+    key = _class_key(law.anchor)
+    law_tab = tuple(t for t in family if _class_key(t.anchor) == key)
+    finite = tuple(t for t in family if _class_key(t.anchor) != key)
     lower_rows = law_tab[0].rows if law_tab else ()
     return InfiniteRSResult(g.axis, first_row, lower_rows, finite, seq_of(law_tab + finite))
 
@@ -450,7 +452,8 @@ def partition_from_row(
     if row.axis is not Axis.NEG:
         raise ValueError("expected the first row of a NEG-axis result")
     anchor = h.shift(r)
-    if not same_anchor(row.left_law.anchor, anchor.anchor):
+    key = _class_key(anchor.anchor)
+    if _class_key(row.left_law.anchor) != key:
         raise ValueError(
             f"row tail class {row.left_law} does not match the class of {h}"
         )
@@ -458,15 +461,12 @@ def partition_from_row(
         raise ValueError(
             f"row tail law {row.left_law} is not {h} shifted by {r}"
         )
+    # the law's value at p has offset anchor.offset - p, as in block_ideal
     out = []
-    n = len(row.window)
-    for i in range(n):
-        p = row.edge - i
-        w = row.window[n - 1 - i]
-        expected = anchor.shift(-p)
-        if not same_anchor(w.anchor, expected.anchor):
+    for p, w in zip(range(row.edge, row.edge - len(row.window), -1), reversed(row.window)):
+        if _class_key(w.anchor) != key:
             raise ValueError(f"row value {w} is not in the class of {h}")
-        out.append(expected.offset - w.offset)
+        out.append(anchor.offset - p - w.offset)
     return as_partition(out)
 
 

@@ -19,7 +19,7 @@ from rsinf.cls import (
 )
 from rsinf._kernel import insert_sequence
 from rsinf.core import (
-    FieldElem, Tableau, TableauFamily, elem, from_rational, same_anchor,
+    FieldElem, Tableau, TableauFamily, _class_key, elem, from_rational,
 )
 from rsinf.rs_finite import InterchangePath, admissible, apply_interchange, rs, seq_of
 from rsinf.rs_infinite import (
@@ -137,7 +137,7 @@ class Comparison(enum.Enum):
 def compare_z(a: FieldElem, b: FieldElem) -> Comparison:
     """Compare two values in the integral partial order: values with
     different anchors are incomparable, otherwise the offsets decide."""
-    if not same_anchor(a.anchor, b.anchor):
+    if _class_key(a.anchor) != _class_key(b.anchor):
         return Comparison.INCOMPARABLE
     if a.offset < b.offset:
         return Comparison.LESS
@@ -545,7 +545,8 @@ def explicit_extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     values.extend(right.shift(-p) for p in range(last + 1, b + 1))
     family = rs(values)
     law_anchor = left.anchor
-    t1_rows = next((t.rows for t in family if same_anchor(t.anchor, law_anchor)), None)
+    law_key = _class_key(law_anchor)
+    t1_rows = next((t.rows for t in family if _class_key(t.anchor) == law_key), None)
     if t1_rows is None:
         raise ValueError("window too small: no law-class values present")
 
@@ -559,7 +560,7 @@ def explicit_extract(g: StablyDecreasingSeq, margin: int) -> InfiniteRSResult:
     )
 
     lower_rows = t1_rows[1:]
-    finite = tuple(t for t in family if not same_anchor(t.anchor, law_anchor))
+    finite = tuple(t for t in family if _class_key(t.anchor) != law_key)
     rest: list[Tableau] = []
     if lower_rows:
         rest.append(Tableau(law_anchor, lower_rows))
@@ -596,7 +597,7 @@ def stable_margin(g: StablyDecreasingSeq) -> int:
     """
     left = g.left_law
     w_lo = _first(g.axis, g.edge, len(g.window))
-    same = [e.offset for e in g.window if same_anchor(e.anchor, left.anchor)]
+    same = [e.offset for e in g.window if _class_key(e.anchor) == _class_key(left.anchor)]
     d = 1
     if same:
         d = max(d, max(same) - (left.offset - w_lo) + 1)
@@ -626,7 +627,7 @@ def ideal_of(block: EventuallyConstantSeq, res: InfiniteRSResult) -> tuple:
         x = partition_from_row(mirror, block.right_tail.negate())
         return (res.r, 0, x, ())
     row = res.first_row
-    if not same_anchor(row.left_law.anchor, row.right_law.anchor):
+    if _class_key(row.left_law.anchor) != _class_key(row.right_law.anchor):
         raise ValueError("two-sided block with tails in different classes")
     gdeg = row.left_law.offset - row.right_law.offset
     if gdeg < 0:

@@ -183,6 +183,23 @@ def test_classify_missing_file(capsys):
     assert "error" in json.loads(out)
 
 
+def test_a_key_error_is_a_bug_not_an_error_answer(tmp_path, capsys, monkeypatch):
+    """Every document field is read through one reader that raises
+    ValueError, so no CLI path raises KeyError on bad input: one that
+    escapes is a fault of the program and must not print as a clean
+    {"error": ...}."""
+    doc = tmp_path / "spec.json"
+    doc.write_text(json.dumps({"regions": [{"type": "omega", "exceptions": [], "tail": 0}]}))
+
+    def broken(spec):
+        raise KeyError("a missing key")
+
+    monkeypatch.setattr(importlib.import_module("rsinf.classifier"), "classify", broken)
+    with pytest.raises(KeyError, match="a missing key"):
+        main(["classify", str(doc)])
+    assert capsys.readouterr().out == ""
+
+
 def test_rs_inf(tmp_path, capsys):
     doc = tmp_path / "block.json"
     doc.write_text(

@@ -30,7 +30,6 @@ from rsinf.core import (
     parse_elem,
     parse_elems,
     parse_entry,
-    same_anchor,
 )
 from rsinf.classifier import omega
 from rsinf.cls import basic_level, cls_level, cls_params, gamma, member, q_union_level
@@ -642,7 +641,9 @@ def test_shift_refuses_non_integers(k):
             e.shift(k)
 
 
-def test_same_anchor(monkeypatch):
+def test_class_key(monkeypatch):
+    """Two anchors are one class exactly when their class keys are
+    equal, and neither keying nor comparing keys runs Fraction.__eq__."""
     calls = [0]
     fraction_eq = Fraction.__eq__
 
@@ -650,22 +651,54 @@ def test_same_anchor(monkeypatch):
         calls[0] += 1
         return fraction_eq(self, other)
 
+    def same(a, b):
+        return core._class_key(a) == core._class_key(b)
+
     monkeypatch.setattr(Fraction, "__eq__", counted)
     half, other_half = Fraction(1, 2), Fraction(1, 2)
-    assert half is not other_half and same_anchor(half, other_half)
-    assert same_anchor(_Third(1, 2), half) and not same_anchor(half, Fraction(1, 3))
-    assert not same_anchor(half, "a") and not same_anchor("a", half)
-    assert not same_anchor("a", Fraction(0)) and not same_anchor(Fraction(0), "a")
-    assert same_anchor(Fraction(0), core._ZERO) and same_anchor(_Third(0), core._ZERO)
-    assert same_anchor("a", _Name("a")) and not same_anchor("a", "-a")
-    assert not same_anchor(Fraction(1, 2), core._ZERO)
+    assert half is not other_half and same(half, other_half)
+    assert same(_Third(1, 2), half) and not same(half, Fraction(1, 3))
+    assert not same(half, "a") and not same("a", half)
+    assert not same("a", Fraction(0)) and not same(Fraction(0), "a")
+    assert same(Fraction(0), core._ZERO) and same(_Third(0), core._ZERO)
+    assert same("a", _Name("a")) and not same("a", "-a")
+    assert not same(Fraction(1, 2), core._ZERO)
+    # elements with equal anchors that are not one object compare by key
+    assert FieldElem(half, 1) == FieldElem(other_half, 1) != FieldElem(half, 2)
+    assert FieldElem(_Third(1, 3), 0) != FieldElem(half, 0)
     seen = calls[0]
     assert half == other_half and calls[0] == seen + 1  # the counter sees __eq__
     monkeypatch.undo()
     assert seen == 0
-    # elements compare through the same test, offsets first
+    # elements compare through the same key, offsets first
     assert FieldElem("a", 0) != FieldElem(core._ZERO, 0)
     assert FieldElem(Fraction(0), 2) == elem(2) and elem(2) != elem(3)
+
+
+def test_one_class_identity_rule():
+    """No module of rsinf defines, imports or names same_anchor, the
+    class test _class_key replaced, and only core reads a rational
+    anchor's numerator or denominator, so a second class rule cannot
+    come back unnoticed."""
+    named, fraction_reads = set(), set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+                if name in ("numerator", "denominator"):
+                    fraction_reads.add(path.name)
+            else:
+                continue
+            if name == "same_anchor":
+                named.add(path.name)
+    assert named == set()
+    assert fraction_reads == {"core.py"}
 
 
 def test_rational_classes_share_one_anchor():

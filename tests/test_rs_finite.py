@@ -355,10 +355,11 @@ def test_connected_search_hashes_no_fraction(monkeypatch, shifted):
             )
         cases.append((f, g, bfs_connected(f, g, shifted)))
 
-    def refuse(self):
-        raise AssertionError("Fraction.__hash__ called")
+    def refuse(self, *other):
+        raise AssertionError("Fraction.__hash__ or __eq__ called")
 
     monkeypatch.setattr(Fraction, "__hash__", refuse)
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
     searched = 0
     for f, g, want in cases:
         assert connected(f, g, shifted=shifted) == want, (f, g)
@@ -623,9 +624,10 @@ def keyed_entry(rng):
 
 def test_class_keys_hash_no_fraction(monkeypatch):
     """Grouping by class keys a class by its symbol or by (numerator,
-    denominator): with Fraction.__hash__ refused, finite and infinite
+    denominator), and class identity compares those keys: with
+    Fraction.__hash__ and Fraction.__eq__ refused, finite and infinite
     insertion, classify and the interchange checks answer as they do
-    with hashing on, on words whose equal anchors are distinct objects."""
+    with both on, on words whose equal anchors are distinct objects."""
     rng = random.Random(67)
     cases = []
     for _ in range(300):
@@ -650,10 +652,11 @@ def test_class_keys_hash_no_fraction(monkeypatch):
 
     want = [answers(*case) for case in cases]
 
-    def refuse(self):
-        raise AssertionError("Fraction.__hash__ called")
+    def refuse(self, *other):
+        raise AssertionError("Fraction.__hash__ or __eq__ called")
 
     monkeypatch.setattr(Fraction, "__hash__", refuse)
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
     for case, answer in zip(cases, want):
         assert answers(*case) == answer, case
     monkeypatch.undo()

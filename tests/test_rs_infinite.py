@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import random
@@ -303,6 +304,13 @@ def test_partition_from_row_errors():
     mirrored = rs_infinite(plus_rho(eventually_constant(Axis.POS, [1], right_tail=0)))
     with pytest.raises(ValueError, match="NEG-axis"):
         partition_from_row(mirrored, 0)
+    # window entries are checked from the domain end inward: the entry
+    # nearest the end that lies in another class is named
+    law = res.first_row.left_law
+    for window, named in ((["b", law.shift(2), "1/2"], "1/2"), (["b", law.shift(1), 7], "b")):
+        row = stably_decreasing(Axis.NEG, window, edge=-1, left_law=law)
+        with pytest.raises(ValueError, match=rf"^row value {named} is not in the class of 0$"):
+            partition_from_row(dataclasses.replace(res, first_row=row), 0)
 
 
 def test_rs_infinite_is_deterministic():
