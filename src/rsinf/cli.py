@@ -121,7 +121,7 @@ def _cmd_rs_inf(args) -> int:
             "underline": [str(v) for v in res.underline],
             "lower_rows": [[str(v) for v in r_] for r_ in res.lower_rows],
             "finite_tableaux": _family_json(res.finite_tableaux),
-            "ideal": {"r": r, "g": g, "X": list(x), "Y": list(y)},
+            **classifier.ideal_to_json(classifier.ProperIdeal(r, g, x, y)),
         }
     )
 
@@ -168,9 +168,7 @@ def _cmd_cls_level(args) -> int:
 
 
 def _cmd_cls_gamma(args) -> int:
-    p = _parse_params(args.params)
-    print(",".join(str(x) for x in cls.gamma(p, args.level)))
-    return 0
+    return _print_vectors([cls.gamma(_parse_params(args.params), args.level)])
 
 
 def _cmd_cls_member(args) -> int:

@@ -96,8 +96,6 @@ def seq_of(tableaux) -> tuple[FieldElem, ...]:
     """
     if isinstance(tableaux, Tableau):
         tabs: tuple[Tableau, ...] = (tableaux,)
-    elif isinstance(tableaux, TableauFamily):
-        tabs = tableaux.tableaux
     else:
         tabs = tuple(tableaux)
         for t in tabs:

@@ -21,8 +21,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import FieldElem, Tableau, _class_key, _int, _int_repr, as_partition, elem, elems
-from .rs_finite import rs, seq_of
+from .core import (
+    FieldElem, Tableau, _class_key, _int, _int_repr, _unchecked_tableau, as_partition, elem, elems,
+)
+from .rs_finite import _class_rows, rs, seq_of
 
 
 class Axis(enum.Enum):
@@ -336,8 +338,9 @@ def _row_one(anchor, l: int, first: int, window, offsets, right=None) -> _RowOne
     k-th value bumps the k-th largest entry <= t, so the entries <= t
     drop largest first (the head's t..h when t >= h, then the tail of
     ``below``) and the law ends row 1.  The drops reach row 2 in that
-    order, and the other classes occur only in the window, so one finite
-    insertion of the entries gives every finite row.
+    order, and the other classes occur only in the window, so inserting
+    the drops gives the law class's lower rows, and inserting the
+    ``others`` the other classes' tableaux.
 
     Row 1 holds the head's v at position l - v, and ``below`` follows it.
     On NEG it ends at the window's edge = first + len(window) - 1, so its
@@ -387,10 +390,11 @@ _RS_INF_MAX_R = 100_000
 
 
 def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
-    """Insert a NEG or ALL g: row 1 from _row_one, and the finite rows
-    from rs of the entries it names, as elements of g's classes; the law
-    class is split off the other classes.  An r past _RS_INF_MAX_R
-    raises ValueError before anything is listed."""
+    """Insert a NEG or ALL g: row 1 from _row_one, which also splits the
+    law class off the other classes.  The law class's drops are inserted
+    as offsets through _class_rows, each box then filled with a fresh
+    element of the law's anchor, and the other classes through rs.  An r
+    past _RS_INF_MAX_R raises ValueError before anything is listed."""
     law, first = g.left_law, _first(g.axis, g.edge, len(g.window))
     offsets = [e.offset for e in g.window]
     # a NEG g has no right law, so right_law is None there
@@ -408,11 +412,10 @@ def _extract(g: StablyDecreasingSeq) -> InfiniteRSResult:
         g.axis, [at(-key) for key in row.below], edge=row.edge, left_law=at(row.left),
         right_law=None if row.right is None else at(row.right),
     )
-    family = rs(chain(map(at, row.drops), row.others))
-    key = _class_key(law.anchor)
-    law_tab = tuple(t for t in family if _class_key(t.anchor) == key)
-    finite = tuple(t for t in family if _class_key(t.anchor) != key)
-    lower_rows = law_tab[0].rows if law_tab else ()
+    # one class of offsets: the kernel's rows are the law tableau's
+    lower_rows = tuple([tuple(map(at, r)) for r in _class_rows(tuple(row.drops), 1)[0]])
+    finite = rs(row.others).tableaux
+    law_tab = (_unchecked_tableau(law.anchor, lower_rows),) if lower_rows else ()
     return InfiniteRSResult(g.axis, first_row, lower_rows, finite, seq_of(law_tab + finite))
 
 

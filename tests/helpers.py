@@ -489,15 +489,6 @@ def sweep_member(p: ClsParams, vec, n: int | None = None) -> bool:
     return _split_linf_rinf(residual, p.r1, p.r2)
 
 
-def bounded_dominant(n, bound):
-    """All normalized dominant n-vectors with entries at most bound."""
-    if n == 0:
-        yield ()
-        return
-    for head in itertools.combinations_with_replacement(range(bound, -1, -1), n - 1):
-        yield head + (0,)
-
-
 def enumerated_basic_level(kind, i, n, bound):
     """One basic family's level-n weights, filtered from every bounded
     dominant vector for the unbounded kinds.  The enumeration that the
@@ -507,13 +498,13 @@ def enumerated_basic_level(kind, i, n, bound):
     if kind in FINITE_STEPS:
         return frozenset({(0,) * n, *(f_kn(k, n) for k in FINITE_STEPS[kind](i, n))})
     if kind == "Linf":
-        return frozenset(v for v in bounded_dominant(n, bound) if not any(v[i:]))
+        return frozenset(v for v in oracles.dominant_vectors(n, bound) if not any(v[i:]))
     if kind == "Rinf":
         return frozenset(
-            v for v in bounded_dominant(n, bound) if len(set(v[: max(n - i, 0)])) <= 1
+            v for v in oracles.dominant_vectors(n, bound) if len(set(v[: max(n - i, 0)])) <= 1
         )
     if kind == "Einf":
-        return frozenset(bounded_dominant(n, bound))
+        return frozenset(oracles.dominant_vectors(n, bound))
     raise ValueError(f"unknown family kind {kind!r}")
 
 

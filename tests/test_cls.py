@@ -7,13 +7,13 @@ from collections import Counter
 import pytest
 
 from helpers import (
-    bounded_dominant,
     enumerated_basic_level,
     f_kn,
     frontier_split,
     in_child,
     loop_gamma,
     normalize,
+    oracles,
     product_cls_level,
     search_member,
     sweep_member,
@@ -230,7 +230,7 @@ def test_small_levels_coincide():
 
 def test_member_matches_enumeration():
     rng = random.Random(11)
-    vectors = [normalize(v) for v in bounded_dominant(3, 3)]
+    vectors = [normalize(v) for v in oracles.dominant_vectors(3, 3)]
     for _ in range(40):
         p = cls_params(
             rng.randint(0, 1),
@@ -360,7 +360,7 @@ def test_member_matches_enumerated_level_beyond_the_acceptance_grid():
             continue
         bound = rng.randint(3, 4)
         lv = cls_level(p, n, bound)
-        for v in bounded_dominant(n, bound):
+        for v in oracles.dominant_vectors(n, bound):
             answers.append(member(p, v))
             assert answers[-1] == (v in lv), (p, n, v)
     assert answers.count(False) > 1000

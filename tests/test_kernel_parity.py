@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 from helpers import oracles, pair_insert, pairs_of, walk
 from rsinf import _kernel, rs_finite
-from rsinf.core import Tableau, elem
+from rsinf.core import Tableau, _unchecked_tableau, elem
 from rsinf._insertion_py import insert_one
 from rsinf._insertion_py import insert_sequence as pure_insert
+from rsinf.rs_infinite import Axis, rs_infinite, stably_decreasing
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -393,6 +394,24 @@ def _interchange_answers(words, pairs):
     return inserted, answers
 
 
+def _recording(built, outcomes):
+    """The compiled module as _kernel calls it, appending to outcomes
+    whether each call ran compiled or overflowed to the pure kernel."""
+
+    class Recording:
+        @staticmethod
+        def insert_sequence(offsets):
+            try:
+                rows = built.insert_sequence(offsets)
+            except OverflowError:
+                outcomes.append("overflow")
+                raise
+            outcomes.append("compiled")
+            return rows
+
+    return Recording
+
+
 def test_backends_decide_interchanges_alike(monkeypatch, built):
     # a class holding an offset of +-2**70 overflows the compiled call and
     # falls back to the pure kernel, so the class rows of one word mix
@@ -412,19 +431,7 @@ def test_backends_decide_interchanges_alike(monkeypatch, built):
     pure = _interchange_answers(words, pairs)
 
     outcomes = []
-
-    class Counted:
-        @staticmethod
-        def insert_sequence(offsets):
-            try:
-                rows = built.insert_sequence(offsets)
-            except OverflowError:
-                outcomes.append("overflow")
-                raise
-            outcomes.append("compiled")
-            return rows
-
-    monkeypatch.setattr(_kernel, "_impl", Counted)
+    monkeypatch.setattr(_kernel, "_impl", _recording(built, outcomes))
     mixed = 0
     for w in words + [f for f, _, _ in pairs]:
         outcomes.clear()
@@ -441,3 +448,54 @@ def test_backends_decide_interchanges_alike(monkeypatch, built):
     assert sum(a[0] is not None for a in answers) > 10
     assert sum(a[1] is not None for a in answers) > 10
     assert sum(a[2] for a in answers) > 10
+
+
+def _blocks(rng):
+    """Seeded stably decreasing blocks on all three axes over four
+    classes: the window mostly in the laws' class, and the laws placed
+    at 0 or at +-2**70, where the compiled kernel overflows on the law
+    class and not on the others."""
+    units = [elem(a) for a in ("0", "1/2", "a", "-b")]
+    blocks = []
+    for _ in range(400):
+        axis = rng.choice(list(Axis))
+        law = rng.choice(units).shift(rng.choice((0, 0, 2**70, -(2**70))))
+        window = [(law if rng.random() < 0.7 else rng.choice(units)).shift(rng.randint(-6, 6))
+                  for _ in range(rng.randint(0, 12))]
+        blocks.append(stably_decreasing(
+            axis, window,
+            left_law=None if axis is Axis.POS else law.shift(rng.randint(-3, 3)),
+            right_law=None if axis is Axis.NEG else law.shift(rng.randint(-8, 8)),
+        ))
+    return blocks
+
+
+def _infinite_results(blocks):
+    """rs_infinite of each block, after checking that its law tableau
+    (the lower rows, in the class of the law the insertion read) and its
+    finite tableaux pass Tableau's check."""
+    results = []
+    for g in blocks:
+        res = rs_infinite(g)
+        # a POS block is inserted through its mirror, whose left law is
+        # the negated right law of the first row
+        law = res.first_row.right_law.negate() if res.mirrored else res.first_row.left_law
+        if res.lower_rows:
+            _assert_checked([_unchecked_tableau(law.anchor, res.lower_rows)])
+        _assert_checked(res.finite_tableaux)
+        results.append(res)
+    return results
+
+
+def test_backends_insert_infinite_blocks_alike(monkeypatch, built):
+    blocks = _blocks(random.Random(20261022))
+    monkeypatch.setattr(_kernel, "_impl", None)
+    pure = _infinite_results(blocks)
+    outcomes = []
+    monkeypatch.setattr(_kernel, "_impl", _recording(built, outcomes))
+    assert _infinite_results(blocks) == pure
+    assert outcomes.count("compiled") > 100 and outcomes.count("overflow") > 50
+    for axis in Axis:
+        results = [res for g, res in zip(blocks, pure) if g.axis is axis]
+        assert sum(bool(res.lower_rows) for res in results) > 40, axis
+        assert sum(bool(res.finite_tableaux) for res in results) > 40, axis

@@ -791,14 +791,43 @@ def test_each_call_keys_each_anchor_object_once(monkeypatch):
     assert most >= 4
 
 
-def test_one_site_each_for_the_kernels_and_the_class_key():
-    """In rs_finite the batch kernel is used only in _class_rows, the
-    stepwise bump only in rs_trace, and the class key only in _codes, the
-    one class pass every finite insertion goes through."""
-    want = {"insert_sequence": {"_class_rows"}, "insert_one": {"rs_trace"}, "_class_key": {"_codes"}}
-    found: dict = {name: set() for name in want}
-    for top in ast.parse(Path(rs_finite_mod.__file__).read_text()).body:
+def _sites(path, names):
+    """(name, site) for each of names that the module at path spells as a
+    variable, an attribute, a def or an import: the site is the top-level
+    def or class holding it, or "import" for a top-level import."""
+    for top in ast.parse(Path(path).read_text()).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            site = "import"
+        else:
+            site = getattr(top, "name", f"line {top.lineno}")
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id in found:
-                found[node.id].add(getattr(top, "name", f"line {top.lineno}"))
-    assert found == want
+            spelled = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            for name in spelled & set(names):
+                yield name, site
+
+
+def test_one_site_each_for_the_kernels_and_the_class_key():
+    """Across the package the batch kernel is named only in _kernel and
+    _insertion_py and in rs_finite's _class_rows, the one batch-kernel
+    call site, and the stepwise bump only in _insertion_py and in
+    rs_finite's rs_trace, besides rs_finite's imports: rs_infinite names
+    neither.  In rs_finite the class key is named only in _codes, the one
+    class pass every finite insertion goes through."""
+    names = ("insert_sequence", "insert_one", "_class_key")
+    found: dict = {name: set() for name in names}
+    for path in Path(rs_finite_mod.__file__).parent.glob("*.py"):
+        for name, site in _sites(path, names):
+            found[name].add((path.stem, site))
+
+    def outside(name, *modules):
+        return {f"{mod}.{site}" for mod, site in found[name] if mod not in modules}
+
+    assert outside("insert_sequence", "_kernel", "_insertion_py") == {
+        "rs_finite.import", "rs_finite._class_rows"}
+    assert outside("insert_one", "_insertion_py") == {"rs_finite.import", "rs_finite.rs_trace"}
+    # the scan sees the kernels' own definitions
+    assert {("_kernel", "insert_sequence"), ("_insertion_py", "insert_sequence")} <= found[
+        "insert_sequence"]
+    assert ("_insertion_py", "insert_one") in found["insert_one"]
+    assert {site for mod, site in found["_class_key"] if mod == "rs_finite"} == {
+        "import", "_codes"}

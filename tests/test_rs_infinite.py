@@ -11,7 +11,8 @@ import pytest
 
 from helpers import explicit_extract, ideal_of, rand_block, rand_block_doc, rand_entry, stable_margin
 from rsinf.classifier import _Cut, classify, ideal_to_json, parse_spec
-from rsinf.core import FieldElem, elem, parse_elem
+from rsinf import rs_finite
+from rsinf.core import FieldElem, _class_key, elem, parse_elem
 from rsinf.rs_infinite import (
     Axis,
     EventuallyConstantSeq,
@@ -643,3 +644,42 @@ def test_partition_from_row_refuses_a_non_result(result, kind):
         partition_from_row(result, 0)
     with pytest.raises(TypeError, match=f"^a first row is a StablyDecreasingSeq, not {kind}$"):
         partition_from_row(InfiniteRSResult(Axis.NEG, result, (), (), ()), 0)
+
+
+def test_the_law_class_never_reaches_the_class_pass(monkeypatch):
+    """_row_one already splits the law class off the others, so _extract
+    inserts the law class's drops as offsets and rs_finite's class pass
+    _codes sees only the other classes: no entry on an integer block
+    that displaces entries, and exactly the other-class window entries,
+    the same objects in window order, on a mixed NEG or ALL block."""
+    seen = []
+    codes = rs_finite._codes
+
+    def recorded(vals):
+        seen.append(tuple(vals))
+        return codes(vals)
+
+    monkeypatch.setattr(rs_finite, "_codes", recorded)
+    rng = random.Random(20261022)
+    displaced = dict.fromkeys(Axis, 0)
+    for _ in range(600):
+        axis = rng.choice(list(Axis))
+        seen.clear()
+        if rs_infinite(plus_rho(rand_block(rng, axis))).lower_rows:
+            displaced[axis] += 1
+            assert not any(seen), seen
+    assert min(displaced.values()) > 50, displaced
+    units = [elem(a) for a in ("0", "1/2", "a")]
+    mixed = 0
+    for _ in range(300):
+        law = rng.choice(units)
+        window = [rng.choice(units).shift(rng.randint(-4, 4)) for _ in range(rng.randint(1, 10))]
+        axis = rng.choice((Axis.NEG, Axis.ALL))
+        right = law.shift(rng.randint(-6, 6)) if axis is Axis.ALL else None
+        g = stably_decreasing(axis, window, left_law=law.shift(rng.randint(-3, 3)), right_law=right)
+        others = [e for e in g.window if _class_key(e.anchor) != _class_key(law.anchor)]
+        seen.clear()
+        res = rs_infinite(g)
+        assert len(seen) == 1 and list(map(id, seen[0])) == list(map(id, others)), (g, seen)
+        mixed += bool(others) and bool(res.lower_rows)
+    assert mixed > 50
